@@ -62,7 +62,11 @@ func (g *goldenRecorder) do(method, path string, body any) {
 		g.t.Fatal(err)
 	}
 	g.step++
-	fmt.Fprintf(&g.buf, "### %d %s %s\n%d\n%s", g.step, method, path, resp.StatusCode, raw)
+	fmt.Fprintf(&g.buf, "### %d %s %s\n%d\n", g.step, method, path, resp.StatusCode)
+	if allow := resp.Header.Get("Allow"); allow != "" {
+		fmt.Fprintf(&g.buf, "Allow: %s\n", allow)
+	}
+	g.buf.Write(raw)
 	if !bytes.HasSuffix(raw, []byte("\n")) {
 		g.buf.WriteByte('\n')
 	}
@@ -153,4 +157,37 @@ func TestGoldenV1Storage(t *testing.T) {
 	g.do(http.MethodGet, "/v1/health", nil)
 
 	g.check("golden_v1_storage.txt")
+}
+
+// goldenRoutePaths are the v1 routes (with a job ID that is never
+// registered, so no step changes server state) followed by unknown
+// subroutes of the two ID-carrying subtrees. /v1/jobs/a%2Fb is what
+// Client.Result("a/b") sends.
+var goldenRoutePaths = []string{
+	"/healthz", "/v1/health", "/v1/dictionary", "/v1/metrics",
+	"/v1/jobs", "/v1/samples",
+	"/v1/jobs/x", "/v1/jobs/x/label", "/v1/jobs/x/series",
+	"/v1/executions", "/v1/executions/x/recognize",
+	"/v1/jobs/", "/v1/jobs/a/b", "/v1/jobs/a/b/label", "/v1/jobs/a%2Fb",
+	"/v1/executions/", "/v1/executions/x", "/v1/executions/x/y/recognize",
+}
+
+// TestGoldenV1Routes pins the route matrix: every path above under
+// every method, with empty bodies, in memory and storage mode — status,
+// Allow header and body, including the 404/405/501 envelopes the other
+// transcripts leave out.
+func TestGoldenV1Routes(t *testing.T) {
+	_, mem := newTestServer(t)
+	_, sto, _ := storageFixture(t, t.TempDir())
+	g := &goldenRecorder{t: t}
+	for _, mode := range []struct{ name, base string }{{"memory", mem.URL}, {"storage", sto.URL}} {
+		fmt.Fprintf(&g.buf, "## %s\n", mode.name)
+		g.base = mode.base
+		for _, path := range goldenRoutePaths {
+			for _, method := range []string{http.MethodGet, http.MethodHead, http.MethodPost, http.MethodPut, http.MethodDelete} {
+				g.do(method, path, nil)
+			}
+		}
+	}
+	g.check("golden_v1_routes.txt")
 }
