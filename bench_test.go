@@ -1,7 +1,7 @@
 // Benchmark harness: one benchmark per table and figure of the paper,
-// plus the ablations of DESIGN.md §4 and micro-benchmarks of the hot
-// paths. Each Benchmark prints (once) the artifact it regenerates, then
-// times the computation that produces it.
+// plus the ablations of cmd/experiments -ablation and micro-benchmarks
+// of the hot paths. Each Benchmark prints (once) the artifact it
+// regenerates, then times the computation that produces it.
 //
 // Run everything with:
 //
@@ -239,7 +239,7 @@ func BenchmarkTable4ExampleDictionary(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §4) ------------------------------------------
+// --- Ablations (cmd/experiments -ablation) -----------------------------
 
 func BenchmarkAblationRoundingDepth(b *testing.B) {
 	h := benchHarness(b)

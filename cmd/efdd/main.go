@@ -67,8 +67,8 @@ func main() {
 // run is the daemon body, factored out of main so tests can drive it:
 // it serves until the context is cancelled or SIGINT/SIGTERM arrives,
 // then shuts down gracefully and re-saves the dictionary when -save is
-// set. onListen, if non-nil, is called with the bound address once the
-// listener is up.
+// set. onListen, if non-nil, is called with the bound service address
+// once every listener (the ops one included) is up.
 func run(ctx context.Context, args []string, out io.Writer, onListen func(addr string)) error {
 	fs := flag.NewFlagSet("efdd", flag.ContinueOnError)
 	fs.SetOutput(out)
@@ -190,9 +190,6 @@ func run(ctx context.Context, args []string, out io.Writer, onListen func(addr s
 		return err
 	}
 	logger.Info("listening", "addr", ln.Addr().String())
-	if onListen != nil {
-		onListen(ln.Addr().String())
-	}
 
 	// The optional ops listener keeps scrapes, profiles, and debug
 	// reads off the service listener (and off its timeouts): /metrics
@@ -202,6 +199,7 @@ func run(ctx context.Context, args []string, out io.Writer, onListen func(addr s
 	if *opsAddr != "" {
 		opsLn, err := net.Listen("tcp", *opsAddr)
 		if err != nil {
+			ln.Close()
 			eng.CloseStore()
 			return fmt.Errorf("ops listener: %w", err)
 		}
@@ -216,6 +214,11 @@ func run(ctx context.Context, args []string, out io.Writer, onListen func(addr s
 		opsSrv = &http.Server{Handler: opsMux, ReadHeaderTimeout: 5 * time.Second}
 		logger.Info("ops listening", "addr", opsLn.Addr().String())
 		go opsSrv.Serve(opsLn)
+	}
+	// Every listener is up (and logged) before onListen reports the
+	// service address.
+	if onListen != nil {
+		onListen(ln.Addr().String())
 	}
 
 	httpSrv := &http.Server{

@@ -1,5 +1,5 @@
 // Command experiments regenerates every table and figure of the
-// paper's evaluation, plus the ablations documented in DESIGN.md.
+// paper's evaluation, plus the ablations listed under -ablation below.
 //
 // Usage:
 //

@@ -1,8 +1,8 @@
 // Package repro is the root of the EFD reproduction module. The public
 // library API lives in package repro/efd; the benchmark harness in
-// bench_test.go regenerates every table and figure of the paper (see
-// DESIGN.md for the experiment index and EXPERIMENTS.md for measured
-// results).
+// bench_test.go regenerates every table and figure of the paper, and
+// cmd/experiments prints them at full scale (its usage lists every
+// table, figure and ablation).
 //
 // The recognition hot path is allocation-free on a warmed dictionary
 // (interned integer keys, dense vote accumulators, reused scratch — see

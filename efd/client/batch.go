@@ -30,11 +30,12 @@ type BatchWriterConfig struct {
 	// bound is hit and the buffer is full again. Default 1 — which
 	// also guarantees batches arrive at the server in flush order.
 	MaxInFlight int
-	// Columnar regroups each job's buffered samples into contiguous
-	// (metric, node) runs and sends them with IngestRuns — the binary
-	// encoding when the server speaks it. Samples keep their arrival
-	// order within each (metric, node) run, exactly like the server's
-	// own JSON regrouping.
+	// Columnar sends each flush with IngestRuns — the binary encoding
+	// unless the client was built with WithBinaryIngest(BinaryNever) —
+	// instead of IngestBatches' JSON. Either way the buffered samples
+	// are validated and regrouped into contiguous (metric, node) runs,
+	// keeping their arrival order within each run, exactly like the
+	// server's own JSON regrouping.
 	Columnar bool
 	// OverloadRetries bounds the re-sends of a buffer the server shed
 	// with 429 (or answered 503): up to this many retries after the
@@ -196,10 +197,17 @@ func (w *BatchWriter) send(batches []monitor.Batch) error {
 	return w.sendRetry(w.cfg.Context, batches)
 }
 
-// sendRetry posts one buffer, re-sending on overload (429/503) up to
-// OverloadRetries times. Re-sending a shed batch cannot double-feed:
-// the server rejected it before decoding anything.
+// sendRetry posts one buffer — validated and regrouped into runs, sent
+// binary when Columnar asks for it, JSON otherwise — re-sending on
+// overload (429/503) up to OverloadRetries times. Re-sending a shed
+// batch cannot double-feed: the server rejected it before decoding
+// anything.
 func (w *BatchWriter) sendRetry(ctx context.Context, batches []monitor.Batch) error {
+	runs, err := regroup(batches)
+	if err != nil {
+		return err
+	}
+	binary := w.cfg.Columnar && w.c.binary != BinaryNever
 	retries := w.cfg.OverloadRetries
 	if retries == 0 {
 		retries = 3
@@ -209,7 +217,7 @@ func (w *BatchWriter) sendRetry(ctx context.Context, batches []monitor.Batch) er
 		base = 500 * time.Millisecond
 	}
 	for attempt := 0; ; attempt++ {
-		err := w.sendOnce(ctx, batches)
+		_, err := w.c.ingestRuns(ctx, runs, binary)
 		if err == nil || attempt >= retries || !overloaded(err) {
 			return err
 		}
@@ -219,16 +227,6 @@ func (w *BatchWriter) sendRetry(ctx context.Context, batches []monitor.Batch) er
 			return err
 		}
 	}
-}
-
-// sendOnce posts one buffer.
-func (w *BatchWriter) sendOnce(ctx context.Context, batches []monitor.Batch) error {
-	if w.cfg.Columnar {
-		_, err := w.c.IngestRuns(ctx, regroup(batches))
-		return err
-	}
-	_, err := w.c.IngestBatches(ctx, batches)
-	return err
 }
 
 // overloaded reports a shed request: the engine's admission gate (429)
@@ -256,14 +254,19 @@ func overloadDelay(err error, base time.Duration, attempt int) time.Duration {
 	return time.Duration(float64(d) * (0.75 + 0.5*rand.Float64()))
 }
 
-// regroup converts buffered row-form samples into columnar runs,
-// splitting at every (metric, node) change — the same contiguous-run
-// rule the server's JSON path applies, so the resulting stream state
-// is identical. Offsets round to the nanosecond grid exactly as the
-// server rounds JSON offsets.
-func regroup(batches []monitor.Batch) []monitor.RunBatch {
+// regroup converts row-form samples into columnar runs, splitting at
+// every (metric, node) change — the same contiguous-run rule the
+// server's JSON path applies, so the resulting stream state is
+// identical. Offsets round to the nanosecond grid exactly as the
+// server rounds JSON offsets, which is only defined for the finite,
+// in-range offsets monitor.ValidateSamples admits: an invalid sample
+// fails the whole conversion with its error.
+func regroup(batches []monitor.Batch) ([]monitor.RunBatch, error) {
 	out := make([]monitor.RunBatch, len(batches))
 	for bi, b := range batches {
+		if err := monitor.ValidateSamples(b.JobID, b.Samples); err != nil {
+			return nil, err
+		}
 		rb := monitor.RunBatch{JobID: b.JobID}
 		samples := b.Samples
 		for i := 0; i < len(samples); {
@@ -277,7 +280,7 @@ func regroup(batches []monitor.Batch) []monitor.RunBatch {
 		}
 		out[bi] = rb
 	}
-	return out
+	return out, nil
 }
 
 // tick is the interval flusher.

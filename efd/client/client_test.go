@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -307,56 +308,9 @@ func TestBinaryVersusJSONBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBinaryNegotiationFallback points the client at a legacy server
-// that answers binary frames with a flat 400; IngestRuns must fall
-// back to JSON transparently and remember the outcome.
-func TestBinaryNegotiationFallback(t *testing.T) {
-	var binaryPosts, jsonPosts atomic.Int32
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get("Content-Type") == ContentTypeRuns {
-			binaryPosts.Add(1)
-			// Legacy pre-envelope shape: a flat error string.
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusBadRequest)
-			w.Write([]byte(`{"error":"bad JSON: invalid character"}`))
-			return
-		}
-		jsonPosts.Add(1)
-		var req struct {
-			Batches []monitor.Batch `json:"batches"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			t.Errorf("fallback JSON decode: %v", err)
-		}
-		n := 0
-		for _, b := range req.Batches {
-			n += len(b.Samples)
-		}
-		json.NewEncoder(w).Encode(map[string]int{"accepted": n})
-	})
-	ts := httptest.NewServer(h)
-	t.Cleanup(ts.Close)
-	c := New(ts.URL)
-	runs := []monitor.RunBatch{{JobID: "j", Runs: []monitor.Run{{
-		Metric: "m", Node: 0,
-		Offsets: []time.Duration{0, time.Second},
-		Values:  []float64{1, 2},
-	}}}}
-	res, err := c.IngestRuns(context.Background(), runs)
-	if err != nil || res.Accepted != 2 {
-		t.Fatalf("fallback ingest: %+v, %v", res, err)
-	}
-	// Second call goes straight to JSON: the rejection is memoized.
-	if _, err := c.IngestRuns(context.Background(), runs); err != nil {
-		t.Fatal(err)
-	}
-	if b, j := binaryPosts.Load(), jsonPosts.Load(); b != 1 || j != 2 {
-		t.Errorf("binary=%d json=%d, want 1 and 2", b, j)
-	}
-}
-
-// TestBinaryGenuine400DoesNotFallBack: an enveloped 400 from a
-// binary-speaking server (NaN value) must surface, not trigger JSON.
+// TestBinaryGenuine400DoesNotFallBack: the server's enveloped 400 for
+// a binary payload (NaN value) surfaces, and the client keeps sending
+// binary afterwards.
 func TestBinaryGenuine400DoesNotFallBack(t *testing.T) {
 	_, c := newFixture(t)
 	ctx := context.Background()
@@ -595,6 +549,47 @@ func TestBatchWriterColumnar(t *testing.T) {
 	}
 	if state[0] != state[1] {
 		t.Errorf("columnar writer diverged from JSON writer:\n json:     %s\n columnar: %s", state[0], state[1])
+	}
+}
+
+// TestRowOffsetsValidatedBeforeRegroup: rows whose offset has no
+// nanosecond Duration (NaN, ±Inf, beyond ~292 years) fail locally
+// with monitor.ErrInvalid on both row paths — IngestBatches and a
+// columnar BatchWriter — and the server is never fed.
+func TestRowOffsetsValidatedBeforeRegroup(t *testing.T) {
+	for _, offset := range []float64{nan(), math.Inf(1), math.Inf(-1), 1e12} {
+		for _, columnar := range []bool{false, true} {
+			srv, c := newFixture(t)
+			ctx := context.Background()
+			if err := c.Register(ctx, "off", 1); err != nil {
+				t.Fatal(err)
+			}
+			rows := []monitor.Sample{
+				{Metric: apps.HeadlineMetric, OffsetS: 0, Value: 1},
+				{Metric: apps.HeadlineMetric, OffsetS: offset, Value: 2},
+				{Metric: apps.HeadlineMetric, OffsetS: 2, Value: 3},
+			}
+			var err error
+			if columnar {
+				w := c.NewBatchWriter(BatchWriterConfig{FlushInterval: -1, Columnar: true})
+				for _, s := range rows {
+					if aerr := w.Add("off", s); aerr != nil {
+						t.Fatal(aerr)
+					}
+				}
+				err = w.Flush(ctx)
+				w.Close()
+			} else {
+				_, err = c.IngestBatches(ctx, []monitor.Batch{{JobID: "off", Samples: rows}})
+			}
+			if !errors.Is(err, monitor.ErrInvalid) {
+				t.Errorf("offset %v columnar=%v: err = %v, want monitor.ErrInvalid", offset, columnar, err)
+			}
+			if st := srv.Stats(); st.SampleBatches != 0 || st.SamplesAccepted != 0 {
+				t.Errorf("offset %v columnar=%v: server saw %d batches, accepted %d samples; want none sent",
+					offset, columnar, st.SampleBatches, st.SamplesAccepted)
+			}
+		}
 	}
 }
 

@@ -148,12 +148,16 @@ func TestMultiWriteFailoverOptIn(t *testing.T) {
 	home := newStub(t, monitor.StatusHealthy)
 	peer := newStub(t, monitor.StatusHealthy)
 	id := homedJobID(0, 2)
-	// No prober tick yet (long interval): both endpoints look serving,
-	// so routing alone cannot save the write — failover must.
+	// The long interval leaves only the prober's immediate first
+	// sweep; waiting it out while both endpoints serve means no later
+	// probe can see the home endpoint die and rank it down, so routing
+	// alone cannot save the write — failover must.
 	pinned := NewMulti([]string{home.ts.URL, peer.ts.URL}, WithHealthProbe(time.Hour))
 	defer pinned.Close()
 	rehoming := NewMulti([]string{home.ts.URL, peer.ts.URL}, WithHealthProbe(time.Hour), WithWriteFailover())
 	defer rehoming.Close()
+	waitEndpointStatus(t, pinned, 0, monitor.StatusHealthy)
+	waitEndpointStatus(t, rehoming, 0, monitor.StatusHealthy)
 
 	home.ts.Close()
 	if _, err := pinned.Ingest(ctx, id, sample); err == nil {

@@ -55,7 +55,7 @@
 //   - efd/client: the typed SDK for the efdd daemon's v1 HTTP API
 //     (documented in API.md), with connection reuse, retrying
 //     idempotent calls, a size/interval-flushing BatchWriter, and a
-//     negotiated binary columnar ingest encoding that round-trips
+//     binary columnar ingest encoding that round-trips
 //     float64 telemetry bit-exactly at a fraction of JSON's cost.
 //
 // The efdd daemon itself (cmd/efdd) is a thin HTTP adapter

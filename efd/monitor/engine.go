@@ -167,12 +167,13 @@ type job struct {
 	// done marks a job that has been labelled or closed; a caller
 	// that resolved the pointer before removal treats it as gone.
 	done bool
-	// colOff/colVal are the job's reused ingest scratch: feedSamples
-	// regroups each wire batch into columnar (metric, node) runs here
-	// before handing them to Stream.FeedRun, so steady-state ingest
-	// allocates nothing per batch. Guarded by mu like the stream.
+	// colOff/colVal/runs are the job's reused ingest scratch:
+	// feedSamples regroups each batch of rows into columnar (metric,
+	// node) runs here, so steady-state ingest allocates nothing per
+	// batch. Guarded by mu like the stream.
 	colOff []time.Duration
 	colVal []float64
+	runs   []Run
 }
 
 // counters are the engine's monotonically increasing metrics,
@@ -405,63 +406,71 @@ func (e *Engine) Lookup(id string) (*Job, bool) {
 // the number of samples fed and the sorted IDs of unknown jobs;
 // feeding the rest proceeds despite unknowns.
 func (e *Engine) IngestBatches(batches []Batch) (accepted int, unknown []string, err error) {
-	start := e.obsStart()
-	accepted, unknown, err = e.ingestBatches(batches)
-	e.observeIngest(start, accepted)
-	return accepted, unknown, err
+	return e.ingest(len(batches),
+		func(i int) string { return batches[i].JobID },
+		func(i int) error { return ValidateSamples(batches[i].JobID, batches[i].Samples) },
+		func(i int, j *job) (int, bool, error) { return e.feedSamples(batches[i].JobID, j, batches[i].Samples) })
 }
 
-func (e *Engine) ingestBatches(batches []Batch) (accepted int, unknown []string, err error) {
+// IngestRuns is IngestBatches for columnar run batches — the binary
+// wire path and the native form for columnar feeders. No regrouping
+// happens: each run feeds the stream (and the WAL) as one columnar
+// append.
+func (e *Engine) IngestRuns(batches []RunBatch) (accepted int, unknown []string, err error) {
+	return e.ingest(len(batches),
+		func(i int) string { return batches[i].JobID },
+		func(i int) error { return validateRuns(batches[i].JobID, batches[i].Runs) },
+		func(i int, j *job) (int, bool, error) { return e.feedRuns(batches[i].JobID, j, batches[i].Runs) })
+}
+
+// ingest is the one engine-level ingest path behind both batch forms.
+// Batch i of the call belongs to job id(i); validate(i) checks its
+// samples, and feed(i, j) applies them to the live job j.
+func (e *Engine) ingest(n int, id func(int) string, validate func(int) error, feed func(int, *job) (int, bool, error)) (accepted int, unknown []string, err error) {
+	start := e.obsStart()
+	defer func() { e.observeIngest(start, accepted) }()
 	// Count attempts first so rejected batches stay a subset of
 	// attempted ones in Stats (rejection rate can never read above
 	// 100%).
-	e.met.sampleBatches.Add(int64(len(batches)))
+	e.met.sampleBatches.Add(int64(n))
 	invalid := 0
-	var firstErr error
-	for _, b := range batches {
-		verr := validateJobID(b.JobID)
+	for i := 0; i < n; i++ {
+		verr := validateJobID(id(i))
 		if verr == nil {
-			verr = ValidateSamples(b.JobID, b.Samples)
+			verr = validate(i)
 		}
 		if verr != nil {
 			invalid++
-			if firstErr == nil {
-				firstErr = verr
+			if err == nil {
+				err = verr
 			}
 		}
 	}
 	if invalid > 0 {
 		e.met.batchesRejected.Add(int64(invalid))
-		return 0, nil, firstErr
+		return 0, nil, err
 	}
-	if len(batches) == 1 {
-		// Single-job fast path (the per-node LDMS forwarder shape):
-		// resolve directly, no shard grouping.
-		b := batches[0]
-		j := e.getJob(b.JobID)
-		if j == nil {
-			return 0, []string{b.JobID}, nil
+	var work []resolvedJob
+	if n == 1 {
+		// Single-job fast path (the per-node forwarder shape): resolve
+		// directly, without the shard grouping's allocations.
+		var one [1]resolvedJob
+		if one[0].j = e.getJob(id(0)); one[0].j != nil {
+			work = one[:]
+		} else {
+			unknown = []string{id(0)}
 		}
-		n, ok, err := e.feedSamples(b.JobID, j, b.Samples)
-		accepted = n
-		if err != nil {
-			return accepted, nil, err
-		}
-		if !ok {
-			return accepted, []string{b.JobID}, nil
-		}
-		return accepted, nil, e.commitAccepted(accepted)
+	} else {
+		work, unknown = e.resolveByShard(n, id)
 	}
-	work, unknown := e.resolveByShard(len(batches), func(i int) string { return batches[i].JobID })
 	for _, rw := range work {
-		b := batches[rw.idx]
-		n, ok, err := e.feedSamples(b.JobID, rw.j, b.Samples)
-		accepted += n
-		if err != nil {
-			return accepted, nil, err
+		fed, ok, ferr := feed(rw.idx, rw.j)
+		accepted += fed
+		if ferr != nil {
+			return accepted, nil, ferr
 		}
 		if !ok {
-			unknown = append(unknown, b.JobID)
+			unknown = append(unknown, id(rw.idx))
 		}
 	}
 	// Sorted: shard-map iteration order is nondeterministic.
@@ -500,71 +509,6 @@ func (e *Engine) resolveByShard(n int, id func(int) string) (work []resolvedJob,
 	return work, unknown
 }
 
-// IngestRuns is IngestBatches for columnar run batches — the binary
-// wire path and the native form for columnar feeders. No regrouping
-// happens: each run feeds the stream (and the WAL) as one columnar
-// append.
-func (e *Engine) IngestRuns(batches []RunBatch) (accepted int, unknown []string, err error) {
-	start := e.obsStart()
-	accepted, unknown, err = e.ingestRuns(batches)
-	e.observeIngest(start, accepted)
-	return accepted, unknown, err
-}
-
-func (e *Engine) ingestRuns(batches []RunBatch) (accepted int, unknown []string, err error) {
-	e.met.sampleBatches.Add(int64(len(batches)))
-	invalid := 0
-	var firstErr error
-	for _, b := range batches {
-		verr := validateJobID(b.JobID)
-		if verr == nil {
-			verr = validateRuns(b.JobID, b.Runs)
-		}
-		if verr != nil {
-			invalid++
-			if firstErr == nil {
-				firstErr = verr
-			}
-		}
-	}
-	if invalid > 0 {
-		e.met.batchesRejected.Add(int64(invalid))
-		return 0, nil, firstErr
-	}
-	if len(batches) == 1 {
-		// Single-job fast path, mirroring IngestBatches: no shard
-		// grouping allocations on the binary forwarder hot path.
-		b := batches[0]
-		j := e.getJob(b.JobID)
-		if j == nil {
-			return 0, []string{b.JobID}, nil
-		}
-		n, ok, err := e.feedRuns(b.JobID, j, b.Runs)
-		accepted = n
-		if err != nil {
-			return accepted, nil, err
-		}
-		if !ok {
-			return accepted, []string{b.JobID}, nil
-		}
-		return accepted, nil, e.commitAccepted(accepted)
-	}
-	work, unknown := e.resolveByShard(len(batches), func(i int) string { return batches[i].JobID })
-	for _, rw := range work {
-		b := batches[rw.idx]
-		n, ok, err := e.feedRuns(b.JobID, rw.j, b.Runs)
-		accepted += n
-		if err != nil {
-			return accepted, nil, err
-		}
-		if !ok {
-			unknown = append(unknown, b.JobID)
-		}
-	}
-	sort.Strings(unknown)
-	return accepted, unknown, e.commitAccepted(accepted)
-}
-
 // commitAccepted makes a batch durable: one group-commit fsync
 // acknowledges however many runs the call appended. A commit failure
 // leaves the streams already fed (a retry would double-feed them);
@@ -587,58 +531,55 @@ func (e *Engine) commitAccepted(accepted int) error {
 	return nil
 }
 
-// feedSamples applies one batch of pre-validated samples to a job
-// under its mutex, regrouping them into contiguous (metric, node)
-// runs in the job's reused scratch — LDMS forwarders emit long runs
-// of one metric on one node, so the stream resolves metric
-// configuration and window accumulators once per run instead of once
-// per sample.
+// feedSamples applies one batch of pre-validated rows to a job: under
+// its mutex it regroups them into contiguous (metric, node) runs in
+// the job's reused scratch — LDMS forwarders emit long runs of one
+// metric on one node, so the stream resolves metric configuration and
+// window accumulators once per run instead of once per sample — and
+// feeds those runs like any columnar batch.
 func (e *Engine) feedSamples(id string, j *job, samples []Sample) (int, bool, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.done {
-		return 0, false, nil
-	}
-	fed := 0
+	j.colOff, j.colVal, j.runs = j.colOff[:0], j.colVal[:0], j.runs[:0]
 	for i := 0; i < len(samples); {
-		metric, node := samples[i].Metric, samples[i].Node
-		j.colOff, j.colVal = j.colOff[:0], j.colVal[:0]
+		metric, node, start := samples[i].Metric, samples[i].Node, len(j.colVal)
 		for ; i < len(samples) && samples[i].Metric == metric && samples[i].Node == node; i++ {
 			// Round, don't truncate: a forwarder that accumulated
 			// 59.999999999999996 means the 60 s tick, and truncation
 			// would silently drop it from the [60:120) window.
 			// ValidateSamples already bounded the magnitude.
-			offset := time.Duration(math.Round(samples[i].OffsetS * float64(time.Second)))
-			j.colOff = append(j.colOff, offset)
+			j.colOff = append(j.colOff, time.Duration(math.Round(samples[i].OffsetS*float64(time.Second))))
 			j.colVal = append(j.colVal, samples[i].Value)
 		}
-		n, ok, err := e.feedRunLocked(id, j, metric, node, j.colOff, j.colVal, fed)
-		fed += n
-		if !ok || err != nil {
-			return fed, ok, err
-		}
+		j.runs = append(j.runs, Run{Metric: metric, Node: node, Offsets: j.colOff[start:], Values: j.colVal[start:]})
 	}
-	j.samples += int64(fed)
-	return fed, true, nil
+	return e.feedRunsLocked(id, j, j.runs)
 }
 
-// feedRuns is feedSamples for ready-made columnar runs.
+// feedRuns applies ready-made columnar runs to a job under its mutex.
 func (e *Engine) feedRuns(id string, j *job, runs []Run) (int, bool, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return e.feedRunsLocked(id, j, runs)
+}
+
+// feedRunsLocked is the one per-run feed loop of the ingest path, under
+// the job mutex. It reports ok=false for a job that is gone, and books
+// the samples it fed on every exit: a store error part-way through
+// leaves the runs before it fed (and WAL-appended).
+func (e *Engine) feedRunsLocked(id string, j *job, runs []Run) (fed int, ok bool, err error) {
 	if j.done {
 		return 0, false, nil
 	}
-	fed := 0
+	ok = true
 	for _, run := range runs {
-		n, ok, err := e.feedRunLocked(id, j, run.Metric, run.Node, run.Offsets, run.Values, fed)
-		fed += n
-		if !ok || err != nil {
-			return fed, ok, err
+		if ok, err = e.feedRunLocked(id, j, run); !ok || err != nil {
+			break
 		}
+		fed += len(run.Values)
 	}
 	j.samples += int64(fed)
-	return fed, true, nil
+	return fed, ok, err
 }
 
 // feedRunLocked appends one columnar run to the WAL (store mode) and
@@ -647,19 +588,18 @@ func (e *Engine) feedRuns(id string, j *job, runs []Run) (int, bool, error) {
 // stalls behind recognition or learning. With a store attached the
 // run is WAL-appended BEFORE it reaches the stream, so the in-memory
 // state never runs ahead of what a restart can replay; the fsync
-// happens once per batch (commitAccepted). fedSoFar is the batch's
-// running total, needed to book partial progress on a store error.
-func (e *Engine) feedRunLocked(id string, j *job, metric string, node int, offs []time.Duration, vals []float64, fedSoFar int) (int, bool, error) {
+// happens once per batch (commitAccepted). ok=false means nothing of
+// the run was fed and the job counts as unknown.
+func (e *Engine) feedRunLocked(id string, j *job, run Run) (ok bool, err error) {
 	// Read-only mode: a store-backed job's append is shed with the
 	// retryable error instead of silently going memory-only — the
 	// stream must stay in lockstep with the WAL so the job can resume
 	// durable when space frees.
 	if err := e.shedWrite(j); err != nil {
-		j.samples += int64(fedSoFar)
-		return 0, true, storeErr("append", err)
+		return true, storeErr("append", err)
 	}
 	if st := e.storeFor(j); st != nil {
-		if err := st.Append(id, metric, node, offs, vals); err != nil {
+		if err := st.Append(id, run.Metric, run.Node, run.Offsets, run.Values); err != nil {
 			if errors.Is(err, tsdb.ErrUnknownJob) {
 				// The documented register race: the job is in the
 				// shard map but its store registration has not landed
@@ -669,25 +609,23 @@ func (e *Engine) feedRunLocked(id string, j *job, metric string, node int, offs 
 				// unknown job instead of failing jobs already fed in
 				// this batch, whose WAL records still need the
 				// batch's commit.
-				j.samples += int64(fedSoFar)
-				return 0, false, nil
+				return false, nil
 			}
 			if !e.noteStoreError(st, err) {
-				j.samples += int64(fedSoFar)
-				return 0, true, storeErr("append", err)
+				return true, storeErr("append", err)
 			}
 			// Store poisoned (or gracefully closed) mid-batch: the
 			// engine degrades and this run — like everything after it —
 			// is fed memory-only. Fall through to the stream feed.
 		}
 	}
-	for _, off := range offs {
+	for _, off := range run.Offsets {
 		if off > j.lastOff {
 			j.lastOff = off
 		}
 	}
-	j.stream.FeedRun(metric, node, offs, vals)
-	return len(vals), true, nil
+	j.stream.FeedRun(run.Metric, run.Node, run.Offsets, run.Values)
+	return true, nil
 }
 
 // Jobs returns a deterministic (ID-sorted), paginated listing of live
@@ -795,40 +733,36 @@ func (jb *Job) ID() string { return jb.id }
 // fed. With a store attached the batch is durable (one fsync) before
 // Ingest returns.
 func (jb *Job) Ingest(samples []Sample) (int, error) {
-	if err := ValidateSamples(jb.id, samples); err != nil {
-		jb.e.met.sampleBatches.Add(1)
-		jb.e.met.batchesRejected.Add(1)
-		return 0, err
-	}
-	jb.e.met.sampleBatches.Add(1)
-	start := jb.e.obsStart()
-	n, ok, err := jb.e.feedSamples(jb.id, jb.j, samples)
-	if err == nil && ok {
-		err = jb.e.commitAccepted(n)
-	} else if err == nil {
-		err = fmt.Errorf("%w: %q", ErrUnknownJob, jb.id)
-	}
-	jb.e.observeIngest(start, n)
-	return n, err
+	return jb.ingest(ValidateSamples(jb.id, samples), func() (int, bool, error) {
+		return jb.e.feedSamples(jb.id, jb.j, samples)
+	})
 }
 
 // IngestRun feeds one columnar (metric, node) run.
 func (jb *Job) IngestRun(metric string, node int, offsets []time.Duration, values []float64) (int, error) {
 	runs := []Run{{Metric: metric, Node: node, Offsets: offsets, Values: values}}
-	if err := validateRuns(jb.id, runs); err != nil {
-		jb.e.met.sampleBatches.Add(1)
-		jb.e.met.batchesRejected.Add(1)
-		return 0, err
+	return jb.ingest(validateRuns(jb.id, runs), func() (int, bool, error) {
+		return jb.e.feedRuns(jb.id, jb.j, runs)
+	})
+}
+
+// ingest is the one handle-level ingest path behind both forms: verr
+// is the batch's validation outcome, and feed applies it to the job.
+func (jb *Job) ingest(verr error, feed func() (int, bool, error)) (int, error) {
+	e := jb.e
+	e.met.sampleBatches.Add(1)
+	if verr != nil {
+		e.met.batchesRejected.Add(1)
+		return 0, verr
 	}
-	jb.e.met.sampleBatches.Add(1)
-	start := jb.e.obsStart()
-	n, ok, err := jb.e.feedRuns(jb.id, jb.j, runs)
+	start := e.obsStart()
+	n, ok, err := feed()
 	if err == nil && ok {
-		err = jb.e.commitAccepted(n)
+		err = e.commitAccepted(n)
 	} else if err == nil {
 		err = fmt.Errorf("%w: %q", ErrUnknownJob, jb.id)
 	}
-	jb.e.observeIngest(start, n)
+	e.observeIngest(start, n)
 	return n, err
 }
 

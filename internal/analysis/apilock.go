@@ -10,17 +10,15 @@ import (
 )
 
 // APIPinnedPackages lists the module-relative packages whose exported
-// surface is locked by golden files: the three-layer public API
-// (PR 5) plus the two documented internal surfaces other layers build
-// on (the telemetry data plane the public types alias, and the wire
-// codec the binary content type is specified against). A variable so
+// surface is locked by golden files: the three-layer public API — the
+// only packages importable from outside the module. Internal packages
+// change with their callers; the binary wire encoding is pinned by
+// API.md's frame specification, not by a Go surface. A variable so
 // tests can pin fixture packages; the real set is the contract.
 var APIPinnedPackages = []string{
 	"efd",
 	"efd/client",
 	"efd/monitor",
-	"internal/telemetry",
-	"internal/wire",
 }
 
 // APIGoldenDir is where the goldens live, relative to the module

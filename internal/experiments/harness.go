@@ -2,7 +2,9 @@
 // recognition protocols of Figure 2 (normal fold, soft input, soft
 // unknown, hard input, hard unknown) for both the EFD and the
 // Taxonomist baseline, the per-metric sweep of Table 3, the example
-// dictionary of Table 4, and the ablations DESIGN.md calls out.
+// dictionary of Table 4, and the ablations cmd/experiments -ablation
+// runs (rounding depth, interval, voting, metric combination, growth,
+// recognition latency).
 package experiments
 
 import (

@@ -81,16 +81,6 @@ func (s *Server) EnableObs(reg *obs.Registry, traceSeed uint64) {
 	}
 }
 
-// MetricsRegistry returns the registry EnableObs was given, or nil —
-// the hook cmd/efdd uses to serve the same exposition on a separate
-// ops listener.
-func (s *Server) MetricsRegistry() *obs.Registry {
-	if s.obs == nil {
-		return nil
-	}
-	return s.obs.reg
-}
-
 // statusWriter observes the status code and body bytes of a response.
 type statusWriter struct {
 	http.ResponseWriter
@@ -158,10 +148,6 @@ type slowResponse struct {
 
 // handleSlow serves the slow-request ring, slowest first.
 func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodNotAllowed(w, http.MethodGet)
-		return
-	}
 	if s.obs == nil {
 		httpError(w, http.StatusNotImplemented, codeUnimplemented, "observability is not enabled")
 		return
@@ -174,5 +160,9 @@ func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
 }
 
 // DebugSlowHandler exposes the slow-request endpoint as a standalone
-// handler for the ops listener.
-func (s *Server) DebugSlowHandler() http.Handler { return http.HandlerFunc(s.handleSlow) }
+// handler for the ops listener, to be mounted at /v1/debug/slow.
+func (s *Server) DebugSlowHandler() http.Handler {
+	mux := http.NewServeMux()
+	route{path: "/v1/debug/slow", get: s.handleSlow}.register(mux, nil)
+	return mux
+}

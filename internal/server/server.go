@@ -15,7 +15,8 @@
 //
 // # Endpoints
 //
-//	GET    /healthz              liveness
+//	GET    /healthz              liveness (answers every method)
+//	GET    /v1/health            engine health, gate and disk counters
 //	GET    /v1/dictionary        dictionary statistics
 //	GET    /v1/metrics           service counters + shard occupancy
 //	POST   /v1/jobs              register a job {job_id, nodes}
@@ -26,6 +27,8 @@
 //	GET    /v1/jobs/{id}         recognition state of a job
 //	POST   /v1/jobs/{id}/label   learn a finished job {app, input}
 //	DELETE /v1/jobs/{id}         forget a job's stream
+//	GET    /metrics              Prometheus exposition (EnableObs only)
+//	GET    /v1/debug/slow        slowest recent requests (EnableObs only)
 //
 // With a durable store attached (engine.OpenStore; cmd/efdd
 // -data-dir), three further routes open up (501 without a store):
@@ -100,22 +103,112 @@ func NewEngine(e *monitor.Engine) *Server {
 // Handler returns the HTTP handler of the service.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	// Route labels are the registration patterns (bounded cardinality),
-	// never raw request paths.
+	recognizeGuard := func(w http.ResponseWriter, r *http.Request) bool {
+		return s.storeGuard(w, r) && idGuard(w, r)
+	}
+	for _, rt := range []route{
+		{path: "/v1/health", get: s.handleHealthV1},
+		{path: "/v1/dictionary", get: s.handleDictionary},
+		{path: "/v1/metrics", get: s.handleMetrics},
+		{path: "/v1/jobs", get: s.handleJobList, post: s.handleRegister},
+		{path: "/v1/samples", post: s.handleSamples},
+		{path: "/v1/jobs/{id}", guard: idGuard, get: s.handleResult, del: s.handleDelete},
+		{path: "/v1/jobs/{id}/label", guard: idGuard, post: s.handleLabel},
+		{path: "/v1/jobs/{id}/series", guard: idGuard, get: s.handleJobSeries},
+		{path: "/v1/executions", guard: s.storeGuard, get: s.handleExecutions},
+		{path: "/v1/executions/{$}", guard: s.storeGuard, get: s.handleExecutions},
+		{path: "/v1/executions/{id}/recognize", guard: recognizeGuard, post: s.handleRecognize},
+	} {
+		rt.register(mux, s.instrument)
+	}
+	// The bare liveness probe answers every method; the rest of the two
+	// ID subtrees answers the enveloped 404.
 	mux.HandleFunc("/healthz", s.instrument("/healthz", s.handleHealth))
-	mux.HandleFunc("/v1/health", s.instrument("/v1/health", s.handleHealthV1))
-	mux.HandleFunc("/v1/dictionary", s.instrument("/v1/dictionary", s.handleDictionary))
-	mux.HandleFunc("/v1/metrics", s.instrument("/v1/metrics", s.handleMetrics))
-	mux.HandleFunc("/v1/jobs", s.instrument("/v1/jobs", s.handleJobs))
-	mux.HandleFunc("/v1/jobs/", s.instrument("/v1/jobs/{id}", s.handleJob))
-	mux.HandleFunc("/v1/samples", s.instrument("/v1/samples", s.handleSamples))
-	mux.HandleFunc("/v1/executions", s.instrument("/v1/executions", s.handleExecutions))
-	mux.HandleFunc("/v1/executions/", s.instrument("/v1/executions/{id}", s.handleExecutions))
+	mux.HandleFunc("/v1/jobs/{$}", s.instrument("/v1/jobs/", func(w http.ResponseWriter, r *http.Request) {
+		httpError(w, http.StatusNotFound, codeNotFound, "missing job id")
+	}))
+	mux.HandleFunc("/v1/jobs/", s.instrument("/v1/jobs/", noRoute))
+	mux.HandleFunc("/v1/executions/", s.instrument("/v1/executions/", func(w http.ResponseWriter, r *http.Request) {
+		if s.storeGuard(w, r) {
+			noRoute(w, r)
+		}
+	}))
 	if s.obs != nil {
 		mux.Handle("/metrics", s.obs.reg.Handler())
-		mux.HandleFunc("/v1/debug/slow", s.handleSlow)
+		route{path: "/v1/debug/slow", get: s.handleSlow}.register(mux, nil)
 	}
 	return mux
+}
+
+// route is one v1 path and its handler per served method (nil: not
+// served), in Allow order. guard, when set, runs first — before any
+// method check — and returns false once it has answered the request.
+type route struct {
+	path           string
+	guard          func(http.ResponseWriter, *http.Request) bool
+	get, post, del http.HandlerFunc
+}
+
+// register puts the route on mux: a "METHOD path" pattern per served
+// method, plus a method-less pattern answering every other method with
+// the v1 405 envelope and Allow. Go's GET patterns also match HEAD,
+// which v1 never served, so HEAD goes to the 405 explicitly. wrap (nil:
+// none) wraps every pattern's handler, guard included, under the
+// route's label: the pattern path, fixed here so the label set stays
+// bounded — never a raw request path.
+func (rt route) register(mux *http.ServeMux, wrap func(label string, h http.HandlerFunc) http.HandlerFunc) {
+	handle := func(pattern string, h http.HandlerFunc) {
+		if guard, next := rt.guard, h; guard != nil {
+			h = func(w http.ResponseWriter, r *http.Request) {
+				if guard(w, r) {
+					next(w, r)
+				}
+			}
+		}
+		if wrap != nil {
+			h = wrap(strings.TrimSuffix(rt.path, "{$}"), h)
+		}
+		mux.HandleFunc(pattern, h)
+	}
+	var allow []string
+	for _, m := range []struct {
+		method string
+		h      http.HandlerFunc
+	}{{http.MethodGet, rt.get}, {http.MethodPost, rt.post}, {http.MethodDelete, rt.del}} {
+		if m.h != nil {
+			allow = append(allow, m.method)
+			handle(m.method+" "+rt.path, m.h)
+		}
+	}
+	notAllowed := func(w http.ResponseWriter, r *http.Request) { methodNotAllowed(w, allow...) }
+	if rt.get != nil {
+		handle(http.MethodHead+" "+rt.path, notAllowed)
+	}
+	handle(rt.path, notAllowed)
+}
+
+// idGuard admits a request whose {id} is one path segment. The
+// wildcard also matches an escaped slash (/v1/jobs/a%2Fb), which names
+// no job: registration rejects IDs containing '/'.
+func idGuard(w http.ResponseWriter, r *http.Request) bool {
+	if strings.Contains(r.PathValue("id"), "/") {
+		noRoute(w, r)
+		return false
+	}
+	return true
+}
+
+// storeGuard answers 501 when no durable store is attached.
+func (s *Server) storeGuard(w http.ResponseWriter, r *http.Request) bool {
+	if !s.HasStore() {
+		httpError(w, http.StatusNotImplemented, codeUnimplemented, "server has no telemetry store (-data-dir)")
+		return false
+	}
+	return true
+}
+
+func noRoute(w http.ResponseWriter, r *http.Request) {
+	httpError(w, http.StatusNotFound, codeNotFound, "no such route")
 }
 
 // --- wire types -------------------------------------------------------
@@ -263,38 +356,15 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // should stop sending traffic can inspect the status field. /healthz
 // stays the bare liveness probe.
 func (s *Server) handleHealthV1(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodNotAllowed(w, http.MethodGet)
-		return
-	}
 	writeJSON(w, http.StatusOK, s.Health())
 }
 
 func (s *Server) handleDictionary(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodNotAllowed(w, http.MethodGet)
-		return
-	}
 	writeJSON(w, http.StatusOK, s.DictionaryInfo())
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodNotAllowed(w, http.MethodGet)
-		return
-	}
 	writeJSON(w, http.StatusOK, s.Stats())
-}
-
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		s.handleJobList(w, r)
-	case http.MethodPost:
-		s.handleRegister(w, r)
-	default:
-		methodNotAllowed(w, http.MethodGet, http.MethodPost)
-	}
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
@@ -331,10 +401,6 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		methodNotAllowed(w, http.MethodPost)
-		return
-	}
 	// Admission control before any decoding: a flood of ingest
 	// requests is refused from the Content-Length alone (429 +
 	// Retry-After), so overload sheds cheaply instead of buffering
@@ -407,46 +473,8 @@ func (s *Server) writeIngestOutcome(w http.ResponseWriter, single bool, accepted
 	writeJSON(w, http.StatusOK, ingestResponse{Accepted: accepted, Unknown: unknown})
 }
 
-// handleJob dispatches /v1/jobs/{id} and /v1/jobs/{id}/label. IDs
-// containing '/' are rejected at registration, so any remaining slash
-// in the path (other than the known suffixes) is an unknown route.
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
-	if rest == "" {
-		httpError(w, http.StatusNotFound, codeNotFound, "missing job id")
-		return
-	}
-	if id, ok := strings.CutSuffix(rest, "/label"); ok {
-		if id == "" || strings.Contains(id, "/") {
-			httpError(w, http.StatusNotFound, codeNotFound, "no such route")
-			return
-		}
-		s.handleLabel(w, r, id)
-		return
-	}
-	if id, ok := strings.CutSuffix(rest, "/series"); ok {
-		if id == "" || strings.Contains(id, "/") {
-			httpError(w, http.StatusNotFound, codeNotFound, "no such route")
-			return
-		}
-		s.handleJobSeries(w, r, id)
-		return
-	}
-	if strings.Contains(rest, "/") {
-		httpError(w, http.StatusNotFound, codeNotFound, "no such route")
-		return
-	}
-	switch r.Method {
-	case http.MethodGet:
-		s.handleResult(w, rest)
-	case http.MethodDelete:
-		s.handleDelete(w, rest)
-	default:
-		methodNotAllowed(w, http.MethodGet, http.MethodDelete)
-	}
-}
-
-func (s *Server) handleResult(w http.ResponseWriter, id string) {
+func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
 	j, ok := s.Lookup(id)
 	if !ok {
 		httpError(w, http.StatusNotFound, codeNotFound, "unknown job %q", id)
@@ -460,16 +488,13 @@ func (s *Server) handleResult(w http.ResponseWriter, id string) {
 	writeJSON(w, http.StatusOK, state)
 }
 
-func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request, id string) {
-	if r.Method != http.MethodPost {
-		methodNotAllowed(w, http.MethodPost)
-		return
-	}
+func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request) {
 	s.limitBody(w, r)
 	var req labelRequest
 	if !decodeJSON(w, r, &req) {
 		return
 	}
+	id := r.PathValue("id")
 	j, ok := s.Lookup(id)
 	if !ok {
 		httpError(w, http.StatusNotFound, codeNotFound, "unknown job %q", id)
@@ -483,7 +508,8 @@ func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request, id string) 
 	writeJSON(w, http.StatusOK, map[string]string{"learned": learned})
 }
 
-func (s *Server) handleDelete(w http.ResponseWriter, id string) {
+func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
 	j, ok := s.Lookup(id)
 	if !ok {
 		httpError(w, http.StatusNotFound, codeNotFound, "unknown job %q", id)

@@ -1,11 +1,10 @@
 // Storage route handlers. The durable store itself lives behind the
-// engine (efd/monitor); these handlers only route, delegate, and map
-// errors — without a store every one of them answers 501.
+// engine (efd/monitor); these handlers only delegate and map errors —
+// without a store every one of them answers 501.
 package server
 
 import (
 	"net/http"
-	"strings"
 
 	"repro/efd/monitor"
 )
@@ -18,12 +17,8 @@ type executionsResponse struct {
 // handleJobSeries serves GET /v1/jobs/{id}/series from the store:
 // live jobs get a snapshot of their accumulated columns, finished
 // ones their stored execution.
-func (s *Server) handleJobSeries(w http.ResponseWriter, r *http.Request, id string) {
-	if r.Method != http.MethodGet {
-		methodNotAllowed(w, http.MethodGet)
-		return
-	}
-	dump, err := s.Series(id)
+func (s *Server) handleJobSeries(w http.ResponseWriter, r *http.Request) {
+	dump, err := s.Series(r.PathValue("id"))
 	if err != nil {
 		engineError(w, err)
 		return
@@ -31,43 +26,23 @@ func (s *Server) handleJobSeries(w http.ResponseWriter, r *http.Request, id stri
 	writeJSON(w, http.StatusOK, dump)
 }
 
-// handleExecutions dispatches /v1/executions and
-// /v1/executions/{id}/recognize.
+// handleExecutions serves GET /v1/executions: the stored executions.
 func (s *Server) handleExecutions(w http.ResponseWriter, r *http.Request) {
-	if !s.HasStore() {
-		httpError(w, http.StatusNotImplemented, codeUnimplemented, "server has no telemetry store (-data-dir)")
+	execs, err := s.Executions()
+	if err != nil {
+		engineError(w, err)
 		return
 	}
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/executions")
-	switch {
-	case rest == "" || rest == "/":
-		if r.Method != http.MethodGet {
-			methodNotAllowed(w, http.MethodGet)
-			return
-		}
-		execs, err := s.Executions()
-		if err != nil {
-			engineError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, executionsResponse{Executions: execs, Total: len(execs)})
-	case strings.HasSuffix(rest, "/recognize"):
-		id := strings.TrimSuffix(strings.TrimPrefix(rest, "/"), "/recognize")
-		if id == "" || strings.Contains(id, "/") {
-			httpError(w, http.StatusNotFound, codeNotFound, "no such route")
-			return
-		}
-		if r.Method != http.MethodPost {
-			methodNotAllowed(w, http.MethodPost)
-			return
-		}
-		state, err := s.RecognizeStored(id)
-		if err != nil {
-			engineError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, state)
-	default:
-		httpError(w, http.StatusNotFound, codeNotFound, "no such route")
+	writeJSON(w, http.StatusOK, executionsResponse{Executions: execs, Total: len(execs)})
+}
+
+// handleRecognize serves POST /v1/executions/{id}/recognize: a stored
+// execution re-recognized with the current dictionary.
+func (s *Server) handleRecognize(w http.ResponseWriter, r *http.Request) {
+	state, err := s.RecognizeStored(r.PathValue("id"))
+	if err != nil {
+		engineError(w, err)
+		return
 	}
+	writeJSON(w, http.StatusOK, state)
 }
