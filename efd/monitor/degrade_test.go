@@ -246,7 +246,10 @@ func TestDegradeRegisterPoisoning(t *testing.T) {
 // poisoned), every read keeps serving, every write is shed with the
 // retryable ErrReadOnly, and once space frees the probe resumes
 // durable mode with the surviving job still WAL-backed — no acked
-// sample lost.
+// sample lost. The ENOSPC lands on a registration, a write that feeds
+// no stream, so the tenant's stream and WAL stay in lockstep across
+// the window (TestReadonlyDivergedJobNotRepinned covers an ingest
+// that hits it).
 func TestReadonlyOnDiskFull(t *testing.T) {
 	dir := t.TempDir()
 	e, fs := attachFaultStore(t, dir)
@@ -264,8 +267,11 @@ func TestReadonlyOnDiskFull(t *testing.T) {
 	// yet) and the next WAL write answers ENOSPC.
 	fs.SetFree(0)
 	fs.AddRule(vfs.Rule{Op: vfs.OpWrite, Err: syscall.ENOSPC})
-	if _, err := jb.Ingest(flat(6000, 2, 20)); !errors.Is(err, ErrReadOnly) || !errors.Is(err, ErrStore) {
-		t.Fatalf("disk-full ingest = %v, want ErrStore+ErrReadOnly", err)
+	if _, err := e.Register("latecomer", 2); !errors.Is(err, ErrReadOnly) || !errors.Is(err, ErrStore) {
+		t.Fatalf("disk-full Register = %v, want ErrStore+ErrReadOnly", err)
+	}
+	if _, ok := e.Lookup("latecomer"); ok {
+		t.Fatal("refused registration left a live job behind")
 	}
 
 	h := e.Health()
@@ -345,6 +351,64 @@ func TestReadonlyOnDiskFull(t *testing.T) {
 	}
 	if replayed != acked {
 		t.Fatalf("replayed %d samples, acked %d — durability hole across readonly window", replayed, acked)
+	}
+}
+
+// TestReadonlyDivergedJobNotRepinned: an ingest whose ENOSPC surfaces
+// after its runs were fed (here at the batch's commit flush) answers
+// ErrReadOnly, but its stream now holds samples the WAL never got. The
+// resume must not re-pin such a job as durable — a restart would
+// change its answer — so it stays memory-only, like an outage
+// survivor.
+func TestReadonlyDivergedJobNotRepinned(t *testing.T) {
+	dir := t.TempDir()
+	e, fs := attachFaultStore(t, dir)
+	defer e.Close()
+
+	jb, err := e.Register("tenant", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := jb.Ingest(flat(6000, 2, 10)); err != nil {
+		t.Fatal(err)
+	}
+	fs.SetFree(0)
+	fs.AddRule(vfs.Rule{Op: vfs.OpWrite, Err: syscall.ENOSPC})
+	if _, err := jb.Ingest(flat(6000, 2, 20)); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("disk-full ingest = %v, want ErrReadOnly", err)
+	}
+	sum, err := jb.Summary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Samples != 64 {
+		t.Fatalf("stream holds %d samples, want 64 (the refused batch was fed before its commit)", sum.Samples)
+	}
+
+	fs.Reset()
+	waitFor(t, "disk-full resume", func() bool { return e.Health().Status == StatusHealthy })
+	if got := e.Store().Stats().LiveJobs; got != 0 {
+		t.Fatalf("reopened store tracks %d live jobs, want 0 (diverged tenant dropped, not re-pinned)", got)
+	}
+	pre := e.Store().Stats().AppendedRecords
+	if _, err := jb.Ingest(flat(6000, 2, 30)); err != nil {
+		t.Fatalf("post-resume ingest: %v", err)
+	}
+	if got := e.Store().Stats().AppendedRecords; got != pre {
+		t.Errorf("diverged tenant appended %d WAL records to the reopened store", got-pre)
+	}
+
+	if err := e.Close(); err != nil {
+		t.Fatalf("engine close: %v", err)
+	}
+	e2 := New(testDict(t))
+	recovered, err := e2.OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	if recovered != 0 {
+		t.Fatalf("recovered %d jobs, want 0 (the diverged tenant ran memory-only)", recovered)
 	}
 }
 

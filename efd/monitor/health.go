@@ -443,16 +443,20 @@ func (e *Engine) attemptReopen() bool {
 		return false
 	}
 	if mode == storeModeReadonly {
-		// Writes were shed for the whole readonly window, so the
-		// replayed store and the engine-side streams are still in
-		// lockstep: re-pin surviving jobs to the new incarnation and
-		// stay durable. Anything the engine no longer tracks is
-		// dropped.
+		// Re-pin a surviving job to the new incarnation only when the
+		// replay holds exactly what its stream was fed: the ENOSPC that
+		// entered read-only mode may have surfaced after the batch's
+		// runs were fed (at its commit, or at an append that overflowed
+		// the WAL buffer), and the read-only close never flushed them.
+		// WAL-before-stream makes the replay a prefix of the fed runs,
+		// so equal counts mean equal content. Anything else — diverged
+		// jobs and jobs the engine no longer tracks — is dropped and
+		// keeps serving memory-only.
 		for _, lj := range st.Live() {
 			repinned := false
 			if j := e.getJob(lj.ID); j != nil {
 				j.mu.Lock()
-				if j.st == old && !j.done {
+				if j.st == old && !j.done && j.samples == lj.Samples {
 					j.st = st
 					repinned = true
 				}

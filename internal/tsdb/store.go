@@ -67,15 +67,13 @@ func (o *Options) withDefaults() Options {
 	if out.FS == nil {
 		out.FS = vfs.OS{} //efdvet:ignore vfsseam the documented default when no FS is injected
 	}
+	// Negative retry budgets and backoffs stay negative (retryRecovery
+	// reads them as none), so reopening with Options() keeps them.
 	if out.RecoverRetries == 0 {
 		out.RecoverRetries = 4
-	} else if out.RecoverRetries < 0 {
-		out.RecoverRetries = 0
 	}
 	if out.RecoverBackoff == 0 {
 		out.RecoverBackoff = time.Millisecond
-	} else if out.RecoverBackoff < 0 {
-		out.RecoverBackoff = 0
 	}
 	return out
 }
