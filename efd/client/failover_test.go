@@ -87,12 +87,16 @@ func waitEndpointStatus(t *testing.T, c *Client, idx int, want string) {
 func TestMultiRoutesWritesAroundReadonly(t *testing.T) {
 	home := newStub(t, monitor.StatusReadonly)
 	peer := newStub(t, monitor.StatusHealthy)
-	c := NewMulti([]string{home.ts.URL, peer.ts.URL}, WithHealthProbe(2*time.Millisecond), WithRetry(0, 0))
+	// The probe timeout is min(interval, 1 s): at a few milliseconds a
+	// slow probe of the peer would mark it down, below the readonly
+	// home.
+	c := NewMulti([]string{home.ts.URL, peer.ts.URL}, WithHealthProbe(50*time.Millisecond), WithRetry(0, 0))
 	defer c.Close()
 	id := homedJobID(0, 2)
 	ctx := context.Background()
 
 	waitEndpointStatus(t, c, 0, monitor.StatusReadonly)
+	waitEndpointStatus(t, c, 1, monitor.StatusHealthy)
 	if _, err := c.Ingest(ctx, id, []monitor.Sample{{Metric: "m", Value: 1}}); err != nil {
 		t.Fatalf("ingest with readonly home: %v", err)
 	}
@@ -110,11 +114,50 @@ func TestMultiRoutesWritesAroundReadonly(t *testing.T) {
 	// Disk recovers; writes come home.
 	home.health.Store(monitor.StatusHealthy)
 	waitEndpointStatus(t, c, 0, monitor.StatusHealthy)
+	waitEndpointStatus(t, c, 1, monitor.StatusHealthy)
 	if _, err := c.Ingest(ctx, id, []monitor.Sample{{Metric: "m", Value: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if home.posts.Load() != 1 {
 		t.Fatalf("home posts = %d, want 1 (writes re-homed after recovery)", home.posts.Load())
+	}
+}
+
+// TestMultiWritesStayHomeWhenGateSaturated: a saturated ingest
+// admission gate is no store mode. The prober must not read it as a
+// full disk and route the job's writes to a peer that does not know
+// the job.
+func TestMultiWritesStayHomeWhenGateSaturated(t *testing.T) {
+	ctx := context.Background()
+	eng := monitor.New(trainedDict(t))
+	eng.MaxIngestBatches = 1
+	home := httptest.NewServer(server.NewEngine(eng).Handler())
+	t.Cleanup(home.Close)
+	peer := newStub(t, monitor.StatusHealthy)
+	id := homedJobID(0, 2)
+	if err := New(home.URL).Register(ctx, id, 2); err != nil {
+		t.Fatal(err)
+	}
+
+	// Hold the gate full through the prober's only sweep, which probes
+	// the home endpoint before the peer.
+	release, err := eng.AcquireIngest(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewMulti([]string{home.URL, peer.ts.URL}, WithHealthProbe(time.Hour), WithRetry(0, 0))
+	defer c.Close()
+	waitEndpointStatus(t, c, 1, monitor.StatusHealthy)
+	release()
+
+	if _, err := c.Ingest(ctx, id, flatSamples(6000, 2)[:1]); err != nil {
+		t.Fatalf("ingest: %v", err)
+	}
+	if got := peer.posts.Load(); got != 0 {
+		t.Fatalf("peer received %d writes; the saturated home was ranked as a full disk", got)
+	}
+	if got := eng.Stats().SamplesAccepted; got != 1 {
+		t.Fatalf("home accepted %d samples, want 1", got)
 	}
 }
 

@@ -8,7 +8,11 @@ package monitor
 // clears.
 
 import (
+	"context"
 	"errors"
+	"log/slog"
+	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -220,6 +224,91 @@ func TestProbeReopensStore(t *testing.T) {
 	}
 	if _, ok := e2.Lookup("survivor"); ok {
 		t.Error("outage job resurrected durable state it never had")
+	}
+}
+
+// healGate is a slog handler that holds the first store_heal record
+// until released, keeping the probe inside its heal.
+type healGate struct {
+	heals   atomic.Int64
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (h *healGate) Enabled(context.Context, slog.Level) bool { return true }
+
+func (h *healGate) Handle(_ context.Context, r slog.Record) error {
+	r.Attrs(func(a slog.Attr) bool {
+		if a.Key != "event" {
+			return true
+		}
+		if a.Value.String() == "store_heal" && h.heals.Add(1) == 1 {
+			close(h.entered)
+			<-h.release
+		}
+		return false
+	})
+	return nil
+}
+
+func (h *healGate) WithAttrs([]slog.Attr) slog.Handler { return h }
+func (h *healGate) WithGroup(string) slog.Handler      { return h }
+
+// TestProbeSurvivesDegradeDuringHeal: a degrade that lands while the
+// probe is still finishing a heal must not leave the engine degraded
+// with no probe running — the probe lives as long as the store is
+// attached, so it heals the second outage too.
+func TestProbeSurvivesDegradeDuringHeal(t *testing.T) {
+	fs := vfs.NewFault(vfs.OS{}, 1)
+	st, err := tsdb.OpenOptions(t.TempDir(), tsdb.Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &healGate{entered: make(chan struct{}), release: make(chan struct{})}
+	e := New(testDict(t))
+	e.Logger = slog.New(h)
+	e.StoreProbeInterval = 5 * time.Millisecond
+	if _, err := e.AttachStore(st); err != nil {
+		st.Close()
+		t.Fatal(err)
+	}
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(h.release) }) }
+	defer e.Close()
+	defer release()
+
+	jb, err := e.Register("victim", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.AddRule(vfs.Rule{Op: vfs.OpSync, Err: syscall.EIO})
+	if _, err := jb.Ingest(flat(6000, 2, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if e.Health().Status != StatusDegraded {
+		t.Fatal("engine did not degrade")
+	}
+	fs.Reset()
+	select {
+	case <-h.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("timed out waiting for the first heal")
+	}
+
+	// The probe is inside its heal, held by the logger. The next
+	// registration poisons the healed store and degrades the engine.
+	fs.AddRule(vfs.Rule{Op: vfs.OpSync, Err: syscall.EIO})
+	if _, err := e.Register("second", 2); err != nil {
+		t.Fatalf("Register across poisoning = %v, want memory-only admission", err)
+	}
+	if got := e.Health().Status; got != StatusDegraded {
+		t.Fatalf("health after the second poisoning = %q, want degraded", got)
+	}
+	fs.Reset()
+	release()
+	waitFor(t, "the second heal", func() bool { return h.heals.Load() >= 2 })
+	if got := e.Health().Status; got != StatusHealthy {
+		t.Fatalf("health after the second heal = %q", got)
 	}
 }
 
@@ -508,8 +597,10 @@ func TestAcquireIngestGate(t *testing.T) {
 	if _, err := e.AcquireIngest(100); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("batch-cap breach = %v, want ErrOverloaded", err)
 	}
-	if got := e.Health().Status; got != StatusReadonly {
-		t.Fatalf("saturated health = %q, want readonly", got)
+	// A full gate sheds with 429; it is not a store mode, so health
+	// stays healthy (the client would read readonly as a full disk).
+	if got := e.Health().Status; got != StatusHealthy {
+		t.Fatalf("saturated health = %q, want healthy", got)
 	}
 	if got := e.Health().IngestShedTotal; got != 2 {
 		t.Fatalf("shed total = %d, want 2", got)

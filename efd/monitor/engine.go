@@ -70,20 +70,16 @@ const DefaultMaxJobs = 4096
 type Engine struct {
 	dict *core.SharedDictionary
 
-	// store, when attached (OpenStore/AttachStore), makes ingest
-	// durable: runs are WAL-appended on the ingest path, one
-	// group-commit fsync acknowledges each batch, and labelled jobs
-	// become stored, re-recognizable executions. nil runs in-memory.
-	// Atomic because CloseStore swaps it to nil while lock-free
-	// ingest paths read it; a request racing CloseStore sees either
-	// the store (and may get its "closed" error) or nil — never a
-	// torn pointer.
-	store atomic.Pointer[tsdb.Store]
-
-	// storeMode gates every store write (see health.go): ModeRW is the
-	// only state that touches the store; a degraded engine serves
-	// memory-only while the probe reopens the directory.
-	storeMode atomic.Int32
+	// state is the store-mode ladder (see health.go): the mode, the
+	// attached store, and the triggering error, one immutable snapshot
+	// that New sets and only transition replaces. A store, when
+	// attached (OpenStore/AttachStore), makes ingest durable: runs are
+	// WAL-appended on the ingest path, one group-commit fsync
+	// acknowledges each batch, and labelled jobs become stored,
+	// re-recognizable executions. Without one the engine runs
+	// in-memory. Every reader loads the snapshot once, so a request
+	// racing CloseStore or a probe reopen sees one consistent state.
+	state atomic.Pointer[storeState]
 	// storeReadMu excludes readers of mapped segment data (Series,
 	// Executions, RecognizeStored, storeStats) from the probe's
 	// close/munmap + reopen window and from CloseStore. Writers don't
@@ -95,10 +91,8 @@ type Engine struct {
 	storeDir  string
 	storeOpts tsdb.Options
 
-	healthMu      sync.Mutex
-	healthErr     error
-	degradedSince time.Time
-
+	// The reopen probe runs while a store is attached: AttachStore
+	// starts it, CloseStore closes probeStop and waits on probeWG.
 	probeMu   sync.Mutex
 	probeStop chan struct{}
 	probeWG   sync.WaitGroup
@@ -123,9 +117,10 @@ type Engine struct {
 	MaxIngestBytes   int64
 	MaxIngestBatches int
 
-	// StoreProbeInterval is how often a degraded engine retries
-	// reopening its store (default DefaultStoreProbeInterval). Set
-	// before serving traffic.
+	// StoreProbeInterval is how often the reopen probe of an attached
+	// store ticks (default DefaultStoreProbeInterval); a tick retries
+	// opening the store only while the engine is degraded or
+	// read-only. Set before attaching a store.
 	StoreProbeInterval time.Duration
 
 	// Logger, when set before serving traffic, receives the engine's
@@ -159,10 +154,10 @@ type job struct {
 	samples int64
 	lastOff time.Duration
 	// st pins the store incarnation this job is registered in; nil for
-	// memory-only jobs (no store, or the job lived through a store
-	// outage). Writes resolve their store via Engine.storeFor, which
-	// requires st to equal the currently attached store — a stale
-	// pointer silently falls back to memory-only.
+	// jobs registered without a writable store. Writes pass
+	// Engine.gateWrite, which requires st to equal the currently
+	// attached store — a stale pointer (the job lived through a store
+	// outage) silently falls back to memory-only.
 	st *tsdb.Store
 	// done marks a job that has been labelled or closed; a caller
 	// that resolved the pointer before removal treats it as gone.
@@ -203,6 +198,7 @@ type counters struct {
 // go through the engine (or Dictionary()).
 func New(dict *efd.Dictionary) *Engine {
 	e := &Engine{dict: core.Share(dict), MaxJobs: DefaultMaxJobs}
+	e.state.Store(detached)
 	for i := range e.shards {
 		e.shards[i].jobs = make(map[string]*job)
 	}
@@ -329,8 +325,9 @@ func (e *Engine) Register(id string, nodes int) (*Job, error) {
 	// admitting them memory-only, as a poisoned-store outage does):
 	// writes resume durable the moment space frees, and every job
 	// admitted before then would be stuck memory-only for its lifetime.
-	if err := e.shedWrite(nil); err != nil {
-		return nil, storeErr("registration", err)
+	s, err := e.gateWrite(nil, "registration")
+	if err != nil {
+		return nil, err
 	}
 	sh := e.shardFor(id)
 	// Cheap precheck so doomed registrations (duplicates, full table)
@@ -363,26 +360,18 @@ func (e *Engine) Register(id string, nodes int) (*Job, error) {
 	// feeders that race ahead of the durable registration resolve the
 	// same store and fail their append (unknown job) without touching
 	// the stream, so memory never runs ahead of the WAL.
-	var st *tsdb.Store
-	if e.storeMode.Load() == storeModeRW {
-		st = e.store.Load()
+	if s != nil {
+		j.st = s.store
 	}
-	j.st = st
 	sh.jobs[id] = j
 	sh.mu.Unlock()
-	if st != nil {
-		// Durable registration.
-		if err := st.Register(id, nodes); err != nil {
-			if errors.Is(err, tsdb.ErrJobExists) || !e.noteStoreError(st, err) {
-				e.removeJob(id, j)
-				return nil, storeErr("registration", err)
-			}
-			// The store failed (or was closed) under the registration:
-			// the engine degrades but the job is admitted memory-only,
-			// like every other job during an outage.
-			j.mu.Lock()
-			j.st = nil
-			j.mu.Unlock()
+	// Durable registration. When the store fails (or is closed) under
+	// it, the job is admitted memory-only, like every other job during
+	// an outage: its pin names a store that is no longer writable.
+	if s != nil {
+		if err := e.settleWrite(s, "registration", s.store.Register(id, nodes)); err != nil {
+			e.removeJob(id, j)
+			return nil, err
 		}
 	}
 	e.met.registered.Add(1)
@@ -515,16 +504,19 @@ func (e *Engine) resolveByShard(n int, id func(int) string) (work []resolvedJob,
 // ingest is at-least-once under storage errors, and an fsync failure
 // means the durable state is suspect anyway — restart and replay the
 // WAL rather than limp on.
+//
+// Only durable mode commits; a read-only engine skips the commit
+// instead of shedding the fed batch. Its store-backed jobs were shed
+// before appending, unless another writer entered read-only mode after
+// their appends — those then fail the resume's re-pin check and stay
+// memory-only. An absorbed commit failure (poisoning, graceful close)
+// acknowledges the batch memory-only: the engine has degraded, and
+// reads and further ingest keep working, which is the degradation
+// contract.
 func (e *Engine) commitAccepted(accepted int) error {
-	if accepted > 0 && e.storeMode.Load() == storeModeRW {
-		if st := e.store.Load(); st != nil {
-			if err := st.Commit(); err != nil && !e.noteStoreError(st, err) {
-				return storeErr("commit", err)
-			}
-			// An absorbed commit failure (poisoning, graceful close)
-			// acknowledges the batch memory-only: the streams are fed
-			// and the engine has degraded — reads and further ingest
-			// keep working, which is the degradation contract.
+	if s, _ := e.gateWrite(nil, "commit"); accepted > 0 && s != nil {
+		if err := e.settleWrite(s, "commit", s.store.Commit()); err != nil {
+			return err
 		}
 	}
 	e.met.samplesAccepted.Add(int64(accepted))
@@ -591,32 +583,27 @@ func (e *Engine) feedRunsLocked(id string, j *job, runs []Run) (fed int, ok bool
 // happens once per batch (commitAccepted). ok=false means nothing of
 // the run was fed and the job counts as unknown.
 func (e *Engine) feedRunLocked(id string, j *job, run Run) (ok bool, err error) {
-	// Read-only mode: a store-backed job's append is shed with the
-	// retryable error instead of silently going memory-only — the
-	// stream must stay in lockstep with the WAL so the job can resume
-	// durable when space frees.
-	if err := e.shedWrite(j); err != nil {
-		return true, storeErr("append", err)
+	s, err := e.gateWrite(j, "append")
+	if err != nil {
+		return true, err
 	}
-	if st := e.storeFor(j); st != nil {
-		if err := st.Append(id, run.Metric, run.Node, run.Offsets, run.Values); err != nil {
-			if errors.Is(err, tsdb.ErrUnknownJob) {
-				// The documented register race: the job is in the
-				// shard map but its store registration has not landed
-				// yet. It can only hit the first run (store
-				// registration is atomic and outlives the job), so
-				// nothing of this job was fed — report it like an
-				// unknown job instead of failing jobs already fed in
-				// this batch, whose WAL records still need the
-				// batch's commit.
-				return false, nil
-			}
-			if !e.noteStoreError(st, err) {
-				return true, storeErr("append", err)
-			}
-			// Store poisoned (or gracefully closed) mid-batch: the
-			// engine degrades and this run — like everything after it —
-			// is fed memory-only. Fall through to the stream feed.
+	if s != nil {
+		err := s.store.Append(id, run.Metric, run.Node, run.Offsets, run.Values)
+		if errors.Is(err, tsdb.ErrUnknownJob) {
+			// The documented register race: the job is in the shard
+			// map but its store registration has not landed yet. It
+			// can only hit the first run (store registration is atomic
+			// and outlives the job), so nothing of this job was fed —
+			// report it like an unknown job instead of failing jobs
+			// already fed in this batch, whose WAL records still need
+			// the batch's commit.
+			return false, nil
+		}
+		// An absorbed failure (store poisoned or gracefully closed
+		// mid-batch) feeds this run — like everything after it —
+		// memory-only.
+		if err := e.settleWrite(s, "append", err); err != nil {
+			return true, err
 		}
 	}
 	for _, off := range run.Offsets {
@@ -702,7 +689,7 @@ func (e *Engine) Stats() Stats {
 		SamplesAccepted: e.met.samplesAccepted.Load(),
 		BatchesRejected: e.met.batchesRejected.Load(),
 		Recognitions:    e.met.recognitions.Load(),
-		Health:          e.healthStatus(),
+		Health:          e.state.Load().status(),
 		IngestShedTotal: e.met.shed.Load(),
 		Store:           e.storeStats(),
 	}
@@ -858,21 +845,16 @@ func (jb *Job) Label(app, input string) (string, error) {
 	// feeders are blocked by j.mu, and a re-registration of the same
 	// ID cannot slip in (the ID is still in the shard map, so Register
 	// answers ErrJobExists) and have its fresh store entry finished by
-	// us.
-	if err := jb.e.shedWrite(jb.j); err != nil {
-		jb.j.mu.Unlock()
-		return "", storeErr("finish", err)
+	// us. An absorbed failure (store poisoned / closed under us) labels
+	// memory-only: the dictionary still learns, the execution just
+	// isn't persisted.
+	s, err := jb.e.gateWrite(jb.j, "finish")
+	if s != nil {
+		err = jb.e.settleWrite(s, "finish", s.store.Finish(jb.id, label.String()))
 	}
-	if st := jb.e.storeFor(jb.j); st != nil {
-		if err := st.Finish(jb.id, label.String()); err != nil {
-			if !jb.e.noteStoreError(st, err) {
-				jb.j.mu.Unlock()
-				return "", storeErr("finish", err)
-			}
-			// Absorbed (store poisoned / closed under us): the label
-			// proceeds memory-only — the dictionary still learns, the
-			// execution just isn't persisted.
-		}
+	if err != nil {
+		jb.j.mu.Unlock()
+		return "", err
 	}
 	// Online learning: insert the completed stream's fingerprints
 	// under exclusive dictionary access.
@@ -900,19 +882,15 @@ func (jb *Job) Close() error {
 	// the same incarnation-pinning reasons as Label: a failed Drop
 	// leaves the job fully alive (no state diverged), and a concurrent
 	// re-registration cannot create a fresh store entry for this ID
-	// that our Drop would then delete.
-	if err := jb.e.shedWrite(jb.j); err != nil {
-		jb.j.mu.Unlock()
-		return storeErr("drop", err)
+	// that our Drop would then delete. An absorbed failure closes
+	// memory-only.
+	s, err := jb.e.gateWrite(jb.j, "drop")
+	if s != nil {
+		err = jb.e.settleWrite(s, "drop", s.store.Drop(jb.id))
 	}
-	if st := jb.e.storeFor(jb.j); st != nil {
-		if err := st.Drop(jb.id); err != nil {
-			if !jb.e.noteStoreError(st, err) {
-				jb.j.mu.Unlock()
-				return storeErr("drop", err)
-			}
-			// Absorbed: the close proceeds memory-only.
-		}
+	if err != nil {
+		jb.j.mu.Unlock()
+		return err
 	}
 	jb.j.done = true
 	jb.j.mu.Unlock()

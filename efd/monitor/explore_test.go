@@ -33,7 +33,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/store_mod
 // probeStep runs one reopen-probe tick on the calling goroutine; the
 // explorer's engines never tick by themselves (StoreProbeInterval is
 // an hour).
-func probeStep(e *Engine) { e.attemptReopen() }
+func probeStep(e *Engine) { e.probeTick() }
 
 // probeRunning reports whether the engine's reopen loop is running.
 func probeRunning(e *Engine) bool {

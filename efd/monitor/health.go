@@ -1,19 +1,18 @@
 package monitor
 
-// Graceful degradation, disk-full read-only mode, and overload
-// control.
+// The store-mode ladder (graceful degradation and disk-full read-only
+// mode) and overload control.
 //
 // The durable store can poison itself at runtime (a WAL write or
 // fsync failure): every further store mutation refuses until a reopen
 // replays the disk. Rather than turning those refusals into ingest
 // failures, the engine degrades: the store is fenced off, ingest and
-// every read keep working memory-only, health reporting flips to
-// "degraded" with the triggering error, and a supervised background
-// probe keeps attempting to reopen the store directory. When a reopen
-// succeeds the engine returns to durable mode — jobs registered from
-// then on are WAL-backed again, while jobs that lived through the
-// outage stay memory-only (their streams hold samples the store never
-// saw; resuming their WAL would persist a lie).
+// every read keep working memory-only, and health reporting flips to
+// "degraded" with the triggering error. When the reopen probe succeeds
+// the engine returns to durable mode — jobs registered from then on
+// are WAL-backed again, while jobs that lived through the outage stay
+// memory-only (their streams hold samples the store never saw;
+// resuming their WAL would persist a lie).
 //
 // A full disk (ENOSPC/EDQUOT) is different: nothing is corrupt, the
 // condition is transient, and every byte already acknowledged is
@@ -24,14 +23,27 @@ package monitor
 // so when the probe sees disk headroom again (diskRecovered) the
 // store is reopened and the surviving jobs resume fully durable.
 //
+// The ladder is one immutable storeState behind one atomic pointer.
+// Only transition replaces it, and it takes each edge's actions — a
+// log event and its counters — from one table, storeEdges. Every store
+// write a caller drives passes one gate: gateWrite before it,
+// settleWrite after it; only the probe writes outside it, while it
+// reopens the store. The reopen probe lives exactly as long as a store
+// is attached: AttachStore starts it, CloseStore stops it, and its
+// ticks act only in degraded or read-only mode.
+//
 // Overload control is a separate, engine-level concern: AcquireIngest
 // bounds the bytes and batch count admitted concurrently, so a flood
 // of oversized ingest requests degrades into fast, explicit shedding
-// (HTTP 429 upstream) instead of unbounded memory growth.
+// (HTTP 429 upstream) instead of unbounded memory growth. It does not
+// enter the health verdict: a full gate sheds with 429, it is not a
+// store mode.
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"sync"
 	"time"
@@ -39,16 +51,19 @@ import (
 	"repro/internal/tsdb"
 )
 
-// Store modes. The mode gates every store write: only ModeRW touches
-// the store. A degraded engine keeps serving from memory; a readonly
-// engine keeps the store open for reads and sheds writes until the
-// disk has space again.
+// Store modes. The mode gates every store write: only storeModeRW
+// touches the store. A degraded engine keeps serving from memory; a
+// readonly engine keeps the store open for reads and sheds writes
+// until the disk has space again.
 const (
 	storeModeNone     int32 = iota // no store attached
 	storeModeRW                    // healthy, durable
 	storeModeDegraded              // store poisoned; memory-only until reopened
 	storeModeReadonly              // disk full; store serves reads, writes shed
 )
+
+// storeModeNames names the store modes for log events.
+var storeModeNames = [...]string{"none", "rw", "degraded", "readonly"}
 
 // Health status strings, the GET /v1/health vocabulary.
 const (
@@ -57,8 +72,9 @@ const (
 	StatusReadonly = "readonly"
 )
 
-// DefaultStoreProbeInterval is how often a degraded engine attempts to
-// reopen its store.
+// DefaultStoreProbeInterval is how often the reopen probe of an
+// attached store ticks; a tick acts only while the engine is degraded
+// or read-only.
 const DefaultStoreProbeInterval = 15 * time.Second
 
 // Default ingest admission bounds; see Engine.MaxIngestBytes.
@@ -72,9 +88,10 @@ const (
 type HealthInfo struct {
 	// Status is "healthy", "degraded" (the durable store failed and a
 	// background probe is attempting to reopen it; ingest and reads
-	// continue memory-only), or "readonly" (writes are being shed —
-	// either the store's disk is full, see Disk, or the ingest
-	// admission gate is saturated).
+	// continue memory-only), or "readonly" (the store's disk is full:
+	// reads keep serving and writes are shed until the probe sees
+	// space freed; see Disk). A saturated ingest admission gate does
+	// not change it: the Ingest* fields report the gate.
 	Status string `json:"status"`
 	// Error is the triggering store error while degraded or readonly.
 	Error string `json:"error,omitempty"`
@@ -108,77 +125,42 @@ type DiskHealth struct {
 	ReadOnly bool `json:"read_only"`
 }
 
-// Health snapshots the engine's health. Degraded wins over readonly:
-// an operator fixing a dead disk should not have the signal masked by
-// a concurrent traffic spike or a full-but-working disk.
+// Health snapshots the engine's health from one load of the store
+// state.
 func (e *Engine) Health() HealthInfo {
+	s := e.state.Load()
 	out := HealthInfo{
-		Status:                StatusHealthy,
+		Status:                s.status(),
 		StoreReopenAttempts:   e.met.probeAttempts.Load(),
 		StoreReopens:          e.met.probeReopens.Load(),
 		IngestInflightBytes:   e.inflightBytes.Load(),
 		IngestInflightBatches: e.inflightBatches.Load(),
 		IngestShedTotal:       e.met.shed.Load(),
+		Disk:                  e.diskHealth(s),
 	}
-	if e.saturated() {
-		out.Status = StatusReadonly
+	if s.cause != nil {
+		out.Error = s.cause.Error()
 	}
-	mode := e.storeMode.Load()
-	if mode == storeModeReadonly {
-		out.Status = StatusReadonly
-		e.healthMu.Lock()
-		if e.healthErr != nil {
-			out.Error = e.healthErr.Error()
-		}
-		e.healthMu.Unlock()
-	}
-	if mode == storeModeDegraded {
-		out.Status = StatusDegraded
-		e.healthMu.Lock()
-		if e.healthErr != nil {
-			out.Error = e.healthErr.Error()
-		}
-		if !e.degradedSince.IsZero() {
-			out.DegradedForS = time.Since(e.degradedSince).Seconds()
-		}
-		e.healthMu.Unlock()
-	}
-	// The disk section appears once disk state is interesting — a
-	// configured watermark or read-only mode — so default health
-	// bodies stay stable (and byte-reproducible) across machines.
-	if st := e.store.Load(); st != nil && (e.storeOpts.DiskLowBytes > 0 || mode == storeModeReadonly) {
-		d := &DiskHealth{FreeBytes: -1, LowWatermarkBytes: e.storeOpts.DiskLowBytes, ReadOnly: mode == storeModeReadonly}
-		if free, ok := st.DiskFree(); ok {
-			d.FreeBytes = int64(min(free, uint64(math.MaxInt64)))
-		}
-		out.Disk = d
+	if !s.since.IsZero() {
+		out.DegradedForS = time.Since(s.since).Seconds()
 	}
 	return out
 }
 
-// healthStatus is the one-word form for Stats.
-func (e *Engine) healthStatus() string {
-	switch e.storeMode.Load() {
-	case storeModeDegraded:
-		return StatusDegraded
-	case storeModeReadonly:
-		return StatusReadonly
+// diskHealth builds the disk section of Health and Stats. It appears
+// once disk state is interesting — a configured watermark or read-only
+// mode — so default health bodies stay stable (and byte-reproducible)
+// across machines.
+func (e *Engine) diskHealth(s *storeState) *DiskHealth {
+	readOnly := s.mode == storeModeReadonly
+	if s.store == nil || (e.storeOpts.DiskLowBytes <= 0 && !readOnly) {
+		return nil
 	}
-	if e.saturated() {
-		return StatusReadonly
+	d := &DiskHealth{FreeBytes: -1, LowWatermarkBytes: e.storeOpts.DiskLowBytes, ReadOnly: readOnly}
+	if free, ok := s.store.DiskFree(); ok {
+		d.FreeBytes = int64(min(free, uint64(math.MaxInt64)))
 	}
-	return StatusHealthy
-}
-
-// saturated reports whether the ingest gate is currently full.
-func (e *Engine) saturated() bool {
-	if maxN := e.ingestBatchCap(); maxN > 0 && e.inflightBatches.Load() >= maxN {
-		return true
-	}
-	if maxB := e.ingestByteCap(); maxB > 0 && e.inflightBytes.Load() >= maxB {
-		return true
-	}
-	return false
+	return d
 }
 
 func (e *Engine) ingestByteCap() int64 {
@@ -226,46 +208,136 @@ func (e *Engine) AcquireIngest(bytes int64) (release func(), err error) {
 	}, nil
 }
 
-// --- degradation ------------------------------------------------------
+// --- the store-mode ladder ---------------------------------------------
 
-// storeFor resolves the store a job's writes should go to, or nil when
-// the job runs memory-only: the engine must be in durable mode AND the
-// job must have been registered against the currently attached store
-// incarnation (a job that lived through an outage stays memory-only —
-// its stream holds samples the reopened store never saw). Called with
-// j.mu held (j.st is guarded by it).
-func (e *Engine) storeFor(j *job) *tsdb.Store {
-	if e.storeMode.Load() != storeModeRW {
-		return nil
-	}
-	st := e.store.Load()
-	if st == nil || j.st != st {
-		return nil
-	}
-	return st
+// storeState is one immutable snapshot of the ladder. New sets the
+// detached state; from then on only transition replaces it.
+type storeState struct {
+	mode  int32
+	store *tsdb.Store // attached store; nil when none is attached
+	cause error       // triggering store error while degraded or readonly
+	since time.Time   // when the engine degraded; zero otherwise
 }
 
-// noteStoreError classifies a store write failure. It returns true
-// when the engine absorbs the error — the store was gracefully closed
-// under the caller (CloseStore race) or has poisoned itself (the
-// engine degrades and the caller proceeds memory-only) — and false
-// when the error is the caller's to surface (validation, unknown job,
-// a failed flush on a healthy store, or a disk-full write: the engine
-// enters read-only mode and the caller sheds the write with a
-// retryable error rather than acknowledging it memory-only).
-func (e *Engine) noteStoreError(st *tsdb.Store, err error) bool {
-	if errors.Is(err, tsdb.ErrClosed) {
-		return true
+// detached is the state without a store.
+var detached = &storeState{}
+
+// status is the snapshot's health status.
+func (s *storeState) status() string {
+	switch s.mode {
+	case storeModeDegraded:
+		return StatusDegraded
+	case storeModeReadonly:
+		return StatusReadonly
 	}
-	if errors.Is(err, tsdb.ErrReadOnly) || errors.Is(err, tsdb.ErrDiskFull) || st.ReadOnly() != nil {
-		e.readonlyStore(err)
+	return StatusHealthy
+}
+
+// storeEdge is the action list of one ladder edge: the log event, and
+// the counters bumped alongside it.
+type storeEdge struct {
+	level slog.Level
+	event string
+	msg   string
+	bump  func(*counters)
+}
+
+var (
+	degradeEdge = storeEdge{slog.LevelError, "store_degrade", "store degraded; serving memory-only",
+		func(c *counters) { c.storeDegraded.Add(1) }}
+	healEdge = storeEdge{slog.LevelInfo, "store_heal", "store reopened; durable mode resumed",
+		func(c *counters) { c.storeHealed.Add(1); c.probeReopens.Add(1) }}
+)
+
+// storeEdges is the ladder's transition table. Edges not listed —
+// none→rw (AttachStore) and any→none (CloseStore) — are silent.
+var storeEdges = map[[2]int32]storeEdge{
+	{storeModeRW, storeModeDegraded}: degradeEdge,
+	{storeModeRW, storeModeReadonly}: {slog.LevelWarn, "store_readonly", "store entered read-only mode; shedding writes",
+		func(c *counters) { c.storeReadonly.Add(1) }},
+	{storeModeReadonly, storeModeDegraded}: degradeEdge,
+	// A failed reopen while already degraded is no transition: no
+	// counter, debug level.
+	{storeModeDegraded, storeModeDegraded}: {slog.LevelDebug, "store_reopen_failed", "store reopen attempt failed", func(*counters) {}},
+	{storeModeDegraded, storeModeRW}:       healEdge,
+	{storeModeReadonly, storeModeRW}:       healEdge,
+}
+
+// transition moves the ladder from the snapshot the caller saw to next
+// and runs that edge's actions: its counters, then its log event. It
+// reports false, doing nothing, when another transition got there
+// first — so each transition's actions run exactly once, however many
+// callers observed the same fault.
+func (e *Engine) transition(from, next *storeState) bool {
+	if !e.state.CompareAndSwap(from, next) {
 		return false
 	}
-	if st.Failed() != nil {
-		e.degradeStore(err)
+	edge, ok := storeEdges[[2]int32{from.mode, next.mode}]
+	if !ok {
 		return true
 	}
-	return false
+	edge.bump(&e.met)
+	if next.mode == storeModeRW {
+		e.logger().Log(context.Background(), edge.level, edge.msg, "event", edge.event, "from", storeModeNames[from.mode])
+	} else {
+		e.logger().Log(context.Background(), edge.level, edge.msg, "event", edge.event, "error", next.cause.Error())
+	}
+	return true
+}
+
+// reset moves the ladder to next from whatever state it is in, and
+// returns the state it left.
+func (e *Engine) reset(next *storeState) *storeState {
+	for {
+		if s := e.state.Load(); e.transition(s, next) {
+			return s
+		}
+	}
+}
+
+// gateWrite opens a store write of job j — nil for an engine-level
+// write, a registration or a batch commit; called with j.mu held when
+// j is non-nil. It returns the snapshot the write runs against, or nil
+// when the write runs memory-only: no writable store, or a job pinned
+// to another store incarnation (it lived through an outage, and its
+// stream holds samples the attached store never saw). In read-only
+// mode a write that needs the store is shed with the retryable
+// ErrReadOnly instead of going memory-only, so each stream stays in
+// lockstep with its WAL and can resume durable when space frees.
+func (e *Engine) gateWrite(j *job, op string) (*storeState, error) {
+	s := e.state.Load()
+	if j != nil && j.st != s.store {
+		return nil, nil
+	}
+	switch s.mode {
+	case storeModeRW:
+		return s, nil
+	case storeModeReadonly:
+		return nil, storeErr(op, ErrReadOnly)
+	}
+	return nil, nil
+}
+
+// settleWrite closes the store write gateWrite opened against s: it
+// returns the error the caller must surface, or nil when the write
+// succeeded or the engine absorbed its failure — the store was closed
+// under the caller (a CloseStore race) or poisoned itself, in which
+// case the engine degrades and the caller proceeds memory-only. A
+// disk-full failure enters read-only mode and is surfaced with the
+// retryable ErrReadOnly, so the caller sheds the write rather than
+// acknowledging it memory-only; any other failure (validation, unknown
+// job, a failed flush on a healthy store) is the caller's to surface.
+func (e *Engine) settleWrite(s *storeState, op string, err error) error {
+	switch {
+	case err == nil || errors.Is(err, tsdb.ErrClosed):
+		return nil
+	case errors.Is(err, tsdb.ErrReadOnly) || errors.Is(err, tsdb.ErrDiskFull) || s.store.ReadOnly() != nil:
+		e.transition(s, &storeState{mode: storeModeReadonly, store: s.store, cause: err})
+	case s.store.Failed() != nil:
+		e.transition(s, &storeState{mode: storeModeDegraded, store: s.store, cause: err, since: time.Now()})
+		return nil
+	}
+	return storeErr(op, err)
 }
 
 // storeErr wraps a store write failure for callers. Disk-full
@@ -281,69 +353,8 @@ func storeErr(op string, err error) error {
 	return fmt.Errorf("%w %s: %v", ErrStore, op, err)
 }
 
-// shedWrite reports the retryable shed error when the engine's store
-// is in read-only mode and the write would need it: engine-level
-// writes (j == nil) and writes of jobs backed by the readonly store
-// are shed; a job already running memory-only proceeds as before.
-// Called with j.mu held when j is non-nil.
-func (e *Engine) shedWrite(j *job) error {
-	if e.storeMode.Load() != storeModeReadonly {
-		return nil
-	}
-	if j != nil && (j.st == nil || j.st != e.store.Load()) {
-		return nil
-	}
-	return ErrReadOnly
-}
-
-// readonlyStore fences writes off and starts the resume probe; the
-// store stays attached and keeps serving reads. Only the first caller
-// transitions.
-func (e *Engine) readonlyStore(err error) {
-	if !e.storeMode.CompareAndSwap(storeModeRW, storeModeReadonly) {
-		return
-	}
-	e.healthMu.Lock()
-	e.healthErr = err
-	e.healthMu.Unlock()
-	// Exactly one event + counter bump per transition: the CAS above
-	// admits a single caller.
-	e.met.storeReadonly.Add(1)
-	e.logger().Warn("store entered read-only mode; shedding writes",
-		"event", "store_readonly", "error", err.Error())
-	e.startProbe()
-}
-
-// degradeStore fences the store off and starts the reopen probe. Only
-// the first caller transitions; the rest are no-ops.
-func (e *Engine) degradeStore(err error) {
-	if !e.storeMode.CompareAndSwap(storeModeRW, storeModeDegraded) {
-		return
-	}
-	e.healthMu.Lock()
-	e.healthErr = err
-	e.degradedSince = time.Now()
-	e.healthMu.Unlock()
-	e.met.storeDegraded.Add(1)
-	e.logger().Error("store degraded; serving memory-only",
-		"event", "store_degrade", "error", err.Error())
-	e.startProbe()
-}
-
-// startProbe launches the background reopen loop, once.
-func (e *Engine) startProbe() {
-	e.probeMu.Lock()
-	defer e.probeMu.Unlock()
-	if e.probeStop != nil {
-		return
-	}
-	stop := make(chan struct{})
-	e.probeStop = stop
-	e.probeWG.Add(1)
-	go e.probeLoop(stop)
-}
-
-// stopProbe halts the probe (if running) and waits for it to exit.
+// stopProbe halts the reopen probe (if running) and waits for it to
+// exit.
 func (e *Engine) stopProbe() {
 	e.probeMu.Lock()
 	if e.probeStop != nil {
@@ -355,14 +366,7 @@ func (e *Engine) stopProbe() {
 }
 
 func (e *Engine) probeLoop(stop chan struct{}) {
-	defer func() {
-		e.probeMu.Lock()
-		if e.probeStop == stop {
-			e.probeStop = nil
-		}
-		e.probeMu.Unlock()
-		e.probeWG.Done()
-	}()
+	defer e.probeWG.Done()
 	interval := e.StoreProbeInterval
 	if interval <= 0 {
 		interval = DefaultStoreProbeInterval
@@ -374,120 +378,90 @@ func (e *Engine) probeLoop(stop chan struct{}) {
 		case <-stop:
 			return
 		case <-t.C:
-			if e.attemptReopen() {
-				return
-			}
+			e.probeTick()
 		}
 	}
 }
 
-// attemptReopen closes the unhealthy store and reopens its directory.
-// It returns true when the probe's job is over — the reopen succeeded,
-// or the store was detached underneath it. The write lock on
-// storeReadMu excludes every reader for the close/munmap + reopen
-// window, so no mapped segment view is torn down mid-read.
-func (e *Engine) attemptReopen() bool {
+// probeTick is one probe step. Only a degraded or read-only engine
+// acts, and counts an attempt: it closes the unhealthy store and
+// reopens its directory. The write lock on storeReadMu excludes every
+// reader for the close/munmap + reopen window, so no mapped segment
+// view is torn down mid-read. Nothing else moves the ladder out of
+// these modes — writers only transition from rw, and CloseStore stops
+// the probe first — so the tick's own transition cannot lose a race.
+func (e *Engine) probeTick() {
+	s := e.state.Load()
+	if s.mode != storeModeDegraded && s.mode != storeModeReadonly {
+		return
+	}
 	e.met.probeAttempts.Add(1)
-	mode := e.storeMode.Load()
-	switch mode {
-	case storeModeDegraded:
-	case storeModeReadonly:
+	if s.mode == storeModeReadonly && !e.diskRecovered(s.store) {
 		// The readonly store is still open and serving reads; don't
 		// bounce it until the disk has real headroom again, so the
 		// engine can't flap at the edge of full.
-		st := e.store.Load()
-		if st == nil {
-			return true
-		}
-		if !e.diskRecovered(st) {
-			return false
-		}
-	default:
-		return true
+		return
 	}
 	e.storeReadMu.Lock()
 	defer e.storeReadMu.Unlock()
-	if m := e.storeMode.Load(); m != mode {
-		// CloseStore (or a concurrent transition) got here first.
-		return m != storeModeDegraded && m != storeModeReadonly
-	}
-	old := e.store.Swap(nil)
-	if old != nil {
+	if s.store != nil {
 		// Unhealthy close: flush and sync are skipped (crash semantics),
 		// but descriptors, mappings, and the directory flock release.
-		old.Close()
+		s.store.Close()
 	}
 	st, err := tsdb.OpenOptions(e.storeDir, e.storeOpts)
 	if err != nil {
 		// The old store is gone; whichever mode we came from, the
 		// engine is now fully degraded — memory-only, probe still
 		// trying.
-		e.storeMode.Store(storeModeDegraded)
-		e.healthMu.Lock()
-		e.healthErr = err
-		if e.degradedSince.IsZero() {
-			e.degradedSince = time.Now()
+		since := s.since
+		if since.IsZero() {
+			since = time.Now()
 		}
-		e.healthMu.Unlock()
-		if mode == storeModeReadonly {
-			// readonly → degraded is a real transition (reads are gone
-			// too); repeated failed reopens while already degraded are
-			// not, and stay at debug level.
-			e.met.storeDegraded.Add(1)
-			e.logger().Error("store degraded; serving memory-only",
-				"event", "store_degrade", "error", err.Error())
-		} else {
-			e.logger().Debug("store reopen attempt failed",
-				"event", "store_reopen_failed", "error", err.Error())
-		}
-		return false
+		e.transition(s, &storeState{mode: storeModeDegraded, cause: err, since: since})
+		return
 	}
-	if mode == storeModeReadonly {
-		// Re-pin a surviving job to the new incarnation only when the
-		// replay holds exactly what its stream was fed: the ENOSPC that
-		// entered read-only mode may have surfaced after the batch's
-		// runs were fed (at its commit, or at an append that overflowed
-		// the WAL buffer), and the read-only close never flushed them.
-		// WAL-before-stream makes the replay a prefix of the fed runs,
-		// so equal counts mean equal content. Anything else — diverged
-		// jobs and jobs the engine no longer tracks — is dropped and
-		// keeps serving memory-only.
-		for _, lj := range st.Live() {
-			repinned := false
-			if j := e.getJob(lj.ID); j != nil {
-				j.mu.Lock()
-				if j.st == old && !j.done && j.samples == lj.Samples {
-					j.st = st
-					repinned = true
-				}
-				j.mu.Unlock()
-			}
-			if !repinned {
-				st.Drop(lj.ID)
-			}
-		}
-	} else {
-		// Jobs replayed from the WAL lived through the outage: their
-		// engine-side streams hold samples the store never saw, so
-		// resuming their WAL entries would persist a divergent history.
-		// Drop them from the store — their streams keep serving
-		// memory-only (storeFor never resolves them: their j.st is a
-		// dead pointer).
-		for _, lj := range st.Live() {
+	// Re-pinned jobs stay locked until the new state is published: in
+	// between, the gate would see a job pinned to a store that is not
+	// yet the attached one and feed it memory-only, behind its WAL.
+	var held []*job
+	for _, lj := range st.Live() {
+		if j := e.repin(s, st, lj); j != nil {
+			held = append(held, j)
+		} else {
 			st.Drop(lj.ID)
 		}
 	}
-	e.store.Store(st)
-	e.storeMode.Store(storeModeRW)
-	e.healthMu.Lock()
-	e.healthErr = nil
-	e.degradedSince = time.Time{}
-	e.healthMu.Unlock()
-	e.met.probeReopens.Add(1)
-	e.met.storeHealed.Add(1)
-	e.logger().Info("store reopened; durable mode resumed",
-		"event", "store_heal", "from", modeName(mode))
-	return true
+	e.transition(s, &storeState{mode: storeModeRW, store: st})
+	for _, j := range held {
+		j.mu.Unlock()
+	}
+}
+
+// repin moves a job that lived through a read-only window onto the
+// reopened incarnation st, and returns it with j.mu held. It does so
+// only when the replay holds exactly what the job's stream was fed:
+// the ENOSPC that entered read-only mode may have surfaced after a
+// batch's runs were fed (at its commit flush, or at an append that
+// overflowed the WAL buffer), and the read-only close never flushed
+// them. WAL-before-stream makes the replay a prefix of the fed runs,
+// so equal counts mean equal content. Every other replayed job — one
+// that lived through a degraded outage (its stream holds samples the
+// store never saw), a diverged one, one the engine no longer tracks —
+// yields nil, for the caller to drop from the store; its stream keeps
+// serving memory-only.
+func (e *Engine) repin(from *storeState, st *tsdb.Store, lj tsdb.LiveJob) *job {
+	j := e.getJob(lj.ID)
+	if from.mode != storeModeReadonly || j == nil {
+		return nil
+	}
+	j.mu.Lock()
+	if j.st != from.store || j.done || j.samples != lj.Samples {
+		j.mu.Unlock()
+		return nil
+	}
+	j.st = st
+	return j
 }
 
 // diskRecovered reports whether the store's disk has enough headroom

@@ -2,7 +2,8 @@ package monitor
 
 // Goroutine-leak checks: Close and CloseStore must reap every
 // background goroutine the engine started — most importantly the
-// store-reopen probe that only exists while degraded. Run under -race.
+// store-reopen probe that runs while a store is attached. Run under
+// -race.
 
 import (
 	"runtime"

@@ -86,19 +86,6 @@ func voteMargin(votes map[string]int) float64 {
 	return float64(top - second)
 }
 
-// modeName names a store mode for log events.
-func modeName(m int32) string {
-	switch m {
-	case storeModeRW:
-		return "rw"
-	case storeModeDegraded:
-		return "degraded"
-	case storeModeReadonly:
-		return "readonly"
-	}
-	return "none"
-}
-
 // EnableMetrics registers the engine's metric families on reg:
 // counters and gauges read the engine's existing atomics at scrape
 // time (no double bookkeeping), histograms observe on the ingest and
@@ -136,7 +123,7 @@ func (e *Engine) EnableMetrics(reg *obs.Registry) {
 		return float64(e.inflightBatches.Load())
 	})
 	reg.GaugeFunc("efd_engine_store_mode", "", "store mode: 0 none, 1 rw, 2 degraded, 3 readonly", func() float64 {
-		return float64(e.storeMode.Load())
+		return float64(e.state.Load().mode)
 	})
 	reg.GaugeFunc("efd_dict_keys", "", "fingerprint keys in the dictionary", func() float64 {
 		var n int
@@ -151,41 +138,31 @@ func (e *Engine) EnableMetrics(reg *obs.Registry) {
 
 	// Store-level gauges resolve the current store incarnation at
 	// scrape time; without one they read 0.
-	reg.GaugeFunc("efd_tsdb_wal_bytes", "", "bytes in the write-ahead log", func() float64 {
-		if st := e.store.Load(); st != nil {
-			return float64(st.Stats().WALBytes)
-		}
-		return 0
+	storeGauge := func(name, help string, read func(*tsdb.Store) float64) {
+		reg.GaugeFunc(name, "", help, func() float64 {
+			if st := e.state.Load().store; st != nil {
+				return read(st)
+			}
+			return 0
+		})
+	}
+	storeGauge("efd_tsdb_wal_bytes", "bytes in the write-ahead log", func(st *tsdb.Store) float64 {
+		return float64(st.Stats().WALBytes)
 	})
-	reg.GaugeFunc("efd_tsdb_mmap_bytes", "", "bytes of mapped segment data", func() float64 {
-		if st := e.store.Load(); st != nil {
-			return float64(st.Stats().MmapBytes)
-		}
-		return 0
+	storeGauge("efd_tsdb_mmap_bytes", "bytes of mapped segment data", func(st *tsdb.Store) float64 {
+		return float64(st.Stats().MmapBytes)
 	})
-	reg.GaugeFunc("efd_tsdb_segments", "", "flushed segment files", func() float64 {
-		if st := e.store.Load(); st != nil {
-			return float64(st.Stats().Segments)
-		}
-		return 0
+	storeGauge("efd_tsdb_segments", "flushed segment files", func(st *tsdb.Store) float64 {
+		return float64(st.Stats().Segments)
 	})
-	reg.GaugeFunc("efd_tsdb_executions", "", "stored executions", func() float64 {
-		if st := e.store.Load(); st != nil {
-			return float64(st.Stats().Executions)
-		}
-		return 0
+	storeGauge("efd_tsdb_executions", "stored executions", func(st *tsdb.Store) float64 {
+		return float64(st.Stats().Executions)
 	})
-	reg.GaugeFunc("efd_tsdb_recovery_seconds", "", "wall-clock duration of the last store recovery", func() float64 {
-		if st := e.store.Load(); st != nil {
-			return st.Recovery().Duration.Seconds()
-		}
-		return 0
+	storeGauge("efd_tsdb_recovery_seconds", "wall-clock duration of the last store recovery", func(st *tsdb.Store) float64 {
+		return st.Recovery().Duration.Seconds()
 	})
-	reg.GaugeFunc("efd_tsdb_recovery_retried_ops", "", "I/O retries the last recovery spent", func() float64 {
-		if st := e.store.Load(); st != nil {
-			return float64(st.Recovery().RetriedOps)
-		}
-		return 0
+	storeGauge("efd_tsdb_recovery_retried_ops", "I/O retries the last recovery spent", func(st *tsdb.Store) float64 {
+		return float64(st.Recovery().RetriedOps)
 	})
 
 	e.obsm = &engineObs{

@@ -116,8 +116,11 @@ func TestChaosTransitionEventsDegradeHeal(t *testing.T) {
 	}
 
 	// Poison fsync and hammer the store from several goroutines: every
-	// writer can see the failure, only one may transition.
+	// writer can see the failure, only one may transition. Reopens fail
+	// too until the reset: a reopen issues no fsync, so it would heal
+	// the store under the writers and let them degrade it again.
 	fs.AddRule(vfs.Rule{Op: vfs.OpSync, Err: syscall.EIO})
+	fs.AddRule(vfs.Rule{Op: vfs.OpLock, Err: syscall.EIO})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -140,9 +143,10 @@ func TestChaosTransitionEventsDegradeHeal(t *testing.T) {
 		t.Fatalf("store_degraded counter = %d, want 1", got)
 	}
 
-	// Heal: the probe reopens once; one event, one counter bump.
+	// Heal: the probe reopens once; one event, one counter bump. Wait
+	// for the event: the heal publishes the mode before it logs.
 	fs.Reset()
-	waitFor(t, "heal", func() bool { return e.Health().Status == StatusHealthy })
+	waitFor(t, "heal", func() bool { return ev.count("store_heal") > 0 })
 	if got := ev.count("store_heal"); got != 1 {
 		t.Fatalf("store_heal events = %d, want exactly 1", got)
 	}
@@ -183,7 +187,7 @@ func TestChaosTransitionEventsReadonly(t *testing.T) {
 	}
 
 	fs.Reset()
-	waitFor(t, "resume", func() bool { return e.Health().Status == StatusHealthy })
+	waitFor(t, "resume", func() bool { return ev.count("store_heal") > 0 })
 	if got := ev.count("store_heal"); got != 1 {
 		t.Fatalf("store_heal events = %d, want exactly 1", got)
 	}

@@ -14,7 +14,6 @@ package monitor
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/core"
@@ -86,12 +85,19 @@ func (e *Engine) AttachStore(st *tsdb.Store) (recovered int, err error) {
 		return 0, fmt.Errorf("monitor: store holds %d live jobs, exceeding MaxJobs %d; raise the cap or prune the store", len(live), e.MaxJobs)
 	}
 	// Remember how to reopen this store: should it poison itself at
-	// runtime, the engine degrades to memory-only and a background
-	// probe reopens the same directory with the same options.
+	// runtime, the engine degrades to memory-only and the reopen probe
+	// reopens the same directory with the same options. The probe runs
+	// as long as the store stays attached.
+	e.stopProbe()
 	e.storeDir = st.Dir()
 	e.storeOpts = st.Options()
-	e.store.Store(st)
-	e.storeMode.Store(storeModeRW)
+	e.reset(&storeState{mode: storeModeRW, store: st})
+	stop := make(chan struct{})
+	e.probeMu.Lock()
+	e.probeStop = stop
+	e.probeMu.Unlock()
+	e.probeWG.Add(1)
+	go e.probeLoop(stop)
 	for _, lj := range live {
 		var stream *core.Stream
 		nodes := lj.Nodes
@@ -133,30 +139,25 @@ func (e *Engine) AttachStore(st *tsdb.Store) (recovered int, err error) {
 
 // Store returns the attached store, or nil. In-repo plumbing, like
 // AttachStore.
-func (e *Engine) Store() *tsdb.Store { return e.store.Load() }
+func (e *Engine) Store() *tsdb.Store { return e.state.Load().store }
 
 // HasStore reports whether a durable store is attached.
-func (e *Engine) HasStore() bool { return e.store.Load() != nil }
+func (e *Engine) HasStore() bool { return e.state.Load().store != nil }
 
 // CloseStore flushes pending executions into segments, syncs the WAL,
 // and releases the store. A no-op without one. The engine keeps
 // serving in-memory afterwards, but durable guarantees end here —
-// call it on shutdown only. Stops the degraded-mode reopen probe
-// first, so no reopen races the shutdown.
+// call it on shutdown only. Stops the reopen probe first, so no reopen
+// races the shutdown.
 func (e *Engine) CloseStore() error {
 	e.stopProbe()
 	e.storeReadMu.Lock()
-	st := e.store.Swap(nil)
-	e.storeMode.Store(storeModeNone)
-	e.healthMu.Lock()
-	e.healthErr = nil
-	e.degradedSince = time.Time{}
-	e.healthMu.Unlock()
+	s := e.reset(detached)
 	e.storeReadMu.Unlock()
-	if st == nil {
+	if s.store == nil {
 		return nil
 	}
-	return st.Close()
+	return s.store.Close()
 }
 
 // time1HzOffset is the implicit-grid offset of sample i.
@@ -170,7 +171,7 @@ func (e *Engine) Series(id string) (SeriesDump, error) {
 	// segment files while this read walks them; see storeReadMu.
 	e.storeReadMu.RLock()
 	defer e.storeReadMu.RUnlock()
-	st := e.store.Load()
+	st := e.state.Load().store
 	if st == nil {
 		return SeriesDump{}, ErrNoStore
 	}
@@ -214,7 +215,7 @@ func (e *Engine) Series(id string) (SeriesDump, error) {
 func (e *Engine) Executions() ([]ExecutionInfo, error) {
 	e.storeReadMu.RLock()
 	defer e.storeReadMu.RUnlock()
-	st := e.store.Load()
+	st := e.state.Load().store
 	if st == nil {
 		return nil, ErrNoStore
 	}
@@ -232,7 +233,7 @@ func (e *Engine) Executions() ([]ExecutionInfo, error) {
 func (e *Engine) RecognizeStored(id string) (State, error) {
 	e.storeReadMu.RLock()
 	defer e.storeReadMu.RUnlock()
-	st := e.store.Load()
+	st := e.state.Load().store
 	if st == nil {
 		return State{}, ErrNoStore
 	}
@@ -266,12 +267,12 @@ func (e *Engine) RecognizeStored(id string) (State, error) {
 func (e *Engine) storeStats() *StoreStats {
 	e.storeReadMu.RLock()
 	defer e.storeReadMu.RUnlock()
-	store := e.store.Load()
-	if store == nil {
+	s := e.state.Load()
+	if s.store == nil {
 		return nil
 	}
-	st := store.Stats()
-	rec := store.Recovery()
+	st := s.store.Stats()
+	rec := s.store.Recovery()
 	out := &StoreStats{
 		LiveJobs:            st.LiveJobs,
 		PendingJobs:         st.PendingJobs,
@@ -292,15 +293,7 @@ func (e *Engine) storeStats() *StoreStats {
 		// Floor seconds, like DegradedForS's wire resolution: recovery
 		// of a healthy test store reads a stable 0.
 		RecoveryDurationS: int64(rec.Duration / time.Second),
-	}
-	// Same presence rule as the /v1/health disk section: the store's
-	// disk state appears once it is interesting.
-	if mode := e.storeMode.Load(); e.storeOpts.DiskLowBytes > 0 || mode == storeModeReadonly {
-		d := &DiskHealth{FreeBytes: -1, LowWatermarkBytes: e.storeOpts.DiskLowBytes, ReadOnly: mode == storeModeReadonly}
-		if free, ok := store.DiskFree(); ok {
-			d.FreeBytes = int64(min(free, uint64(math.MaxInt64)))
-		}
-		out.Disk = d
+		Disk:              e.diskHealth(s),
 	}
 	return out
 }

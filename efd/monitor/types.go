@@ -133,8 +133,8 @@ type Stats struct {
 	Recognitions    int64 `json:"recognitions_total"`
 	// Health is the engine's one-word health status — "healthy",
 	// "degraded" (store failed, serving memory-only), or "readonly"
-	// (ingest admission gate saturated). GET /v1/health has the full
-	// picture.
+	// (the store's disk is full; writes are shed). GET /v1/health has
+	// the full picture.
 	Health string `json:"health"`
 	// IngestShedTotal counts ingest requests refused by the admission
 	// gate since start.

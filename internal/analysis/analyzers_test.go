@@ -130,8 +130,8 @@ func TestAtomicField(t *testing.T) {
 }
 
 // TestAtomicFieldCleanRegression pins the shapes the real tree relies
-// on — the engine's storeMode CAS ladder and the obs kit's
-// CAS-on-float-bits loop — as finding-free (the PR 10 audit result).
+// on — the engine's store-state snapshot pointer CAS, the Int32 CAS
+// ladder, and the obs kit's CAS-on-float-bits loop — as finding-free.
 func TestAtomicFieldCleanRegression(t *testing.T) {
 	_, diags := analysistest.Diagnostics(t, fixture("atomicfieldclean"), "fixture/atomicfieldclean", analysis.AtomicField)
 	if len(diags) != 0 {

@@ -1,6 +1,7 @@
 // Package atomicfieldclean is the negative fixture for atomicfield:
-// the exact shapes the real tree relies on — the engine's
-// storeMode CAS ladder (efd/monitor/health.go) and the obs kit's
+// the exact shapes the real tree relies on — the engine's store-state
+// snapshot behind a CAS-replaced atomic pointer
+// (efd/monitor/health.go), the Int32 CAS ladder, and the obs kit's
 // CAS-on-float64-bits loop (internal/obs) — must stay finding-free.
 // If a future analyzer change flags any of this, the analyzer is
 // wrong, not the tree.
@@ -18,9 +19,41 @@ const (
 	modeReadonly
 )
 
-// engine models the monitor engine's store-mode state machine: a
-// typed atomic field, transitions via CompareAndSwap so each
-// transition's side effects run exactly once, reads via Load.
+// snapshot is one immutable state of the monitor engine's store-mode
+// ladder.
+type snapshot struct {
+	mode  int32
+	cause error
+}
+
+// ladder models the engine's store-mode state machine: one snapshot
+// behind a typed atomic pointer, replaced only by a CompareAndSwap
+// from the snapshot the caller saw, so each transition's side effects
+// run exactly once; readers Load the snapshot once.
+type ladder struct {
+	state       atomic.Pointer[snapshot]
+	transitions atomic.Int64
+}
+
+func (l *ladder) transition(from, next *snapshot) bool {
+	if !l.state.CompareAndSwap(from, next) {
+		return false // lost the race; the winner logged and counted
+	}
+	l.transitions.Add(1)
+	return true
+}
+
+func (l *ladder) degrade(err error) bool {
+	s := l.state.Load()
+	return s.mode == modeRW && l.transition(s, &snapshot{mode: modeDegraded, cause: err})
+}
+
+func (l *ladder) writable() bool {
+	return l.state.Load().mode == modeRW
+}
+
+// engine models the same ladder as a bare mode word: a typed atomic
+// Int32, transitions via CompareAndSwap, reads via Load.
 type engine struct {
 	storeMode atomic.Int32
 	demotions atomic.Int64
@@ -80,6 +113,8 @@ func (w *word) cas(o, n int64) bool {
 }
 
 var (
+	_ = (*ladder).degrade
+	_ = (*ladder).writable
 	_ = (*engine).degrade
 	_ = (*engine).readonly
 	_ = (*engine).writable

@@ -337,10 +337,14 @@ func (s *Store) readOnlyLocked(err error) error {
 	return s.readonly
 }
 
-// unhealthyLocked reports the error every mutation must refuse with,
-// or nil while the store accepts writes. Called with mu held.
-func (s *Store) unhealthyLocked() error {
-	if s.failed != nil {
+// refuseLocked is the refusal every mutation opens with: ErrClosed
+// after Close, the poisoning or disk-full error while unhealthy, nil
+// while the store accepts writes. Called with mu held.
+func (s *Store) refuseLocked() error {
+	switch {
+	case s.closed:
+		return ErrClosed
+	case s.failed != nil:
 		return s.failed
 	}
 	return s.readonly
@@ -600,10 +604,7 @@ func (s *Store) Register(job string, nodes int) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if err := s.unhealthyLocked(); err != nil {
+	if err := s.refuseLocked(); err != nil {
 		return err
 	}
 	if _, ok := s.live[job]; ok {
@@ -664,10 +665,7 @@ func (s *Store) Append(job, metric string, node int, offs []time.Duration, vals 
 		s.mu.Unlock()
 		runEncPool.Put(enc)
 	}()
-	if s.closed {
-		return ErrClosed
-	}
-	if err := s.unhealthyLocked(); err != nil {
+	if err := s.refuseLocked(); err != nil {
 		return err
 	}
 	j := s.live[job]
@@ -702,11 +700,7 @@ func (s *Store) Commit() error {
 	s.syncMu.Lock()
 	defer s.syncMu.Unlock()
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if err := s.unhealthyLocked(); err != nil {
+	if err := s.refuseLocked(); err != nil {
 		s.mu.Unlock()
 		return err
 	}
@@ -767,7 +761,7 @@ func (s *Store) Commit() error {
 // re-derives state from the disk is the only honest answer (the
 // fsyncgate lesson).
 func (s *Store) commitLocked() error {
-	if err := s.unhealthyLocked(); err != nil {
+	if err := s.refuseLocked(); err != nil {
 		return err
 	}
 	if s.opt.NoSync {
@@ -792,11 +786,7 @@ func (s *Store) commitLocked() error {
 // returning. Crossing the flush threshold kicks a background flush.
 func (s *Store) Finish(job, label string) error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if err := s.unhealthyLocked(); err != nil {
+	if err := s.refuseLocked(); err != nil {
 		s.mu.Unlock()
 		return err
 	}
@@ -842,10 +832,7 @@ func (s *Store) Finish(job, label string) error {
 func (s *Store) Drop(job string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if err := s.unhealthyLocked(); err != nil {
+	if err := s.refuseLocked(); err != nil {
 		return err
 	}
 	if _, ok := s.live[job]; !ok {
@@ -906,11 +893,7 @@ func (s *Store) IngestExecution(job, label string, ns *telemetry.NodeSet) error 
 		}
 	}
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if err := s.unhealthyLocked(); err != nil {
+	if err := s.refuseLocked(); err != nil {
 		s.mu.Unlock()
 		return err
 	}
@@ -935,11 +918,7 @@ func (s *Store) Flush() error {
 	for s.flushing {
 		s.flushCond.Wait()
 	}
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if err := s.unhealthyLocked(); err != nil {
+	if err := s.refuseLocked(); err != nil {
 		s.mu.Unlock()
 		return err
 	}
@@ -1171,11 +1150,12 @@ func (s *Store) Close() error {
 	flushErr := s.Flush()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	err := s.refuseLocked()
+	if errors.Is(err, ErrClosed) {
 		return flushErr
 	}
 	s.closed = true
-	if err := s.unhealthyLocked(); err != nil {
+	if err != nil {
 		// Poisoned or read-only: the buffered tail holds records whose
 		// callers were told they failed. Flushing or syncing it now
 		// would durably persist them after all — close the descriptor
