@@ -3,6 +3,7 @@ package monitor
 import (
 	"encoding/json"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -287,6 +288,58 @@ func TestEngineStoreRoundTrip(t *testing.T) {
 	if stats := e2.Stats(); stats.Store == nil || stats.Store.Rerecognitions != 1 || stats.Store.RecoveredJobs != 1 {
 		t.Fatalf("store stats: %+v", stats.Store)
 	}
+}
+
+// TestSeriesDumpOffsets pins the offsets_s contract of Series: a live
+// job dumps an off-grid, out-of-order series in arrival order, its
+// flushed execution dumps the stable sort, and a series on the 1 Hz
+// grid omits offsets_s either way.
+func TestSeriesDumpOffsets(t *testing.T) {
+	e := New(testDict(t))
+	if _, err := e.OpenStore(t.TempDir(), StoreOptions{NoSync: true}); err != nil {
+		t.Fatal(err)
+	}
+	defer e.CloseStore()
+	jb, err := e.Register("irr", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := jb.Ingest(flat(6000, 2, 125)); err != nil {
+		t.Fatal(err)
+	}
+	ms := time.Millisecond
+	if _, err := jb.IngestRun("aux", 0, []time.Duration{2500 * ms, 500 * ms, 1500 * ms}, []float64{3, 1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := jb.IngestRun("aux", 0, []time.Duration{1500 * ms}, []float64{2.5}); err != nil {
+		t.Fatal(err)
+	}
+	check := func(source string, wantOffs, wantVals []float64) {
+		t.Helper()
+		dump, err := e.Series("irr")
+		if err != nil || dump.Source != source || len(dump.Series) != 3 {
+			t.Fatalf("%s dump: source %q, %d series, %v", source, dump.Source, len(dump.Series), err)
+		}
+		for _, sd := range dump.Series {
+			if sd.Metric != "aux" {
+				if sd.OffsetsS != nil || sd.Count != 126 {
+					t.Errorf("%s grid series %s[%d]: count %d, offsets_s %v (want omitted)", source, sd.Metric, sd.Node, sd.Count, sd.OffsetsS)
+				}
+				continue
+			}
+			if !slices.Equal(sd.OffsetsS, wantOffs) || !slices.Equal(sd.Values, wantVals) || sd.Count != len(wantVals) {
+				t.Errorf("%s aux: offsets_s %v values %v, want %v %v", source, sd.OffsetsS, sd.Values, wantOffs, wantVals)
+			}
+		}
+	}
+	check("live", []float64{2.5, 0.5, 1.5, 1.5}, []float64{3, 1, 2, 2.5})
+	if _, err := jb.Label("ft", "X"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Store().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("stored", []float64{0.5, 1.5, 1.5, 2.5}, []float64{1, 2, 2.5, 3})
 }
 
 // TestNoStoreQueries: storage queries without a store report

@@ -108,6 +108,7 @@ func FuzzSegmentOpen(f *testing.F) {
 	data := validSegmentBytes(f)
 	f.Add(data)
 	f.Add(data[:len(data)-3])
+	f.Add(histFooterSegment(f))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, segName(0))

@@ -286,6 +286,71 @@ func TestOffGridOffsetsRoundTrip(t *testing.T) {
 	}
 }
 
+// histFooterSegment is a segment in the original footer format, whose
+// per-series entries also carry a "hist" sketch: one execution,
+// "hist-job", with a grid series cpu[0] and an explicit-offset series
+// mem[1].
+func histFooterSegment(tb testing.TB) []byte {
+	tb.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "hist_footer.seg"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// TestHistFooterSegmentOpens pins that segments whose footers carry
+// histogram sketches still open: the store maps them without
+// quarantine and serves their columns unchanged.
+func TestHistFooterSegmentOpens(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segName(0)), histFooterSegment(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if q := st.Recovery().QuarantinedSegments; q != 0 {
+		t.Fatalf("QuarantinedSegments = %d, want 0", q)
+	}
+	execs := st.Executions()
+	if len(execs) != 1 || execs[0].ID != "hist-job" || execs[0].Label != "ft_X" || !execs[0].Stored {
+		t.Fatalf("executions: %+v", execs)
+	}
+	ns, err := st.ExecutionSeries("hist-job")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := time.Millisecond
+	want := []struct {
+		metric string
+		node   int
+		offs   []time.Duration
+		vals   []float64
+	}{
+		{"cpu", 0, []time.Duration{0, time.Second, 2 * time.Second, 3 * time.Second, 4 * time.Second, 5 * time.Second},
+			[]float64{10.5, 11.25, 9.75, 12, 10, 11.5}},
+		{"mem", 1, []time.Duration{500 * ms, 1500 * ms, 3 * time.Second, 4250 * ms}, []float64{1, 2, 3, 4}},
+	}
+	if ns.NumSeries() != len(want) {
+		t.Fatalf("%d series, want %d", ns.NumSeries(), len(want))
+	}
+	for _, w := range want {
+		s := ns.Get(w.node, w.metric)
+		if s == nil || s.Len() != len(w.vals) {
+			t.Fatalf("%s[%d]: %v", w.metric, w.node, s)
+		}
+		for i := range w.vals {
+			if s.OffsetAt(i) != w.offs[i] || s.ValueAt(i) != w.vals[i] {
+				t.Errorf("%s[%d] sample %d = (%v, %v), want (%v, %v)",
+					w.metric, w.node, i, s.OffsetAt(i), s.ValueAt(i), w.offs[i], w.vals[i])
+			}
+		}
+	}
+}
+
 // TestIngestExecutionAndReuseOfIDs covers the bulk segment path and ID
 // reuse: the same job ID stored twice resolves to the latest sequence.
 func TestIngestExecutionAndReuseOfIDs(t *testing.T) {
