@@ -694,7 +694,7 @@ func wideSeries() *telemetry.Series {
 		for i := 0; i < 36_000; i++ {
 			s.Append(time.Duration(i)*time.Second, 1e6+float64(i%97))
 		}
-		s.SealStats()
+		s.Seal()
 		benchWideSeries = s
 	})
 	return benchWideSeries
@@ -723,19 +723,6 @@ func BenchmarkWindowMeanNarrow(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.WindowMean(w); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWindowStatsWide extracts all four moments from the same
-// wide window — still O(1) on the sealed prefix sums.
-func BenchmarkWindowStatsWide(b *testing.B) {
-	s := wideSeries()
-	w := telemetry.Window{Start: 60 * time.Second, End: 35_900 * time.Second}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.WindowStats(w); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -838,8 +825,7 @@ func tsdbBenchNodeSet(series, n int) *telemetry.NodeSet {
 
 // BenchmarkTSDBSegmentFlush measures flushing one finished execution
 // (4 series × 4096 samples) into an immutable segment: columnar
-// write, per-block CRCs, histogram sketches, footer, mmap open, WAL
-// compaction.
+// write, per-block CRCs, footer, mmap open, WAL compaction.
 func BenchmarkTSDBSegmentFlush(b *testing.B) {
 	st := tsdbBenchStore(b)
 	ns := tsdbBenchNodeSet(4, 4096)

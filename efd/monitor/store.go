@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/telemetry"
 	"repro/internal/tsdb"
 )
 
@@ -28,9 +27,6 @@ type StoreOptions struct {
 	// labelling kicks a background flush into a segment file. Default
 	// 8 MiB; negative disables automatic flushing.
 	FlushBytes int64
-	// HistBins is the per-series histogram sketch resolution persisted
-	// in segment footers. Default telemetry.DefaultHistBins.
-	HistBins int
 	// NoSync skips every fsync — replay correctness is unaffected,
 	// only crash durability. For benchmarks and bulk loads.
 	NoSync bool
@@ -51,7 +47,6 @@ type StoreOptions struct {
 func (e *Engine) OpenStore(dir string, opt StoreOptions) (recovered int, err error) {
 	st, err := tsdb.OpenOptions(dir, tsdb.Options{
 		FlushBytes:   opt.FlushBytes,
-		HistBins:     opt.HistBins,
 		NoSync:       opt.NoSync,
 		DiskLowBytes: opt.DiskLowBytes,
 		// Store-level instruments from EnableMetrics (zero when metrics
@@ -160,9 +155,6 @@ func (e *Engine) CloseStore() error {
 	return s.store.Close()
 }
 
-// time1HzOffset is the implicit-grid offset of sample i.
-func time1HzOffset(i int) time.Duration { return time.Duration(i) * telemetry.DefaultPeriod }
-
 // Series dumps a job's telemetry from the store: live jobs get a
 // snapshot of their accumulated columns, finished ones their stored
 // execution.
@@ -189,19 +181,13 @@ func (e *Engine) Series(id string) (SeriesDump, error) {
 			if series == nil {
 				continue
 			}
-			sd := SeriesData{Metric: metric, Node: node, Count: series.Len()}
-			sd.Values = make([]float64, series.Len())
-			grid := true
-			for i := 0; i < series.Len(); i++ {
-				sd.Values[i] = series.ValueAt(i)
-				if series.OffsetAt(i) != time1HzOffset(i) {
-					grid = false
-				}
-			}
-			if !grid {
-				sd.OffsetsS = make([]float64, series.Len())
-				for i := range sd.OffsetsS {
-					sd.OffsetsS[i] = series.OffsetAt(i).Seconds()
+			sd := SeriesData{Metric: metric, Node: node, Count: series.Len(), Values: series.Values()}
+			// An explicit offset column never sits on the 1 Hz grid,
+			// so grid series omit offsets_s.
+			if offs := series.OffsetsView(); offs != nil {
+				sd.OffsetsS = make([]float64, len(offs))
+				for i, off := range offs {
+					sd.OffsetsS[i] = off.Seconds()
 				}
 			}
 			out.Series = append(out.Series, sd)

@@ -40,67 +40,11 @@ func TestDDAccumulatorRecoversLostBits(t *testing.T) {
 	}
 }
 
-func TestMomentsFromPowerSumsMatchesSliceStats(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, scale := range []float64{1e-3, 1.0, 1e6, 1e9} {
-		xs := make([]float64, 240)
-		for i := range xs {
-			xs[i] = scale * (1 + 0.1*rng.NormFloat64())
-		}
-		var s1, s2, s3, s4 DD
-		for _, x := range xs {
-			x2 := Sq(x)
-			s1.Add(x)
-			s2.AddDD(x2)
-			s3.AddDD(x2.Scale(x))
-			s4.AddDD(x2.Mul(x2))
-		}
-		m := MomentsFromPowerSums(len(xs), s1, s2, s3, s4)
-		checks := []struct {
-			name      string
-			got, want float64
-			tol       float64
-		}{
-			{"mean", m.Mean, KahanMean(xs), 1e-14},
-			{"variance", m.Variance, Variance(xs), 1e-9},
-			{"stddev", m.StdDev, StdDev(xs), 1e-9},
-			{"skewness", m.Skewness, Skewness(xs), 1e-6},
-			{"kurtosis", m.Kurtosis, Kurtosis(xs), 1e-6},
-		}
-		for _, c := range checks {
-			if relErr(c.got, c.want) > c.tol {
-				t.Errorf("scale %g: %s = %v, slice stats say %v (rel err %g)",
-					scale, c.name, c.got, c.want, relErr(c.got, c.want))
-			}
-		}
-	}
-}
-
-func TestMomentsFromPowerSumsDegenerate(t *testing.T) {
-	if m := MomentsFromPowerSums(0, DD{}, DD{}, DD{}, DD{}); m != (Moments{}) {
-		t.Errorf("n=0 moments = %+v, want zero", m)
-	}
-	// Constant series: variance, skewness, kurtosis all zero even
-	// though the raw sums are enormous.
-	var s1, s2, s3, s4 DD
-	n := 100
-	for i := 0; i < n; i++ {
-		s1.Add(1e9)
-		s2.Add(1e18)
-		s3.Add(1e27)
-		s4.Add(1e36)
-	}
-	m := MomentsFromPowerSums(n, s1, s2, s3, s4)
-	if m.Mean != 1e9 || m.Variance != 0 || m.Skewness != 0 || m.Kurtosis != 0 {
-		t.Errorf("constant moments = %+v", m)
-	}
-}
-
-// TestMomentsLargeBaseline is the satellite numerical-stability check:
-// values ~1e9 apart from zero with unit-scale structure. A naive
-// Σx²−n·mean² at float64 loses all ~17 digits; both the compensated
-// slice statistics and the double-double power-sum path must recover
-// the exact moments of the shifted data.
+// TestMomentsLargeBaseline is the numerical-stability check for the
+// slice statistics: values ~1e9 apart from zero with unit-scale
+// structure. A naive Σx²−n·mean² at float64 loses all ~17 digits; the
+// compensated slice statistics must recover the exact moments of the
+// shifted data.
 func TestMomentsLargeBaseline(t *testing.T) {
 	base := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	shift := 1e9
@@ -121,37 +65,6 @@ func TestMomentsLargeBaseline(t *testing.T) {
 	}
 	if got := Kurtosis(shifted); math.Abs(got-wantKurt) > 1e-6 {
 		t.Errorf("Kurtosis(x+1e9) = %v, want %v", got, wantKurt)
-	}
-
-	// The power-sum path centers at a per-series constant K (the
-	// telemetry layer uses the first sample): moments are
-	// shift-invariant, so MomentsFromPowerSums over Σ(x−K)^p returns
-	// them directly, with only Mean needing the K added back. Raw
-	// (uncentered) sums at a 1e9 baseline would need ~167 bits for the
-	// fourth moment — beyond even double-double — which is exactly why
-	// the convention centers first.
-	k := shifted[0]
-	var s1, s2, s3, s4 DD
-	for _, x := range shifted {
-		y := x - k
-		y2 := Sq(y)
-		s1.Add(y)
-		s2.AddDD(y2)
-		s3.AddDD(y2.Scale(y))
-		s4.AddDD(y2.Mul(y2))
-	}
-	m := MomentsFromPowerSums(len(shifted), s1, s2, s3, s4)
-	if got, want := m.Mean+k, KahanMean(shifted); relErr(got, want) > 1e-14 {
-		t.Errorf("power-sum Mean = %v, want %v", got, want)
-	}
-	if relErr(m.Variance, wantVar) > 1e-9 {
-		t.Errorf("power-sum Variance = %v, want %v", m.Variance, wantVar)
-	}
-	if math.Abs(m.Skewness-wantSkew) > 1e-6 {
-		t.Errorf("power-sum Skewness = %v, want %v", m.Skewness, wantSkew)
-	}
-	if math.Abs(m.Kurtosis-wantKurt) > 1e-6 {
-		t.Errorf("power-sum Kurtosis = %v, want %v", m.Kurtosis, wantKurt)
 	}
 }
 

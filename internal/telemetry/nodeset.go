@@ -65,7 +65,7 @@ func (ns *NodeSet) Metrics() []string {
 }
 
 // Seal seals every series in the set (sorting where needed and
-// building the prefix power sums), so subsequent window queries cost
+// building the prefix sums), so subsequent window queries cost
 // O(1)/O(log n) regardless of window length. Like Series.Seal it
 // requires exclusive access: seal once after ingest, then share for
 // concurrent reads.

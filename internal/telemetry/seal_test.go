@@ -4,10 +4,9 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
-
-	"repro/internal/stats"
 )
 
 // gridSeries builds a 1 Hz series of n pseudo-random values.
@@ -80,6 +79,115 @@ func TestNewSeriesFromColumns(t *testing.T) {
 	NewSeriesFromColumns("m", 0, []time.Duration{0}, []float64{1, 2})
 }
 
+// randomRun draws a run of one of the shapes the store feeds AppendRun
+// for a series that already holds n samples: empty, on the grid,
+// leaving the grid partway, or out of order.
+func randomRun(rng *rand.Rand, n int) ([]time.Duration, []float64) {
+	size := rng.Intn(8)
+	offs := make([]time.Duration, size)
+	kind := rng.Intn(4)
+	leave := rng.Intn(size + 1)
+	for k := range offs {
+		switch {
+		case kind == 0:
+			offs[k] = sec(n + k)
+		case kind == 1 && k < leave:
+			offs[k] = sec(n + k)
+		case kind == 1:
+			offs[k] = sec(n+k) + 300*time.Millisecond
+		default:
+			offs[k] = time.Duration(rng.Intn(2*(n+size)+1)) * 500 * time.Millisecond
+		}
+	}
+	if rng.Intn(8) == 0 {
+		offs = offs[:0]
+	}
+	vals := make([]float64, len(offs))
+	for k := range vals {
+		vals[k] = rng.NormFloat64()
+	}
+	return offs, vals
+}
+
+// offsetColumnMatchesGrid reports whether the offset column is nil
+// exactly when every sample sits on the 1 Hz grid.
+func offsetColumnMatchesGrid(s *Series) bool {
+	grid := true
+	for i := 0; i < s.Len(); i++ {
+		grid = grid && s.OffsetAt(i) == time.Duration(i)*DefaultPeriod
+	}
+	return grid == (s.OffsetsView() == nil)
+}
+
+// TestAppendRunMatchesAppend pins AppendRun to a loop of Append: after
+// every run both series hold the same offset column (nil included),
+// the same values and the same Sorted().
+func TestAppendRunMatchesAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 500; trial++ {
+		bulk, loop := NewSeries("m", 0, 0), NewSeries("m", 0, 0)
+		for r := 0; r < 6; r++ {
+			offs, vals := randomRun(rng, bulk.Len())
+			bulk.AppendRun(offs, vals)
+			for k := range offs {
+				loop.Append(offs[k], vals[k])
+			}
+			if (bulk.OffsetsView() == nil) != (loop.OffsetsView() == nil) ||
+				!slices.Equal(bulk.OffsetsView(), loop.OffsetsView()) ||
+				!slices.Equal(bulk.ValuesView(), loop.ValuesView()) ||
+				bulk.Sorted() != loop.Sorted() {
+				t.Fatalf("trial %d run %d: AppendRun left offs=%v vals=%v sorted=%v, Append offs=%v vals=%v sorted=%v",
+					trial, r, bulk.OffsetsView(), bulk.ValuesView(), bulk.Sorted(),
+					loop.OffsetsView(), loop.ValuesView(), loop.Sorted())
+			}
+			if got, want := bulk.AppendOffsets(nil), loop.AppendOffsets(nil); !slices.Equal(got, want) || len(got) != loop.Len() {
+				t.Fatalf("trial %d run %d: AppendOffsets %v, want %v", trial, r, got, want)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("AppendRun with ragged columns should panic")
+		}
+	}()
+	NewSeries("m", 0, 0).AppendRun([]time.Duration{0}, nil)
+}
+
+// TestOffsetColumnNilIffGrid pins the invariant OffsetsView readers
+// rely on: after any mix of NewSeriesFromColumns, Append, AppendRun
+// and Sort, the offset column is nil exactly when every OffsetAt(i)
+// is i·DefaultPeriod.
+func TestOffsetColumnNilIffGrid(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 300; trial++ {
+		var s *Series
+		switch offs, vals := randomRun(rng, 0); rng.Intn(3) {
+		case 0:
+			s = NewSeriesFromColumns("m", 0, offs, vals)
+		case 1:
+			s = NewSeriesFromColumns("m", 0, nil, vals)
+		default:
+			s = NewSeries("m", 0, 0)
+		}
+		for op := 0; op < 8; op++ {
+			if !offsetColumnMatchesGrid(s) {
+				t.Fatalf("trial %d op %d: offs=%v for %d samples", trial, op, s.OffsetsView(), s.Len())
+			}
+			offs, vals := randomRun(rng, s.Len())
+			switch rng.Intn(3) {
+			case 0:
+				for k := range offs {
+					s.Append(offs[k], vals[k])
+				}
+			case 1:
+				s.AppendRun(offs, vals)
+			default:
+				s.Sort()
+			}
+		}
+	}
+}
+
 func TestSealedWindowMeanMatchesUnsealed(t *testing.T) {
 	for _, n := range []int{10, 181, 400} {
 		s := gridSeries(n, int64(n))
@@ -137,10 +245,16 @@ func TestSealedExplicitOffsets(t *testing.T) {
 
 func TestMutationDropsSeal(t *testing.T) {
 	s := gridSeries(100, 1)
-	s.SealStats()
+	s.Seal()
+	s.AppendRun([]time.Duration{sec(100)}, []float64{5})
+	if s.Sealed() {
+		t.Fatal("AppendRun should drop the seal")
+	}
+	s = gridSeries(100, 1)
+	s.Seal()
 	s.Append(sec(100), 5)
-	if s.Sealed() || s.mom != nil {
-		t.Fatal("Append should drop both seals")
+	if s.Sealed() {
+		t.Fatal("Append should drop the seal")
 	}
 	// The refreshed seal must reflect the new sample.
 	s.Seal()
@@ -170,89 +284,20 @@ func TestSealSortsUnsorted(t *testing.T) {
 	}
 }
 
-func TestWindowStatsMatchesSliceStats(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3} {
-		s := gridSeries(300, seed)
-		w := Window{Start: sec(60), End: sec(240)}
-		vals, err := s.Slice(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := stats.Describe(vals)
-		check := func(label string, m stats.Moments) {
-			if m.Count != want.Count {
-				t.Errorf("%s Count = %d, want %d", label, m.Count, want.Count)
-			}
-			pairs := []struct {
-				name      string
-				got, want float64
-				tol       float64
-			}{
-				{"mean", m.Mean, want.Mean, 1e-12},
-				{"stddev", m.StdDev, want.StdDev, 1e-9},
-				{"skewness", m.Skewness, want.Skewness, 1e-6},
-				{"kurtosis", m.Kurtosis, want.Kurtosis, 1e-6},
-			}
-			for _, p := range pairs {
-				rel := math.Abs(p.got - p.want)
-				if p.want != 0 {
-					rel /= math.Abs(p.want)
-				}
-				if rel > p.tol {
-					t.Errorf("seed %d %s %s = %v, want %v", seed, label, p.name, p.got, p.want)
-				}
-			}
-		}
-		m, err := s.WindowStats(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("unsealed", m)
-		s.Seal() // means-only seal: WindowStats still answers by scanning
-		m, err = s.WindowStats(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("sealed-means-only", m)
-		s.SealStats()
-		m, err = s.WindowStats(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("sealed", m)
-	}
-}
-
-func TestWindowStatsErrors(t *testing.T) {
-	s := gridSeries(10, 1)
-	if _, err := s.WindowStats(Window{Start: sec(60), End: sec(120)}); !errors.Is(err, ErrShortSeries) {
-		t.Errorf("short series WindowStats err = %v", err)
-	}
-	u := NewSeries("m", 0, 0)
-	u.Append(sec(1), 1)
-	u.Append(0, 2)
-	if _, err := u.WindowStats(PaperWindow); !errors.Is(err, ErrUnsortedSeries) {
-		t.Errorf("unsorted WindowStats err = %v", err)
-	}
-}
-
 // TestSealedWindowMeanAllocFree pins the sealed query path at zero
 // allocations — the property the recognition and summarize layers rely
 // on when probing thousands of windows.
 func TestSealedWindowMeanAllocFree(t *testing.T) {
 	s := gridSeries(600, 4)
-	s.SealStats()
+	s.Seal()
 	w := Window{Start: sec(60), End: sec(540)}
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := s.WindowMean(w); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.WindowStats(w); err != nil {
-			t.Fatal(err)
-		}
 	})
 	if allocs != 0 {
-		t.Errorf("sealed WindowMean+WindowStats = %v allocs/op, want 0", allocs)
+		t.Errorf("sealed WindowMean = %v allocs/op, want 0", allocs)
 	}
 }
 

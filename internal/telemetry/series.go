@@ -14,24 +14,24 @@
 // Irregular or out-of-order samples transparently materialize the
 // offset column and fall back to binary-searched bounds.
 //
+// A Series is the only columnar series type: the durable store's
+// memtable (internal/tsdb) accumulates Series too, appending whole
+// runs with AppendRun and reading the columns back through ValuesView
+// and OffsetsView, so the grid rule lives in this package alone.
+//
 // # The sealed lifecycle
 //
-// A Series is mutable during ingest (Append, Sort) and can answer
-// window queries at any time by scanning the window. Calling Seal
-// freezes the current contents and builds a per-series prefix sum of
-// the values (~106-bit double-doubles), after which WindowMean answers
-// any window in O(1)/O(log n) regardless of window length — probing
-// many windows over one series, as Summarize, metric sweeps and
-// aligned recognition do, amortizes to a single pass. SealStats
-// additionally builds prefix power sums of the centered squares, cubes
-// and fourth powers (centering dodges the raw-moment cancellation), so
-// WindowStats — variance, skewness, kurtosis — becomes O(1) too; it is
-// opt-in because means alone are what the recognition pipeline needs.
-// Sealing costs one pass and 16 (Seal) plus 48 (SealStats) bytes per
-// sample; mutating the series again simply drops the seals. Sealed and
-// unsealed answers agree to the last bit except in astronomically
-// unlikely half-ulp ties (both paths round the same correctly-rounded
-// window sums).
+// A Series is mutable during ingest (Append, AppendRun, Sort) and can
+// answer window queries at any time by scanning the window. Calling
+// Seal freezes the current contents and builds a per-series prefix sum
+// of the values (~106-bit double-doubles), after which WindowMean
+// answers any window in O(1)/O(log n) regardless of window length —
+// probing many windows over one series, as Summarize, metric sweeps
+// and aligned recognition do, amortizes to a single pass. Sealing
+// costs one pass and 16 bytes per sample; mutating the series again
+// simply drops the seal. Sealed and unsealed answers agree to the last
+// bit except in astronomically unlikely half-ulp ties (both paths
+// round the same correctly-rounded window sums).
 package telemetry
 
 import (
@@ -74,7 +74,8 @@ type Series struct {
 	Node   int
 
 	// offs is the explicit offset column; nil means the implicit grid:
-	// the i-th sample sits at exactly i*DefaultPeriod.
+	// the i-th sample sits at exactly i*DefaultPeriod. An explicit
+	// column always holds at least one offset off that grid.
 	offs []time.Duration
 	// vals is the value column.
 	vals []float64
@@ -85,26 +86,6 @@ type Series struct {
 	// sum of vals[:i], so a window sum is one subtraction. nil until
 	// Seal; dropped by any mutation.
 	pre []stats.DD
-	// mom is the sealed higher-moment prefix column, built only by
-	// SealStats (most consumers need means alone): three interleaved
-	// (n+1)-length columns of Σ(x−center)^p for p = 2, 3, 4, centered
-	// on a mid-series value so the raw-moment cancellation stays
-	// proportional to the window's drift from center rather than the
-	// absolute baseline of the counter.
-	mom    []stats.DD
-	center float64
-	// hist is the sealed cumulative bin-count prefix matrix built by
-	// SealHist (see hist.go): (len(vals)+1)×hbins, row i holding for
-	// every bin b the number of samples among vals[:i] with bin ≤ b.
-	// nil until SealHist; dropped by any mutation.
-	hist       []uint32
-	hbins      int
-	hmin, hmax float64
-}
-
-// dropSeals invalidates every sealed index; all mutations call it.
-func (s *Series) dropSeals() {
-	s.pre, s.mom, s.hist = nil, nil, nil
 }
 
 // NewSeries returns an empty series for the given metric and node with
@@ -157,7 +138,7 @@ func NewSeriesFromColumns(metric string, node int, offs []time.Duration, vals []
 // and flagged; windowing fails with ErrUnsortedSeries until Sort runs.
 // Appending to a sealed series drops the seal.
 func (s *Series) Append(offset time.Duration, value float64) {
-	s.dropSeals()
+	s.pre = nil
 	n := len(s.vals)
 	if s.offs == nil {
 		if offset == time.Duration(n)*DefaultPeriod {
@@ -171,6 +152,44 @@ func (s *Series) Append(offset time.Duration, value float64) {
 	}
 	s.offs = append(s.offs, offset)
 	s.vals = append(s.vals, value)
+}
+
+// AppendRun appends a run of samples, leaving exactly the state that
+// calling Append once per sample, in order, would leave: a run that
+// continues the implicit grid appends only values, any other run
+// materializes the offset column. offs and vals are copied and must
+// have equal lengths.
+func (s *Series) AppendRun(offs []time.Duration, vals []float64) {
+	if len(offs) != len(vals) {
+		panic("telemetry: AppendRun column lengths differ")
+	}
+	if len(vals) == 0 {
+		return
+	}
+	s.pre = nil
+	if s.offs == nil {
+		n, k := len(s.vals), 0
+		for k < len(offs) && offs[k] == time.Duration(n+k)*DefaultPeriod {
+			k++
+		}
+		if k == len(offs) {
+			s.vals = append(s.vals, vals...)
+			return
+		}
+		s.materializeOffsets()
+	}
+	prev := time.Duration(math.MinInt64)
+	if n := len(s.offs); n > 0 {
+		prev = s.offs[n-1]
+	}
+	for _, off := range offs {
+		if off < prev {
+			s.unsorted = true
+		}
+		prev = off
+	}
+	s.offs = append(s.offs, offs...)
+	s.vals = append(s.vals, vals...)
 }
 
 // materializeOffsets converts the implicit grid into an explicit offset
@@ -188,7 +207,7 @@ func (s *Series) materializeOffsets() {
 // on the 1 Hz grid, the offset column is dropped again and the series
 // returns to the implicit-grid fast path. Sorting drops any seal.
 func (s *Series) Sort() {
-	s.dropSeals()
+	s.pre = nil
 	if s.offs == nil { // implicit grid is sorted by construction
 		s.unsorted = false
 		return
@@ -227,9 +246,9 @@ func (s *Series) Sorted() bool { return !s.unsorted }
 // Seal freezes the series for querying: it sorts if needed and builds
 // the prefix sums that make WindowMean independent of window length.
 // Sealing is idempotent and costs one pass over the samples plus 16
-// bytes per sample; any later Append or Sort drops the seal. A series
-// must not be sealed concurrently with reads (seal once, then share).
-// SealStats additionally prepares O(1) WindowStats.
+// bytes per sample; any later Append, AppendRun or Sort drops the
+// seal. A series must not be sealed concurrently with reads (seal
+// once, then share).
 func (s *Series) Seal() {
 	if s.unsorted {
 		s.Sort()
@@ -244,33 +263,6 @@ func (s *Series) Seal() {
 		pre[i+1] = acc
 	}
 	s.pre = pre
-}
-
-// SealStats seals the series (like Seal) and additionally builds the
-// centered higher-power prefix sums (Σ(x−c)², Σ(x−c)³, Σ(x−c)⁴), so
-// WindowStats also answers in O(1) regardless of window length. It
-// costs one more pass and 48 further bytes per sample — callers that
-// only need window means should stick to Seal.
-func (s *Series) SealStats() {
-	s.Seal()
-	if s.mom != nil {
-		return
-	}
-	n := len(s.vals)
-	if n > 0 {
-		s.center = s.vals[n/2]
-	}
-	mom := make([]stats.DD, 3*(n+1))
-	var a2, a3, a4 stats.DD
-	for i, x := range s.vals {
-		y := x - s.center
-		y2 := stats.Sq(y)
-		a2.AddDD(y2)
-		a3.AddDD(y2.Scale(y))
-		a4.AddDD(y2.Mul(y2))
-		mom[3*(i+1)], mom[3*(i+1)+1], mom[3*(i+1)+2] = a2, a3, a4
-	}
-	s.mom = mom
 }
 
 // Sealed reports whether the prefix sums are current.
@@ -317,6 +309,25 @@ func (s *Series) Values() []float64 {
 // Values makes. The caller must treat it as read-only and must not
 // hold it across mutations of the series.
 func (s *Series) ValuesView() []float64 { return s.vals }
+
+// OffsetsView returns the explicit offset column itself, or nil when
+// the series sits on the implicit 1 Hz grid (every OffsetAt(i) is
+// i*DefaultPeriod). Like ValuesView it is read-only and must not be
+// held across mutations.
+func (s *Series) OffsetsView() []time.Duration { return s.offs }
+
+// AppendOffsets appends the offset of every sample, in order, to dst
+// and returns the extended slice; grid offsets are synthesized.
+func (s *Series) AppendOffsets(dst []time.Duration) []time.Duration {
+	if s.offs != nil {
+		return append(dst, s.offs...)
+	}
+	dst = slices.Grow(dst, len(s.vals))
+	for i := range s.vals {
+		dst = append(dst, time.Duration(i)*DefaultPeriod)
+	}
+	return dst
+}
 
 // Window is a half-open time interval [Start, End) measured from the
 // beginning of an execution. The paper's fingerprint interval is
@@ -470,46 +481,6 @@ func (s *Series) WindowMean(w Window) (float64, error) {
 		sum.Add(x)
 	}
 	return sum.Value() / float64(hi-lo), nil
-}
-
-// WindowStats returns the descriptive moments (count, mean, variance,
-// standard deviation, skewness, kurtosis) of the samples in the
-// window, using the same estimator conventions as the stats package's
-// slice functions. After SealStats all four power sums come from
-// prefix subtractions, so the cost is independent of window length;
-// otherwise the window is scanned once.
-//
-//efd:hotpath
-func (s *Series) WindowStats(w Window) (stats.Moments, error) {
-	lo, hi, err := s.window(w)
-	if err != nil {
-		return stats.Moments{}, err
-	}
-	n := hi - lo
-	var s1, s2, s3, s4 stats.DD
-	var center float64
-	if s.pre != nil && s.mom != nil {
-		center = s.center
-		// The mean prefix is uncentered; shift it to Σ(x−center) for
-		// the moment assembly. center*n is exact in double-double.
-		s1 = s.pre[hi].Sub(s.pre[lo]).Sub(stats.DDFrom(center).Scale(float64(n)))
-		s2 = s.mom[3*hi].Sub(s.mom[3*lo])
-		s3 = s.mom[3*hi+1].Sub(s.mom[3*lo+1])
-		s4 = s.mom[3*hi+2].Sub(s.mom[3*lo+2])
-	} else {
-		center = s.vals[lo]
-		for _, x := range s.vals[lo:hi] {
-			y := x - center
-			y2 := stats.Sq(y)
-			s1.Add(y)
-			s2.AddDD(y2)
-			s3.AddDD(y2.Scale(y))
-			s4.AddDD(y2.Mul(y2))
-		}
-	}
-	m := stats.MomentsFromPowerSums(n, s1, s2, s3, s4)
-	m.Mean += center
-	return m, nil
 }
 
 // Resample returns a copy of the series re-gridded to the given period

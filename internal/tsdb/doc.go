@@ -1,5 +1,5 @@
 // Package tsdb is the embedded durable telemetry store behind the
-// monitoring server: an append-only time-series engine that makes
+// monitoring engine: an append-only time-series engine that makes
 // ingested samples survive restarts, keeps finished executions
 // queryable at memory-mapped cost, and lets recognition re-run over
 // historical jobs after the dictionary learns new labels.
@@ -8,28 +8,27 @@
 //
 // Every acknowledged mutation is first appended to a write-ahead log
 // as a CRC-framed record (wal.go); sample runs arrive as columnar
-// (metric, node) batches straight off the server's zero-dictionary-lock
+// (metric, node) batches straight off the engine's zero-dictionary-lock
 // ingest path, and fsyncs are batched with group commit — one fsync
 // acknowledges however many appends preceded it. The same runs
-// accumulate in a memtable holding the SoA layout of telemetry.Series,
-// implicit-1 Hz-grid fast path included.
+// accumulate in a memtable of telemetry.Series (AppendRun), so the
+// implicit-1 Hz-grid fast path and the stable sort are the ones the
+// telemetry package defines.
 //
 // When a job finishes (is labelled) it becomes a stored execution:
 // still served from the memtable at first, then flushed — together
 // with other pending executions — into an immutable columnar segment
 // file (segment.go) whose value and offset columns mirror
-// telemetry.Series exactly, 8-byte aligned, with per-block CRC-32Cs, a
-// JSON footer indexed by job/metric/node, and a per-series histogram
-// sketch for percentile queries. After a flush the WAL is compacted
-// down to the still-live jobs, bounding replay work.
+// telemetry.Series exactly, 8-byte aligned, with per-block CRC-32Cs and
+// a JSON footer indexed by job/metric/node. After a flush the WAL is
+// compacted down to the still-live jobs, bounding replay work.
 //
 // Reads memory-map segments and hand the mapped value columns to
 // telemetry.NewSeriesFromColumns without copying a byte; Seal then
 // builds its prefix sums over the mapped data, so stored executions
-// answer window queries (means, moments, histogram percentiles via
-// SealHistEdges with the footer's stored edges) bit-identically to the
-// in-memory series they were flushed from — and datasets far larger
-// than RAM stay queryable, paged in on demand.
+// answer window means bit-identically to the in-memory series they
+// were flushed from — and datasets far larger than RAM stay
+// queryable, paged in on demand.
 //
 // # Durability guarantees
 //
@@ -47,7 +46,8 @@
 //	  jobs whose seq already sits in a segment are dropped, so no
 //	  execution is ever duplicated or lost.
 //
-// The server (internal/server) wires this store behind its HTTP API;
-// cmd/efdd enables it with -data-dir; internal/ldms bulk-converts
-// execution CSVs into segments via Store.IngestExecution.
+// The engine (efd/monitor, OpenStore/AttachStore) wires this store
+// behind ingest, recovery and the stored-execution queries; cmd/efdd
+// enables it with -data-dir; internal/ldms bulk-converts execution
+// CSVs into segments via Store.IngestExecution.
 package tsdb

@@ -9,8 +9,8 @@ package tsdb
 //	per series: value column  (count × 8B little-endian float64 bits)
 //	            offset column (count × 8B little-endian int64 ns),
 //	            omitted entirely for implicit-1 Hz-grid series
-//	[JSON footer: executions → series index with offsets, per-block
-//	 CRC-32Cs, and a per-series histogram sketch]
+//	[JSON footer: executions → series index with offsets and per-block
+//	 CRC-32Cs]
 //	[8B footer offset][4B footer length][4B footer CRC][8B magic "EFDTSDBF"]
 //
 // The header is 8 bytes and every column a multiple of 8, so every
@@ -56,10 +56,6 @@ type segSeries struct {
 	// OffOff is -1 for implicit-grid series (no offset column stored).
 	OffOff int64  `json:"off_off"`
 	OffCRC uint32 `json:"off_crc"`
-	// Hist is the sealed whole-series histogram sketch; its edges let
-	// readers re-seal a mapped series bit-identically to the series
-	// that was flushed.
-	Hist telemetry.HistSketch `json:"hist"`
 }
 
 // segExec indexes one stored execution.
@@ -86,8 +82,8 @@ type segment struct {
 func segName(n int) string { return fmt.Sprintf("%s%08d%s", segPrefix, n, segSuffix) }
 
 // writeSegment renders execs into path atomically (temp file + fsync +
-// rename + directory fsync). Histogram sketches use bins bins.
-func writeSegment(fs vfs.FS, dir, name string, execs []*jobMem, bins int) (err error) {
+// rename + directory fsync).
+func writeSegment(fs vfs.FS, dir, name string, execs []*jobMem) (err error) {
 	tmp, err := fs.CreateTemp(dir, segPrefix+"*.tmp")
 	if err != nil {
 		return err
@@ -107,13 +103,9 @@ func writeSegment(fs vfs.FS, dir, name string, execs []*jobMem, bins int) (err e
 	for _, jm := range execs {
 		se := segExec{Job: jm.id, Label: jm.label, Nodes: jm.nodes, Seq: jm.seq, Samples: jm.samples}
 		for _, ms := range jm.series {
-			ss := segSeries{
-				Metric: ms.metric, Node: ms.node, Count: len(ms.vals),
-				OffOff: -1,
-				Hist:   telemetry.SketchValues(ms.vals, bins),
-			}
+			ss := segSeries{Metric: ms.Metric, Node: ms.Node, Count: ms.Len(), OffOff: -1}
 			raw = raw[:0]
-			for _, v := range ms.vals {
+			for _, v := range ms.ValuesView() {
 				raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(v))
 			}
 			ss.ValOff = off
@@ -122,9 +114,9 @@ func writeSegment(fs vfs.FS, dir, name string, execs []*jobMem, bins int) (err e
 				return err
 			}
 			off += int64(len(raw))
-			if ms.offs != nil {
+			if offs := ms.OffsetsView(); offs != nil {
 				raw = raw[:0]
-				for _, o := range ms.offs {
+				for _, o := range offs {
 					raw = binary.LittleEndian.AppendUint64(raw, uint64(o))
 				}
 				ss.OffOff = off

@@ -1,13 +1,11 @@
 package tsdb
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -25,9 +23,6 @@ type Options struct {
 	// 8 MiB; negative disables automatic flushing (Flush/Close still
 	// flush).
 	FlushBytes int64
-	// HistBins is the per-series histogram sketch resolution persisted
-	// in segment footers. Default telemetry.DefaultHistBins.
-	HistBins int
 	// NoSync skips every fsync. Replay correctness is unaffected (the
 	// file contents are identical); only crash durability is lost. For
 	// benchmarks and bulk loads.
@@ -60,9 +55,6 @@ func (o *Options) withDefaults() Options {
 	out := *o
 	if out.FlushBytes == 0 {
 		out.FlushBytes = 8 << 20
-	}
-	if out.HistBins <= 0 {
-		out.HistBins = telemetry.DefaultHistBins
 	}
 	if out.FS == nil {
 		out.FS = vfs.OS{} //efdvet:ignore vfsseam the documented default when no FS is injected
@@ -142,87 +134,6 @@ type seriesKey struct {
 	node   int
 }
 
-// memSeries is one series being accumulated in the memtable: the same
-// columnar shape as telemetry.Series, with the implicit-grid fast path
-// (offs stays nil while every offset lands on the 1 Hz grid). It
-// deliberately mirrors rather than embeds telemetry.Series — the
-// store needs bulk run appends and raw column access for the WAL and
-// segment writers, which Series encapsulates away; if Series ever
-// grows an AppendRun + column accessors, this type should collapse
-// onto it (grid detection and sortSamples must match Series.Append/
-// Sort semantics exactly until then).
-type memSeries struct {
-	metric   string
-	node     int
-	offs     []time.Duration // nil while on the implicit grid
-	vals     []float64
-	unsorted bool
-}
-
-func (m *memSeries) appendRun(offs []time.Duration, vals []float64) {
-	base := len(m.vals)
-	if m.offs == nil {
-		grid := true
-		for k, off := range offs {
-			if off != time.Duration(base+k)*telemetry.DefaultPeriod {
-				grid = false
-				break
-			}
-		}
-		if !grid {
-			mat := make([]time.Duration, base, base+len(offs))
-			for i := range mat {
-				mat[i] = time.Duration(i) * telemetry.DefaultPeriod
-			}
-			m.offs = mat
-		}
-	}
-	if m.offs != nil {
-		prev := time.Duration(-1)
-		if n := len(m.offs); n > 0 {
-			prev = m.offs[n-1]
-		}
-		for _, off := range offs {
-			if off < prev {
-				m.unsorted = true
-			}
-			prev = off
-		}
-		m.offs = append(m.offs, offs...)
-	}
-	m.vals = append(m.vals, vals...)
-}
-
-// sortSamples orders the series by offset (stable, matching
-// telemetry.Series.Sort's tie behaviour) and re-compacts to the
-// implicit grid when possible — the flush path calls it so segment
-// columns are always sorted.
-func (m *memSeries) sortSamples() {
-	if !m.unsorted {
-		return
-	}
-	pairs := make([]telemetry.Sample, len(m.vals))
-	for i := range pairs {
-		pairs[i] = telemetry.Sample{Offset: m.offs[i], Value: m.vals[i]}
-	}
-	slices.SortStableFunc(pairs, compareSampleOffsets)
-	grid := true
-	for i, p := range pairs {
-		m.offs[i], m.vals[i] = p.Offset, p.Value
-		if p.Offset != time.Duration(i)*telemetry.DefaultPeriod {
-			grid = false
-		}
-	}
-	if grid {
-		m.offs = nil
-	}
-	m.unsorted = false
-}
-
-// compareSampleOffsets mirrors telemetry's comparator: a top-level
-// function, so SortStableFunc runs without a closure capture.
-func compareSampleOffsets(a, b telemetry.Sample) int { return cmp.Compare(a.Offset, b.Offset) }
-
 // jobMem is one job's memtable state.
 type jobMem struct {
 	id       string
@@ -232,7 +143,7 @@ type jobMem struct {
 	seq      uint64
 	samples  int64
 	lastOff  time.Duration
-	series   []*memSeries
+	series   []*telemetry.Series
 	idx      map[seriesKey]int
 }
 
@@ -240,19 +151,19 @@ func newJobMem(id string, nodes int) *jobMem {
 	return &jobMem{id: id, nodes: nodes, idx: make(map[seriesKey]int)}
 }
 
-func (j *jobMem) seriesFor(metric string, node int) *memSeries {
+func (j *jobMem) seriesFor(metric string, node int) *telemetry.Series {
 	k := seriesKey{metric, node}
 	if i, ok := j.idx[k]; ok {
 		return j.series[i]
 	}
-	ms := &memSeries{metric: metric, node: node}
+	ms := telemetry.NewSeries(metric, node, 0)
 	j.idx[k] = len(j.series)
 	j.series = append(j.series, ms)
 	return ms
 }
 
 func (j *jobMem) appendRun(metric string, node int, offs []time.Duration, vals []float64) {
-	j.seriesFor(metric, node).appendRun(offs, vals)
+	j.seriesFor(metric, node).AppendRun(offs, vals)
 	j.samples += int64(len(vals))
 	for _, off := range offs {
 		if off > j.lastOff {
@@ -866,29 +777,8 @@ func (s *Store) IngestExecution(job, label string, ns *telemetry.NodeSet) error 
 	jm := newJobMem(job, nodes[len(nodes)-1]+1)
 	for _, node := range nodes {
 		for _, metric := range ns.Metrics() {
-			series := ns.Get(node, metric)
-			if series == nil {
-				continue
-			}
-			n := series.Len()
-			vals := make([]float64, n)
-			copy(vals, series.ValuesView())
-			offs := make([]time.Duration, n)
-			grid := true
-			for i := 0; i < n; i++ {
-				offs[i] = series.OffsetAt(i)
-				if offs[i] != time.Duration(i)*telemetry.DefaultPeriod {
-					grid = false
-				}
-			}
-			ms := jm.seriesFor(metric, node)
-			if grid {
-				offs = nil
-			}
-			ms.offs, ms.vals, ms.unsorted = offs, vals, !series.Sorted()
-			jm.samples += int64(n)
-			if d := series.Duration(); d > jm.lastOff {
-				jm.lastOff = d
+			if series := ns.Get(node, metric); series != nil {
+				jm.appendRun(metric, node, series.AppendOffsets(nil), series.ValuesView())
 			}
 		}
 	}
@@ -941,7 +831,9 @@ func (s *Store) Flush() error {
 	batch := append([]*jobMem(nil), s.pending...)
 	for _, j := range batch {
 		for _, ms := range j.series {
-			ms.sortSamples() // segments store sorted columns
+			if !ms.Sorted() {
+				ms.Sort() // segments store sorted columns
+			}
 		}
 	}
 	name := segName(s.nextSeg)
@@ -949,7 +841,7 @@ func (s *Store) Flush() error {
 	s.flushing = true
 	s.mu.Unlock()
 
-	err := writeSegment(s.fs, s.dir, name, batch, s.opt.HistBins)
+	err := writeSegment(s.fs, s.dir, name, batch)
 	var g *segment
 	if err == nil {
 		g, err = openSegment(s.fs, filepath.Join(s.dir, name))
@@ -1036,35 +928,26 @@ func (s *Store) compactWALLocked() error {
 	if err != nil {
 		return err
 	}
-	var gridScratch []time.Duration
+	var offScratch []time.Duration
 	writeJob := func(j *jobMem) error {
 		nw.encodeRegister(j.id, j.nodes)
 		if err := nw.append(); err != nil {
 			return err
 		}
 		for _, ms := range j.series {
-			offs := ms.offs
-			if offs == nil {
-				if cap(gridScratch) < len(ms.vals) {
-					gridScratch = make([]time.Duration, len(ms.vals))
-				}
-				offs = gridScratch[:len(ms.vals)]
-				for i := range offs {
-					offs[i] = time.Duration(i) * telemetry.DefaultPeriod
-				}
-			}
+			offScratch = ms.AppendOffsets(offScratch[:0])
 			// Chunked: one giant run record for a long-lived series
 			// could exceed the replayer's walMaxRecord frame bound (or
 			// even the uint32 frame length) and read as torn on the
 			// next restart. Replaying several consecutive runs rebuilds
 			// the identical memtable state.
-			vals := ms.vals
+			offs, vals := offScratch, ms.ValuesView()
 			for len(vals) > 0 {
 				n := len(vals)
 				if n > walRunChunk {
 					n = walRunChunk
 				}
-				nw.encodeRun(j.id, ms.metric, ms.node, offs[:n], vals[:n])
+				nw.encodeRun(j.id, ms.Metric, ms.Node, offs[:n], vals[:n])
 				if err := nw.append(); err != nil {
 					return err
 				}
@@ -1225,14 +1108,7 @@ func (s *Store) Live() []LiveJob {
 	for _, j := range s.live {
 		lj := LiveJob{ID: j.id, Nodes: j.nodes, Samples: j.samples, LastOffset: j.lastOff}
 		for _, ms := range j.series {
-			offs := ms.offs
-			if offs == nil {
-				offs = make([]time.Duration, len(ms.vals))
-				for i := range offs {
-					offs[i] = time.Duration(i) * telemetry.DefaultPeriod
-				}
-			}
-			lj.Series = append(lj.Series, SeriesRun{Metric: ms.metric, Node: ms.node, Offsets: offs, Values: ms.vals})
+			lj.Series = append(lj.Series, SeriesRun{Metric: ms.Metric, Node: ms.Node, Offsets: ms.AppendOffsets(nil), Values: ms.ValuesView()})
 		}
 		out = append(out, lj)
 	}
@@ -1278,13 +1154,8 @@ func (s *Store) Executions() []ExecInfo {
 func materializeMem(j *jobMem, seal bool) *telemetry.NodeSet {
 	ns := telemetry.NewNodeSet()
 	for _, ms := range j.series {
-		vals := make([]float64, len(ms.vals))
-		copy(vals, ms.vals)
-		var offs []time.Duration
-		if ms.offs != nil {
-			offs = ms.offs // NewSeriesFromColumns copies non-grid offsets
-		}
-		series := telemetry.NewSeriesFromColumns(ms.metric, ms.node, offs, vals)
+		// NewSeriesFromColumns copies the explicit offset column.
+		series := telemetry.NewSeriesFromColumns(ms.Metric, ms.Node, ms.OffsetsView(), ms.Values())
 		if seal {
 			series.Seal()
 		}
@@ -1327,30 +1198,6 @@ func (s *Store) executionSeries(job string, seal bool) (*telemetry.NodeSet, erro
 		return bestSeg.nodeSet(bestExec, seal), nil
 	}
 	return nil, fmt.Errorf("%w: %q", ErrUnknownExecution, job)
-}
-
-// ExecutionHist returns the persisted histogram sketch of one stored
-// series — whole-series percentiles without touching the columns, and
-// the exact edges for re-sealing a mapped series via SealHistEdges.
-func (s *Store) ExecutionHist(job, metric string, node int) (telemetry.HistSketch, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var best *segExec
-	for _, g := range s.segs {
-		if e := g.exec(job); e != nil && (best == nil || e.Seq > best.Seq) {
-			best = e
-		}
-	}
-	if best == nil {
-		return telemetry.HistSketch{}, false
-	}
-	for i := range best.Series {
-		ss := &best.Series[i]
-		if ss.Metric == metric && ss.Node == node {
-			return ss.Hist, true
-		}
-	}
-	return telemetry.HistSketch{}, false
 }
 
 // Series resolves a job ID to its telemetry: a snapshot of the live
