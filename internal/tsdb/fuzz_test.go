@@ -61,6 +61,7 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(validWALBytes(f))
 	data := validWALBytes(f)
 	f.Add(data[:len(data)-5]) // torn tail
+	f.Add(walTypeRunLog(f))   // written before job-runs records
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, walName), raw, 0o644); err != nil {
