@@ -13,9 +13,10 @@
 #   make test      - build + tests only (the original tier-1 command)
 #   make test-race - build + tests under -race
 #   make fuzz-short - bounded fuzz pass (FUZZTIME per target, default
-#                    10s) over the tsdb WAL/segment decoders and the
-#                    LDMS CSV reader: every parser that consumes bytes
-#                    a crash or a rotted disk may have produced
+#                    10s) over the tsdb WAL/segment decoders, the LDMS
+#                    CSV reader and the binary ingest body decoder:
+#                    every parser that consumes bytes a crash, a
+#                    rotted disk or the network may have produced
 #   make chaos-short - seeded fault-injection chaos pass (CHAOSTIME
 #                    wall-clock per test, default 2s) over the tsdb
 #                    store and the monitor engine, with a fresh seed
@@ -98,6 +99,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/tsdb
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentOpen$$' -fuzztime $(FUZZTIME) ./internal/tsdb
 	$(GO) test -run '^$$' -fuzz '^FuzzReadNodeCSV$$' -fuzztime $(FUZZTIME) ./internal/ldms
+	$(GO) test -run '^$$' -fuzz '^FuzzBinaryDecode$$' -fuzztime $(FUZZTIME) ./internal/server
 
 # -count=1 defeats the test cache: each chaos run draws a fresh seed
 # from the clock, so successive runs explore different schedules. A

@@ -403,8 +403,8 @@ func (e *Engine) IngestBatches(batches []Batch) (accepted int, unknown []string,
 
 // IngestRuns is IngestBatches for columnar run batches — the binary
 // wire path and the native form for columnar feeders. No regrouping
-// happens: each run feeds the stream (and the WAL) as one columnar
-// append.
+// happens: each batch's runs go to the WAL in one job-level append
+// and feed the stream run by run.
 func (e *Engine) IngestRuns(batches []RunBatch) (accepted int, unknown []string, err error) {
 	return e.ingest(len(batches),
 		func(i int) string { return batches[i].JobID },
@@ -555,64 +555,53 @@ func (e *Engine) feedRuns(id string, j *job, runs []Run) (int, bool, error) {
 	return e.feedRunsLocked(id, j, runs)
 }
 
-// feedRunsLocked is the one per-run feed loop of the ingest path, under
-// the job mutex. It reports ok=false for a job that is gone, and books
-// the samples it fed on every exit: a store error part-way through
-// leaves the runs before it fed (and WAL-appended).
+// feedRunsLocked is the one feed routine of the ingest path, under
+// the job mutex: one store append for all of the job's runs in the
+// call, then the runs into the stream. No dictionary lock is taken:
+// FeedRun only reads the immutable fingerprint configuration, so
+// ingest never stalls behind recognition or learning. With a store
+// attached the runs are WAL-appended BEFORE they reach the stream, so
+// the in-memory state never runs ahead of what a restart can replay;
+// the fsync happens once per call (commitAccepted). It reports
+// ok=false, having fed nothing, for a job that is gone.
 func (e *Engine) feedRunsLocked(id string, j *job, runs []Run) (fed int, ok bool, err error) {
 	if j.done {
 		return 0, false, nil
 	}
-	ok = true
-	for _, run := range runs {
-		if ok, err = e.feedRunLocked(id, j, run); !ok || err != nil {
-			break
+	s, err := e.gateWrite(j, "append")
+	if err != nil {
+		return 0, true, err
+	}
+	if s != nil {
+		err := s.store.AppendRuns(id, len(runs), func(i int) (string, int, []time.Duration, []float64) {
+			return runs[i].Metric, runs[i].Node, runs[i].Offsets, runs[i].Values
+		})
+		if errors.Is(err, tsdb.ErrUnknownJob) {
+			// The documented register race: the job is in the shard
+			// map but its store registration has not landed yet.
+			// Nothing of this job was appended or fed — report it like
+			// an unknown job instead of failing jobs already fed in
+			// this call, whose WAL records still need the call's
+			// commit.
+			return 0, false, nil
 		}
+		// An absorbed failure (store poisoned or gracefully closed
+		// under the call) feeds the runs memory-only.
+		if err := e.settleWrite(s, "append", err); err != nil {
+			return 0, true, err
+		}
+	}
+	for _, run := range runs {
+		for _, off := range run.Offsets {
+			if off > j.lastOff {
+				j.lastOff = off
+			}
+		}
+		j.stream.FeedRun(run.Metric, run.Node, run.Offsets, run.Values)
 		fed += len(run.Values)
 	}
 	j.samples += int64(fed)
-	return fed, ok, err
-}
-
-// feedRunLocked appends one columnar run to the WAL (store mode) and
-// the stream, under the job mutex. No dictionary lock is taken: Feed
-// only reads the immutable fingerprint configuration, so ingest never
-// stalls behind recognition or learning. With a store attached the
-// run is WAL-appended BEFORE it reaches the stream, so the in-memory
-// state never runs ahead of what a restart can replay; the fsync
-// happens once per batch (commitAccepted). ok=false means nothing of
-// the run was fed and the job counts as unknown.
-func (e *Engine) feedRunLocked(id string, j *job, run Run) (ok bool, err error) {
-	s, err := e.gateWrite(j, "append")
-	if err != nil {
-		return true, err
-	}
-	if s != nil {
-		err := s.store.Append(id, run.Metric, run.Node, run.Offsets, run.Values)
-		if errors.Is(err, tsdb.ErrUnknownJob) {
-			// The documented register race: the job is in the shard
-			// map but its store registration has not landed yet. It
-			// can only hit the first run (store registration is atomic
-			// and outlives the job), so nothing of this job was fed —
-			// report it like an unknown job instead of failing jobs
-			// already fed in this batch, whose WAL records still need
-			// the batch's commit.
-			return false, nil
-		}
-		// An absorbed failure (store poisoned or gracefully closed
-		// mid-batch) feeds this run — like everything after it —
-		// memory-only.
-		if err := e.settleWrite(s, "append", err); err != nil {
-			return true, err
-		}
-	}
-	for _, off := range run.Offsets {
-		if off > j.lastOff {
-			j.lastOff = off
-		}
-	}
-	j.stream.FeedRun(run.Metric, run.Node, run.Offsets, run.Values)
-	return true, nil
+	return fed, true, nil
 }
 
 // Jobs returns a deterministic (ID-sorted), paginated listing of live

@@ -381,3 +381,67 @@ func TestJobsListing(t *testing.T) {
 		t.Errorf("zero limit: %v", err)
 	}
 }
+
+// TestIngestOneStoreAppendPerJob pins the store cost of an ingest
+// call: every job's runs go to the WAL as one record, however many
+// runs the call carries for it — for columnar batches and for JSON
+// rows alike — and replay restores every sample.
+func TestIngestOneStoreAppendPerJob(t *testing.T) {
+	dir := t.TempDir()
+	e := New(testDict(t))
+	if _, err := e.OpenStore(dir, StoreOptions{NoSync: true}); err != nil {
+		t.Fatal(err)
+	}
+	metrics := []string{apps.HeadlineMetric, "aux_a", "aux_b"}
+	var batches []RunBatch
+	for _, id := range []string{"a", "b"} {
+		if _, err := e.Register(id, 2); err != nil {
+			t.Fatal(err)
+		}
+		b := RunBatch{JobID: id}
+		for node := 0; node < 2; node++ {
+			for _, m := range metrics {
+				b.Runs = append(b.Runs, Run{Metric: m, Node: node, Offsets: []time.Duration{time.Second, 2 * time.Second}, Values: []float64{6000, 6001}})
+			}
+		}
+		batches = append(batches, b)
+	}
+	pre := e.Stats().Store.AppendedRecords
+	if n, _, err := e.IngestRuns(batches); err != nil || n != 24 {
+		t.Fatalf("IngestRuns: %d, %v", n, err)
+	}
+	if got := e.Stats().Store.AppendedRecords - pre; got != 2 {
+		t.Errorf("IngestRuns appended %d WAL records for 2 jobs × 6 runs, want 2", got)
+	}
+	rows := []Batch{{JobID: "a", Samples: []Sample{
+		{Metric: apps.HeadlineMetric, Node: 0, OffsetS: 3, Value: 1},
+		{Metric: "aux_a", Node: 0, OffsetS: 3, Value: 2},
+		{Metric: apps.HeadlineMetric, Node: 1, OffsetS: 3, Value: 3},
+	}}}
+	pre = e.Stats().Store.AppendedRecords
+	if n, _, err := e.IngestBatches(rows); err != nil || n != 3 {
+		t.Fatalf("IngestBatches: %d, %v", n, err)
+	}
+	if got := e.Stats().Store.AppendedRecords - pre; got != 1 {
+		t.Errorf("IngestBatches appended %d WAL records for 1 job × 3 runs, want 1", got)
+	}
+	if err := e.CloseStore(); err != nil {
+		t.Fatal(err)
+	}
+	e2 := New(testDict(t))
+	if recovered, err := e2.OpenStore(dir, StoreOptions{NoSync: true}); err != nil || recovered != 2 {
+		t.Fatalf("reopen: %d jobs, %v", recovered, err)
+	}
+	defer e2.CloseStore()
+	dump, err := e2.Series("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, sd := range dump.Series {
+		total += sd.Count
+	}
+	if total != 15 {
+		t.Errorf("job a replayed %d samples, want 15", total)
+	}
+}

@@ -145,6 +145,9 @@ type Stats struct {
 
 // StoreStats is the durable-store section of Stats, mirroring the
 // tsdb store's counters plus the engine's recovery totals.
+// AppendedRecords counts the WAL records appended since the store
+// opened: one per lifecycle operation and one per job per ingest
+// call, so job records, not runs.
 type StoreStats struct {
 	LiveJobs            int    `json:"live_jobs"`
 	PendingJobs         int    `json:"pending_jobs"`

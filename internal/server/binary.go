@@ -1,21 +1,27 @@
 // Binary columnar ingest: POST /v1/samples with
 // Content-Type: application/x-efd-runs.
 //
-// The body is a sequence of CRC-framed run records in the shared EFD
-// wire encoding (internal/wire — the exact framing the tsdb WAL
-// stores), one record per (job, metric, node) sample run:
+// The body is a sequence of CRC-framed records in the shared EFD wire
+// encoding (internal/wire — the exact framing the tsdb WAL stores).
+// Clients send one job-runs record per job:
 //
-//	[4B length][4B CRC-32C][type=2, job, metric, node, count,
-//	 zigzag-varint offset deltas, raw float64 value bits]
+//	[4B length][4B CRC-32C][type=5, job, unit, metric table,
+//	 per run: metric index, node, count, zigzag-varint offset deltas,
+//	 raw float64 value bits]
+//
+// TypeRun records (type=2, one per (job, metric, node) run), which
+// clients sent before job-runs records, are accepted too, alone or
+// mixed with job-runs records in one body.
 //
 // Compared with the JSON path this skips per-sample decoding
-// entirely: each record lands as two columns that feed
-// Engine.IngestRuns (and, in storage mode, the WAL) directly, and the
-// decoder's buffers are pooled, so a warmed server allocates close to
-// nothing per request beyond the two per-run header strings. Decoding
-// is bit-exact — float64 values round-trip by bits, never through
-// text — so the resulting stream state is bit-identical to the same
-// samples sent as JSON.
+// entirely: each record lands as columns that feed Engine.IngestRuns
+// (and, in storage mode, the WAL) directly. The decoder's buffers are
+// pooled, so a warmed server allocates per job-runs record only the
+// job ID string, plus a metric string for each table entry that
+// differs from the previous record's table. Decoding is bit-exact —
+// float64 values round-trip by bits, never through text — so the
+// resulting stream state is bit-identical to the same samples sent as
+// JSON.
 package server
 
 import (
@@ -49,15 +55,16 @@ func isRunsContentType(ct string) bool {
 }
 
 // binDecoder is the pooled per-request decode state: the body buffer,
-// one offset/value arena shared by every run of the request, and the
-// run/batch assembly slices. After a request the arena is resized to
-// the request's total sample count, so a steady workload decodes with
-// zero arena growth.
+// the wire arena every record of the request decodes into, and the
+// run/batch assembly slices. A steady workload decodes with zero
+// arena growth.
 type binDecoder struct {
 	body    []byte
-	offs    []time.Duration
-	vals    []float64
+	arena   wire.Arena
+	runs    []monitor.Run
 	batches []monitor.RunBatch
+	// ends[i] is the end of batch i's runs in runs.
+	ends []int
 }
 
 var binPool = sync.Pool{New: func() any { return new(binDecoder) }}
@@ -81,54 +88,46 @@ func (d *binDecoder) readBody(r io.Reader) error {
 	}
 }
 
-// decode walks the body's frames into run batches, grouping
-// consecutive records of one job (the natural forwarder layout) into
-// a single batch.
+// decode walks the body's frames into run batches: one batch per
+// record, except that consecutive records of one job (a TypeRun body
+// sends one per run) join into a single batch.
 func (d *binDecoder) decode() error {
-	d.batches = d.batches[:0]
-	used := 0
-	total := 0
+	d.arena.Reset()
+	d.batches, d.ends = d.batches[:0], d.ends[:0]
 	_, _, err := wire.WalkFrames(d.body, func(payload []byte) error {
-		// Decode into the arena tail. If the arena is full, append
-		// reallocates: the new columns land in a fresh array while
-		// earlier runs keep referencing the old one — correct either
-		// way, and the arena is grown to `total` afterwards so the
-		// next request of this size fits entirely.
-		rec, err := wire.DecodeRunInto(payload, d.offs[used:used], d.vals[used:used])
+		job, runs, err := d.arena.Decode(payload)
 		if err != nil {
 			return err
 		}
-		n := len(rec.Vals)
-		total += n
-		if used+n <= cap(d.offs) && used+n <= cap(d.vals) {
-			used += n
-		}
-		run := monitor.Run{Metric: rec.Metric, Node: rec.Node, Offsets: rec.Offs, Values: rec.Vals}
-		if k := len(d.batches); k > 0 && d.batches[k-1].JobID == rec.Job {
-			d.batches[k-1].Runs = append(d.batches[k-1].Runs, run)
+		if k := len(d.batches); k > 0 && d.batches[k-1].JobID == job {
+			d.ends[k-1] += len(runs)
 		} else {
-			d.batches = append(d.batches, monitor.RunBatch{JobID: rec.Job, Runs: nil})
-			d.batches[len(d.batches)-1].Runs = append(d.batches[len(d.batches)-1].Runs, run)
+			d.batches = append(d.batches, monitor.RunBatch{JobID: job})
+			d.ends = append(d.ends, len(d.arena.Runs))
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	if total > cap(d.offs) {
-		d.offs = make([]time.Duration, 0, total)
-		d.vals = make([]float64, 0, total)
+	d.runs = d.runs[:0]
+	for _, r := range d.arena.Runs {
+		d.runs = append(d.runs, monitor.Run(r))
+	}
+	start := 0
+	for i, end := range d.ends {
+		d.batches[i].Runs = d.runs[start:end:end]
+		start = end
 	}
 	return nil
 }
 
 // release returns the decoder to the pool, dropping the per-request
-// run slices (they alias the arena) but keeping the buffers.
+// batches (they alias the arena) but keeping the buffers.
 func (d *binDecoder) release() {
-	for i := range d.batches {
-		d.batches[i].Runs = nil
-	}
-	d.batches = d.batches[:0]
+	clear(d.batches)
+	clear(d.runs)
+	d.batches, d.runs = d.batches[:0], d.runs[:0]
 	binPool.Put(d)
 }
 

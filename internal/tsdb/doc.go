@@ -9,8 +9,9 @@
 // Every acknowledged mutation is first appended to a write-ahead log
 // as a CRC-framed record (wal.go); sample runs arrive as columnar
 // (metric, node) batches straight off the engine's zero-dictionary-lock
-// ingest path, and fsyncs are batched with group commit — one fsync
-// acknowledges however many appends preceded it. The same runs
+// ingest path, one job-level append (AppendRuns) and one job-runs
+// record per job per ingest call, and fsyncs are batched with group
+// commit — one fsync acknowledges however many appends preceded it. The same runs
 // accumulate in a memtable of telemetry.Series (AppendRun), so the
 // implicit-1 Hz-grid fast path and the stable sort are the ones the
 // telemetry package defines.

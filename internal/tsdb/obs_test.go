@@ -64,6 +64,33 @@ func TestAppendInstrumentedAllocFree(t *testing.T) {
 	if inst.AppendSeconds.Count() == 0 {
 		t.Error("AppendSeconds recorded nothing")
 	}
+
+	// The job-level append the engine makes: one tick of 4 metrics on
+	// 4 nodes, all in one call.
+	if err := st.Register("wide", 4); err != nil {
+		t.Fatal(err)
+	}
+	metrics := []string{"flops", "mem", "net", "io"}
+	tick := []time.Duration{0}
+	one := []float64{1}
+	run := func(i int) (string, int, []time.Duration, []float64) { return metrics[i%4], i / 4, tick, one }
+	for i := 0; i < 64; i++ {
+		tick[0] = time.Duration(i) * time.Second
+		if err := st.AppendRuns("wide", 16, run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 64
+	allocs = testing.AllocsPerRun(200, func() {
+		tick[0] = time.Duration(next) * time.Second
+		next++
+		if err := st.AppendRuns("wide", 16, run); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > limit {
+		t.Errorf("instrumented AppendRuns allocates %v/op, want ≤ %v", allocs, limit)
+	}
 }
 
 // TestInstrumentsObserveStoreOps drives the store through its whole

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/telemetry"
 	"repro/internal/vfs"
+	"repro/internal/wire"
 )
 
 // Options tune a store. The zero value is ready for production use.
@@ -79,9 +80,11 @@ type Stats struct {
 	Segments    int   `json:"segments"`
 	WALBytes    int64 `json:"wal_bytes"`
 	MmapBytes   int64 `json:"mmap_bytes"`
-	// AppendedRecords counts WAL records appended since Open; Commits
-	// counts acknowledged fsync batches (group commit can make this
-	// much smaller than AppendedRecords).
+	// AppendedRecords counts WAL records appended since Open: one per
+	// lifecycle operation and one job-runs record per job-level
+	// append (more only past walRunChunk samples), so job records,
+	// not runs. Commits counts acknowledged fsync batches (group
+	// commit can make this much smaller than AppendedRecords).
 	AppendedRecords int64 `json:"appended_records"`
 	Commits         int64 `json:"commits"`
 	Flushes         int64 `json:"flushes"`
@@ -418,6 +421,12 @@ func (s *Store) replay() error {
 		switch rec.Type {
 		case recRegister:
 			s.live[rec.Job] = newJobMem(rec.Job, rec.Nodes)
+		case recJobRuns:
+			if j := s.live[rec.Job]; j != nil {
+				for _, r := range rec.Runs {
+					j.appendRun(r.Metric, r.Node, r.Offsets, r.Values)
+				}
+			}
 		case recRun:
 			if j := s.live[rec.Job]; j != nil {
 				j.appendRun(rec.Metric, rec.Node, rec.Offs, rec.Vals)
@@ -536,40 +545,52 @@ func (s *Store) Register(job string, nodes int) error {
 
 // runEnc is the pooled scratch the ingest path encodes into outside
 // the store mutex.
-type runEnc struct{ payload, frames []byte }
+type runEnc struct {
+	runs   wire.JobRuns
+	frames []byte
+}
 
 var runEncPool = sync.Pool{New: func() any { return new(runEnc) }}
 
+// RunAt reports run i of a job-level append: its metric, node and
+// equal-length offset and value columns.
+type RunAt func(i int) (metric string, node int, offs []time.Duration, vals []float64)
+
 // Append logs and buffers one (metric, node) sample run for a live
-// job. It does not fsync — call Commit once per acknowledged batch
-// (the fsync-batching contract that keeps per-run cost flat). The
-// record encoding and CRC happen outside the store mutex (they need
-// no store state), so concurrent appenders for unrelated jobs only
-// serialize on the buffered write itself; runs longer than
-// walRunChunk are split across records, keeping every frame far below
-// the replayer's size bound.
+// job: the one-run case of AppendRuns.
 func (s *Store) Append(job, metric string, node int, offs []time.Duration, vals []float64) error {
-	if len(offs) != len(vals) {
-		return fmt.Errorf("tsdb: Append column lengths differ (%d offsets, %d values)", len(offs), len(vals))
-	}
-	if len(vals) == 0 {
-		return nil
+	return s.AppendRuns(job, 1, func(int) (string, int, []time.Duration, []float64) {
+		return metric, node, offs, vals
+	})
+}
+
+// AppendRuns logs and buffers runs 0..n-1 of one live job, which
+// run(i) reports, as job-runs WAL records. It does not fsync — call
+// Commit once per acknowledged batch (the fsync-batching contract
+// that keeps per-append cost flat). The record encoding and CRC
+// happen outside the store mutex (they need no store state), so
+// concurrent appenders for unrelated jobs only serialize on the
+// buffered write itself; the store lock, the job lookup and the
+// timing are paid once per call however many runs it carries. A
+// record holds at most walRunChunk samples, longer appends split
+// across records, keeping every frame far below the replayer's size
+// bound. run is called three times per run and not retained.
+func (s *Store) AppendRuns(job string, n int, run RunAt) error {
+	for i := 0; i < n; i++ {
+		if _, _, offs, vals := run(i); len(offs) != len(vals) {
+			return fmt.Errorf("tsdb: Append column lengths differ (%d offsets, %d values)", len(offs), len(vals))
+		}
 	}
 	var start time.Time
 	if s.opt.Inst.AppendSeconds != nil {
 		start = time.Now()
 	}
 	enc := runEncPool.Get().(*runEnc)
-	enc.frames = enc.frames[:0]
-	records := int64(0)
-	for base := 0; base < len(vals); base += walRunChunk {
-		end := base + walRunChunk
-		if end > len(vals) {
-			end = len(vals)
-		}
-		enc.payload = appendRunPayload(enc.payload[:0], job, metric, node, offs[base:end], vals[base:end])
-		enc.frames = appendFramed(enc.frames, enc.payload)
-		records++
+	var records int64
+	enc.frames, records = appendJobFrames(enc.frames[:0], &enc.runs, job, n, run)
+	if records == 0 {
+		runEncPool.Put(enc)
+		return nil
 	}
 	s.mu.Lock()
 	defer func() {
@@ -583,13 +604,15 @@ func (s *Store) Append(job, metric string, node int, offs []time.Duration, vals 
 	if j == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownJob, job)
 	}
-	if _, err := s.w.bw.Write(enc.frames); err != nil {
+	if err := s.w.appendFrames(enc.frames, records); err != nil {
 		return s.failLocked(err)
 	}
-	s.w.size += int64(len(enc.frames))
-	s.w.appendGen += uint64(records)
 	s.appended += records
-	j.appendRun(metric, node, offs, vals)
+	for i := 0; i < n; i++ {
+		if metric, node, offs, vals := run(i); len(vals) > 0 {
+			j.appendRun(metric, node, offs, vals)
+		}
+	}
 	if !start.IsZero() {
 		s.opt.Inst.AppendSeconds.Observe(time.Since(start).Seconds())
 	}
@@ -893,6 +916,9 @@ func (s *Store) Flush() error {
 			rest = append(rest, j)
 		}
 	}
+	// The flushed executions live on in the segment; drop the stale
+	// entries past rest so the memtable columns can be collected.
+	clear(s.pending[len(rest):])
 	s.pending = rest
 	if err := s.compactWALLocked(); err != nil {
 		// The segment is durable and the WAL still replays (it merely
@@ -905,10 +931,10 @@ func (s *Store) Flush() error {
 	return nil
 }
 
-// walRunChunk bounds the samples per run record — both the live
-// ingest path (Store.Append) and the compactor split longer runs with
-// it, keeping every frame far below walMaxRecord. A variable so tests
-// can force multi-record series.
+// walRunChunk bounds the samples per job-runs record — both the live
+// ingest path (Store.AppendRuns) and the compactor split longer
+// appends with it, keeping every frame far below walMaxRecord. A
+// variable so tests can force multi-record series.
 var walRunChunk = 1 << 20
 
 // compactWALLocked rewrites the WAL to contain only the memtable's
@@ -929,30 +955,39 @@ func (s *Store) compactWALLocked() error {
 		return err
 	}
 	var offScratch []time.Duration
+	var ends []int
+	var enc wire.JobRuns
 	writeJob := func(j *jobMem) error {
 		nw.encodeRegister(j.id, j.nodes)
 		if err := nw.append(); err != nil {
 			return err
 		}
-		for _, ms := range j.series {
-			offScratch = ms.AppendOffsets(offScratch[:0])
-			// Chunked: one giant run record for a long-lived series
-			// could exceed the replayer's walMaxRecord frame bound (or
-			// even the uint32 frame length) and read as torn on the
-			// next restart. Replaying several consecutive runs rebuilds
-			// the identical memtable state.
-			offs, vals := offScratch, ms.ValuesView()
-			for len(vals) > 0 {
-				n := len(vals)
-				if n > walRunChunk {
-					n = walRunChunk
-				}
-				nw.encodeRun(j.id, ms.Metric, ms.Node, offs[:n], vals[:n])
-				if err := nw.append(); err != nil {
-					return err
-				}
-				offs, vals = offs[n:], vals[n:]
+		// Chunked: one giant record for a long-lived job could exceed
+		// the replayer's walMaxRecord frame bound (or even the uint32
+		// frame length) and read as torn on the next restart. Replaying
+		// several consecutive records rebuilds the identical memtable
+		// state. The series go in groups of at most walRunChunk samples
+		// (or one longer series), so the offsets materialized at once
+		// stay bounded like the records.
+		for from := 0; from < len(j.series); {
+			offScratch, ends = offScratch[:0], ends[:0]
+			to := from
+			for ; to < len(j.series) && (to == from || len(offScratch)+j.series[to].Len() <= walRunChunk); to++ {
+				offScratch = j.series[to].AppendOffsets(offScratch)
+				ends = append(ends, len(offScratch))
 			}
+			var records int64
+			nw.scratch, records = appendJobFrames(nw.scratch[:0], &enc, j.id, to-from, func(i int) (string, int, []time.Duration, []float64) {
+				ms, lo := j.series[from+i], 0
+				if i > 0 {
+					lo = ends[i-1]
+				}
+				return ms.Metric, ms.Node, offScratch[lo:ends[i]], ms.ValuesView()
+			})
+			if err := nw.appendFrames(nw.scratch, records); err != nil {
+				return err
+			}
+			from = to
 		}
 		if j.finished {
 			nw.encodeFinish(j.id, j.seq, j.label)

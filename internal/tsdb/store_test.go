@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -604,5 +605,40 @@ func TestWALCompactionPreservesPending(t *testing.T) {
 	// No torn tail, no quarantine.
 	if _, err := os.Stat(filepath.Join(dir, walQuarantine)); !os.IsNotExist(err) {
 		t.Errorf("unexpected quarantine file (err=%v)", err)
+	}
+}
+
+// TestFlushReleasesExecutions pins that a flush keeps no reference to
+// the executions it wrote: their columns live on in the segment, and
+// the memtable copies must be collectable. The pending slice's
+// backing array once kept every flushed job reachable until a later
+// Finish overwrote its slot.
+func TestFlushReleasesExecutions(t *testing.T) {
+	st, err := OpenOptions(t.TempDir(), Options{NoSync: true, FlushBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for i := 0; i < 20; i++ {
+		id := fmt.Sprintf("j%d", i)
+		if err := st.Register(id, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Append(id, "m", 0, []time.Duration{0, time.Second}, []float64{1, 2}); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Finish(id, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for i, j := range st.pending[:cap(st.pending)] {
+		if j != nil {
+			t.Fatalf("pending slot %d still references flushed job %q", i, j.id)
+		}
 	}
 }

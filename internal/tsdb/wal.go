@@ -1,10 +1,12 @@
 package tsdb
 
 // The write-ahead log. Every mutation the store acknowledges is first
-// appended here as one CRC-framed record in the shared EFD columnar
+// appended here as CRC-framed records in the shared EFD columnar
 // binary encoding — see internal/wire for the frame and record layout
 // (the same codec the HTTP binary ingest content type speaks, so a
 // batch decoded off the network re-encodes for the WAL bit-exactly).
+// Sample runs are written as job-runs records, one per job-level
+// append; TypeRun records from older logs still replay.
 //
 // Appends go through one buffered writer guarded by the store mutex;
 // Commit flushes and fsyncs once per acknowledged batch, and a
@@ -19,7 +21,6 @@ import (
 	"bufio"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/vfs"
 	"repro/internal/wire"
@@ -32,12 +33,15 @@ const (
 	frameHeaderLen = wire.FrameHeaderLen
 )
 
-// Record types (re-exported from the shared wire codec).
+// Record types (re-exported from the shared wire codec). The store
+// writes job-runs records; TypeRun records are replayed from WALs
+// written before them.
 const (
 	recRegister = wire.TypeRegister
 	recRun      = wire.TypeRun
 	recFinish   = wire.TypeFinish
 	recDrop     = wire.TypeDrop
+	recJobRuns  = wire.TypeJobRuns
 )
 
 // castagnoli is the CRC-32C table shared with the segment writer.
@@ -52,7 +56,7 @@ type wal struct {
 	appendGen uint64
 	syncGen   uint64
 
-	scratch []byte // reused payload encode buffer
+	scratch []byte // reused record encode buffer
 }
 
 func openWAL(fs vfs.FS, path string) (*wal, error) {
@@ -83,6 +87,16 @@ func (w *wal) append() error {
 	return nil
 }
 
+// appendFrames buffers already-framed records.
+func (w *wal) appendFrames(frames []byte, records int64) error {
+	if _, err := w.bw.Write(frames); err != nil {
+		return err
+	}
+	w.size += int64(len(frames))
+	w.appendGen += uint64(records)
+	return nil
+}
+
 // sync flushes the buffer and fsyncs, unless nothing was appended
 // since the last sync (group commit).
 func (w *wal) sync() error {
@@ -109,22 +123,35 @@ func (w *wal) close() error {
 
 // --- record encoding (thin wrappers over internal/wire) ---------------
 
-// appendRunPayload encodes one run record's payload into b. It is a
-// free function over plain buffers so the ingest path can encode
-// outside the store mutex.
-func appendRunPayload(b []byte, job, metric string, node int, offs []time.Duration, vals []float64) []byte {
-	return wire.AppendRun(b, job, metric, node, offs, vals)
+// appendJobFrames appends runs 0..n-1 of job (run(i) reports run i)
+// to dst as framed job-runs records of at most walRunChunk samples
+// each, splitting a longer run across records, and returns the grown
+// buffer and the record count. Empty runs are skipped: they change
+// no series. It is a free function over plain buffers so the ingest
+// path can encode outside the store mutex.
+func appendJobFrames(dst []byte, enc *wire.JobRuns, job string, n int, run RunAt) ([]byte, int64) {
+	var records int64
+	for i := 0; i < n; i++ {
+		metric, node, offs, vals := run(i)
+		for len(vals) > 0 {
+			k := min(len(vals), walRunChunk-enc.Samples())
+			enc.Add(metric, node, offs[:k], vals[:k])
+			offs, vals = offs[k:], vals[k:]
+			if enc.Samples() == walRunChunk {
+				dst = enc.AppendFrame(dst, job)
+				records++
+			}
+		}
+	}
+	if enc.Samples() > 0 {
+		dst = enc.AppendFrame(dst, job)
+		records++
+	}
+	return dst, records
 }
-
-// appendFramed appends the CRC frame plus payload to dst.
-func appendFramed(dst, payload []byte) []byte { return wire.AppendFrame(dst, payload) }
 
 func (w *wal) encodeRegister(job string, nodes int) {
 	w.scratch = wire.AppendRegister(w.scratch[:0], job, nodes)
-}
-
-func (w *wal) encodeRun(job, metric string, node int, offs []time.Duration, vals []float64) {
-	w.scratch = wire.AppendRun(w.scratch[:0], job, metric, node, offs, vals)
 }
 
 func (w *wal) encodeFinish(job string, seq uint64, label string) {

@@ -44,6 +44,26 @@ func errImplausibleNode(node uint64) error {
 }
 
 //efd:coldpath
+func errBadUnit(exp uint64) error {
+	return fmt.Errorf("wire: offset unit 10^%d ns out of range", exp)
+}
+
+//efd:coldpath
+func errImplausibleTable(n uint64) error {
+	return fmt.Errorf("wire: implausible metric table length %d", n)
+}
+
+//efd:coldpath
+func errMetricIndex(m, n uint64) error {
+	return fmt.Errorf("wire: metric index %d past a table of %d", m, n)
+}
+
+//efd:coldpath
+func errOffsetRange(v int64, exp int) error {
+	return fmt.Errorf("wire: offset %d × 10^%d ns overflows", v, exp)
+}
+
+//efd:coldpath
 func errUnknownType(t byte) error {
 	return fmt.Errorf("wire: unknown record type %d", t)
 }

@@ -6,12 +6,22 @@
 //
 //	[4B little-endian payload length][4B CRC-32C of payload][payload]
 //
-// The payload starts with a one-byte record type. Sample runs store
-// their offsets as zigzag-varint deltas (a 1 Hz grid costs two bytes
-// per sample of offset) and their values as raw little-endian float64
-// bits, so decoding reconstructs columns bit-exactly — the property
-// that makes binary ingest, WAL replay, and the in-memory stream state
-// interchangeable.
+// The payload starts with a one-byte record type. Sample runs travel
+// as job-runs records (TypeJobRuns): all of one job's runs in a call,
+// with the job ID once, a table of the metric names the runs use, and
+// per run the metric's table index, the node, the count, the offsets
+// and the values. Offsets are zigzag-varint deltas in the record's
+// unit — the largest power of ten nanoseconds, up to one second, that
+// divides every offset in the record — chained across the record's
+// runs, so a 1 Hz tick costs one byte of offset per sample. Values
+// are raw little-endian float64 bits. Decoding therefore reconstructs
+// columns bit-exactly — the property that makes binary ingest, WAL
+// replay, and the in-memory stream state interchangeable.
+//
+// TypeRun, one run per record with its offsets in nanoseconds, is
+// what every writer produced before job-runs records. Nothing writes
+// it any more, but it stays decodable: older WALs replay and older
+// clients' bodies ingest.
 //
 // The format is append-only versioned by record type: decoders reject
 // unknown types, so a new record kind is a new type byte, never a
@@ -41,9 +51,10 @@ const ContentTypeRuns = "application/x-efd-runs"
 // Record types.
 const (
 	TypeRegister = byte(1) // job registered: job, nodes
-	TypeRun      = byte(2) // sample run: job, metric, node, offsets, values
+	TypeRun      = byte(2) // one sample run: job, metric, node, offsets, values
 	TypeFinish   = byte(3) // job finished (labelled): job, seq, label
 	TypeDrop     = byte(4) // job deleted outright: job
+	TypeJobRuns  = byte(5) // one job's sample runs: job, unit, metric table, runs
 )
 
 // Castagnoli is the CRC-32C table every EFD frame and segment block
@@ -97,6 +108,122 @@ func AppendRun(b []byte, job, metric string, node int, offs []time.Duration, val
 	return b
 }
 
+// pow10 holds the job-runs offset units: pow10[e] is 10^e ns.
+var pow10 = [...]int64{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
+
+// maxUnitExp is the exponent of the coarsest unit, one second.
+const maxUnitExp = len(pow10) - 1
+
+// metricScan bounds how many table entries JobRuns.Add compares a
+// metric name with, newest first. A job's runs cycle through a few
+// metrics; a record naming more than this may repeat a name in its
+// table, which costs bytes but never a scan of the whole table per
+// run.
+const metricScan = 16
+
+// JobRuns assembles one job-runs record. Add the job's runs in order,
+// then append the record with AppendPayload or AppendFrame, which
+// reset it for the next one. It references the added columns until
+// then and keeps its scratch across records, so a reused JobRuns
+// encodes without allocating. The zero value is ready to use.
+type JobRuns struct {
+	metrics []string
+	runs    []jobRun
+	samples int
+	// fine is how many powers of ten the record's unit lies below
+	// one second.
+	fine int
+}
+
+type jobRun struct {
+	metric, node int
+	offs         []time.Duration
+	vals         []float64
+}
+
+// Add appends one (metric, node) run. offs and vals must be of equal
+// length; an empty run is kept as one.
+//
+//efd:hotpath
+func (r *JobRuns) Add(metric string, node int, offs []time.Duration, vals []float64) {
+	for _, off := range offs {
+		if off%time.Second == 0 {
+			continue // divisible by every unit
+		}
+		for r.fine < maxUnitExp && int64(off)%pow10[maxUnitExp-r.fine] != 0 {
+			r.fine++
+		}
+	}
+	m := -1
+	for i := len(r.metrics) - 1; i >= 0 && i >= len(r.metrics)-metricScan; i-- {
+		if r.metrics[i] == metric {
+			m = i
+			break
+		}
+	}
+	if m < 0 {
+		m = len(r.metrics)
+		r.metrics = append(r.metrics, metric)
+	}
+	r.runs = append(r.runs, jobRun{metric: m, node: node, offs: offs, vals: vals})
+	r.samples += len(vals)
+}
+
+// Samples reports the samples added since the last record.
+func (r *JobRuns) Samples() int { return r.samples }
+
+// AppendPayload appends the job-runs record of the added runs to b:
+// type byte, job, unit exponent, metric table, then per run the
+// metric index, node, count, zigzag-varint offset deltas in the unit
+// and raw float64 bits. The offset deltas start from zero and chain
+// across the record's runs. It resets r.
+//
+//efd:hotpath
+func (r *JobRuns) AppendPayload(b []byte, job string) []byte {
+	exp := maxUnitExp - r.fine
+	b = append(b, TypeJobRuns)
+	b = AppendString(b, job)
+	b = AppendUvarint(b, uint64(exp))
+	b = AppendUvarint(b, uint64(len(r.metrics)))
+	for _, m := range r.metrics {
+		b = AppendString(b, m)
+	}
+	prev := int64(0)
+	for i := range r.runs {
+		run := &r.runs[i]
+		b = AppendUvarint(b, uint64(run.metric))
+		b = AppendUvarint(b, uint64(run.node))
+		b = AppendUvarint(b, uint64(len(run.vals)))
+		for _, off := range run.offs {
+			v := int64(off / time.Second)
+			if exp != maxUnitExp {
+				v = int64(off) / pow10[exp]
+			}
+			b = AppendUvarint(b, Zigzag(v-prev))
+			prev = v
+		}
+		for _, v := range run.vals {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+	}
+	clear(r.runs) // drop the references to the callers' columns
+	clear(r.metrics)
+	r.runs, r.metrics, r.samples, r.fine = r.runs[:0], r.metrics[:0], 0, 0
+	return b
+}
+
+// AppendFrame appends the job-runs record of the added runs to dst as
+// one CRC frame, encoding the payload in place. It resets r.
+//
+//efd:hotpath
+func (r *JobRuns) AppendFrame(dst []byte, job string) []byte {
+	start := len(dst)
+	var hdr [FrameHeaderLen]byte
+	dst = r.AppendPayload(append(dst, hdr[:]...), job)
+	PutFrameHeader(dst[start:], dst[start+FrameHeaderLen:])
+	return dst
+}
+
 // AppendRegister appends a registration record's payload.
 //
 //efd:hotpath
@@ -146,6 +273,8 @@ func AppendFrame(dst, payload []byte) []byte {
 }
 
 // Record is one decoded record; only the fields of its Type are set.
+// A TypeRun record sets Metric, Node, Offs and Vals; a TypeJobRuns
+// record sets Runs.
 type Record struct {
 	Type   byte
 	Job    string
@@ -153,12 +282,28 @@ type Record struct {
 	Node   int
 	Offs   []time.Duration
 	Vals   []float64
+	Runs   []Run
 	Nodes  int
 	Seq    uint64
 	Label  string
 }
 
-type decoder struct{ b []byte }
+// Run is one decoded (metric, node) sample run.
+type Run struct {
+	Metric  string
+	Node    int
+	Offsets []time.Duration
+	Values  []float64
+}
+
+// decoder walks one payload. exp is the unit exponent of the offsets
+// and prev the last offset in that unit, from which the next delta
+// counts.
+type decoder struct {
+	b    []byte
+	exp  int
+	prev int64
+}
 
 //efd:hotpath
 func (d *decoder) uvarint() (uint64, error) {
@@ -170,22 +315,42 @@ func (d *decoder) uvarint() (uint64, error) {
 	return v, nil
 }
 
+// raw parses a length-prefixed string, returning a view of its bytes.
+//
 //efd:hotpath
-func (d *decoder) str() (string, error) {
+func (d *decoder) raw() ([]byte, error) {
 	n, err := d.uvarint()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n > uint64(len(d.b)) {
-		return "", errTruncatedString
+		return nil, errTruncatedString
 	}
-	s := string(d.b[:n])
+	s := d.b[:n]
 	d.b = d.b[n:]
 	return s, nil
 }
 
+//efd:hotpath
+func (d *decoder) str() (string, error) {
+	s, err := d.raw()
+	return string(s), err
+}
+
+//efd:hotpath
+func (d *decoder) node() (int, error) {
+	node, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if node > 1<<20 {
+		return 0, errImplausibleNode(node)
+	}
+	return int(node), nil
+}
+
 // decodeColumns parses the count, offset-delta, and value sections of
-// a run record, appending into the provided scratch (which may be nil).
+// a run, appending into the provided scratch (which may be nil).
 //
 //efd:hotpath
 func (d *decoder) decodeColumns(offs []time.Duration, vals []float64) ([]time.Duration, []float64, error) {
@@ -201,14 +366,22 @@ func (d *decoder) decodeColumns(offs []time.Duration, vals []float64) ([]time.Du
 		return nil, nil, errImplausibleRunLength(count)
 	}
 	n := int(count)
-	prev := int64(0)
+	unit := pow10[d.exp]
+	lim := int64(math.MaxInt64) / unit
 	for i := 0; i < n; i++ {
 		dv, err := d.uvarint()
 		if err != nil {
 			return nil, nil, err
 		}
-		prev += Unzigzag(dv)
-		offs = append(offs, time.Duration(prev))
+		d.prev += Unzigzag(dv)
+		off := d.prev
+		if unit > 1 {
+			if off > lim || off < -lim {
+				return nil, nil, errOffsetRange(off, d.exp)
+			}
+			off *= unit
+		}
+		offs = append(offs, time.Duration(off))
 	}
 	if len(d.b) < 8*n {
 		return nil, nil, errTruncatedValues
@@ -251,6 +424,12 @@ func DecodeRecord(payload []byte) (Record, error) {
 		if err := decodeRunBody(&rec, d); err != nil {
 			return rec, err
 		}
+	case TypeJobRuns:
+		var a Arena
+		if err := a.decodeJobRuns(d); err != nil {
+			return rec, err
+		}
+		rec.Runs = a.Runs
 	case TypeFinish:
 		if rec.Seq, err = d.uvarint(); err != nil {
 			return rec, err
@@ -286,22 +465,17 @@ func decodeRunBody(rec *Record, d *decoder) error {
 	if rec.Metric, err = d.str(); err != nil {
 		return err
 	}
-	node, err := d.uvarint()
-	if err != nil {
+	if rec.Node, err = d.node(); err != nil {
 		return err
 	}
-	if node > 1<<20 {
-		return errImplausibleNode(node)
-	}
-	rec.Node = int(node)
 	rec.Offs, rec.Vals, err = d.decodeColumns(nil, nil)
 	return err
 }
 
-// DecodeRunInto parses one run-record payload, appending the columns
+// DecodeRunInto parses one TypeRun payload, appending the columns
 // into the provided scratch slices (reset them with [:0] between
-// calls) — the allocation-light form the server's binary ingest path
-// uses. Non-run records are an error.
+// calls). Other records, TypeJobRuns included, are an error; Arena
+// decodes both run records.
 //
 //efd:hotpath
 func DecodeRunInto(payload []byte, offs []time.Duration, vals []float64) (rec Record, err error) {
@@ -316,18 +490,138 @@ func DecodeRunInto(payload []byte, offs []time.Duration, vals []float64) (rec Re
 	if rec.Metric, err = d.str(); err != nil {
 		return rec, err
 	}
-	node, err := d.uvarint()
-	if err != nil {
+	if rec.Node, err = d.node(); err != nil {
 		return rec, err
 	}
-	if node > 1<<20 {
-		return rec, errImplausibleNode(node)
-	}
-	rec.Node = int(node)
 	if rec.Offs, rec.Vals, err = d.decodeColumns(offs, vals); err != nil {
 		return rec, err
 	}
 	return rec, d.finish()
+}
+
+// Arena is reusable decode scratch for the two run records, TypeRun
+// and TypeJobRuns: Decode appends runs to Runs and their columns to
+// Offs and Vals, so a warmed arena decodes without growing. Decoded
+// runs alias the arena until Reset.
+type Arena struct {
+	Runs []Run
+	Offs []time.Duration
+	Vals []float64
+	// table is the last job-runs record's metric table. The next
+	// record reuses an entry's string when it names the same metric
+	// at the same index, so a feeder's names decode without
+	// allocating after its first record.
+	table []string
+}
+
+// Reset empties the arena, keeping its capacity and its last metric
+// table.
+func (a *Arena) Reset() {
+	clear(a.Runs)
+	a.Runs, a.Offs, a.Vals = a.Runs[:0], a.Offs[:0], a.Vals[:0]
+}
+
+// Decode parses one TypeRun or TypeJobRuns payload into the arena and
+// returns the record's job and runs (the tail of a.Runs). Metric names
+// cost one string per table entry at most, however many runs share
+// them. Other record types are an error.
+//
+//efd:hotpath
+func (a *Arena) Decode(payload []byte) (job string, runs []Run, err error) {
+	if len(payload) == 0 {
+		return "", nil, errEmptyRecord
+	}
+	// A decoder on the stack: decodeHead's escapes, one allocation per
+	// record.
+	d := &decoder{b: payload[1:]}
+	if job, err = d.str(); err != nil {
+		return "", nil, err
+	}
+	first := len(a.Runs)
+	switch payload[0] {
+	case TypeRun:
+		var metric string
+		if metric, err = d.str(); err == nil {
+			err = a.decodeRun(d, metric)
+		}
+	case TypeJobRuns:
+		err = a.decodeJobRuns(d)
+	default:
+		err = errNotRun(payload[0])
+	}
+	if err == nil {
+		err = d.finish()
+	}
+	if err != nil {
+		return "", nil, err
+	}
+	return job, a.Runs[first:], nil
+}
+
+// decodeJobRuns parses a job-runs body after the job: unit, metric
+// table, runs.
+//
+//efd:hotpath
+func (a *Arena) decodeJobRuns(d *decoder) error {
+	exp, err := d.uvarint()
+	if err != nil {
+		return err
+	}
+	if exp > uint64(maxUnitExp) {
+		return errBadUnit(exp)
+	}
+	d.exp = int(exp)
+	n, err := d.uvarint()
+	if err != nil {
+		return err
+	}
+	// Every table entry costs at least its length byte.
+	if n > uint64(len(d.b)) {
+		return errImplausibleTable(n)
+	}
+	for i := 0; i < int(n); i++ {
+		name, err := d.raw()
+		if err != nil {
+			return err
+		}
+		switch {
+		case i == len(a.table):
+			a.table = append(a.table, string(name))
+		case a.table[i] != string(name):
+			a.table[i] = string(name)
+		}
+	}
+	a.table = a.table[:n]
+	for len(d.b) > 0 {
+		m, err := d.uvarint()
+		if err != nil {
+			return err
+		}
+		if m >= n {
+			return errMetricIndex(m, n)
+		}
+		if err := a.decodeRun(d, a.table[m]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// decodeRun parses a run's node and columns onto the arena tails.
+//
+//efd:hotpath
+func (a *Arena) decodeRun(d *decoder, metric string) error {
+	node, err := d.node()
+	if err != nil {
+		return err
+	}
+	o, v := len(a.Offs), len(a.Vals)
+	if a.Offs, a.Vals, err = d.decodeColumns(a.Offs, a.Vals); err != nil {
+		return err
+	}
+	a.Runs = append(a.Runs, Run{Metric: metric, Node: node,
+		Offsets: a.Offs[o:len(a.Offs):len(a.Offs)], Values: a.Vals[v:len(a.Vals):len(a.Vals)]})
+	return nil
 }
 
 // WalkFrames iterates the CRC-framed records in data, invoking apply
