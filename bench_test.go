@@ -367,9 +367,10 @@ func BenchmarkMicroExtractInto(b *testing.B) {
 	}
 }
 
-// BenchmarkFitSequential and BenchmarkFitParallel compare the
-// depth×fold cross-validation grid at one worker versus GOMAXPROCS
-// workers; results are byte-identical, only wall-clock differs.
+// BenchmarkFitSequential and BenchmarkFitParallel compare Fit at one
+// worker versus GOMAXPROCS workers. The pool runs over candidate
+// depths, each building one key index and scoring every fold from it;
+// results are byte-identical, only wall-clock differs.
 func benchFit(b *testing.B, workers int) {
 	ds := benchDataset(b)
 	cfg := core.DefaultFitConfig()

@@ -6,13 +6,14 @@
 //
 // The recognition hot path is allocation-free on a warmed dictionary
 // (interned integer keys, dense vote accumulators, reused scratch — see
-// the internal/core package comment), and training parallelizes its
-// cross-validation grid with byte-identical results at any worker
-// count. The HTTP monitoring service (internal/server, cmd/efdd)
-// shards its job table and serves concurrent ingest and recognition
-// against a shared dictionary (core.SharedDictionary: parallel
-// readers, exclusive online learning) with graceful shutdown and
-// dictionary re-save.
+// the internal/core package comment), and training scores its
+// cross-validation grid from one key index per candidate rounding
+// depth, on a worker pool over depths, with byte-identical results at
+// any worker count. The HTTP monitoring service (internal/server,
+// cmd/efdd) shards its job table and serves concurrent ingest and
+// recognition against a shared dictionary (core.SharedDictionary:
+// parallel readers, exclusive online learning) with graceful shutdown
+// and dictionary re-save.
 //
 // The telemetry substrate underneath all of it is columnar
 // (internal/telemetry): series store separate offset and value

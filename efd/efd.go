@@ -23,11 +23,12 @@
 // — on a warmed dictionary, a reused Recognizer (dict.NewRecognizer())
 // answers in well under 2 µs per execution with zero allocations, and
 // streaming Feed is allocation-free per sample. Training
-// cross-validates the rounding depth on a bounded worker pool
-// (TrainConfig.Workers; 0 = GOMAXPROCS) with results byte-identical at
-// any worker count. Dictionary.Recognize is the convenience form for
-// one-off calls; batch and service callers should hold a Recognizer
-// (one per goroutine).
+// cross-validates the rounding depth from one key index per candidate
+// depth, on a worker pool over depths (TrainConfig.Workers;
+// 0 = GOMAXPROCS), with results byte-identical at any worker count.
+// Dictionary.Recognize is the convenience form for one-off calls;
+// batch and service callers should hold a Recognizer (one per
+// goroutine).
 //
 // Concurrency: a Dictionary is single-writer. Read-only use
 // (recognition, lookup, stats) is safe from any number of goroutines;

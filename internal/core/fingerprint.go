@@ -33,10 +33,13 @@
 // indexed by interned app ID. On a warmed dictionary,
 // Recognizer.Recognize performs zero allocations per execution;
 // Dictionary.Recognize is the convenience form that allocates a fresh
-// scratch so its Result is independently owned. Training (Fit) runs the
-// depth×fold cross-validation grid on a bounded worker pool with
-// deterministic assembly, and extracts raw window means once per
-// execution, re-rounding per candidate depth.
+// scratch so its Result is independently owned. Training (Fit) extracts
+// raw window means once per execution. Its depth×fold cross-validation
+// grid builds no dictionary per cell: each candidate depth renders every
+// execution's keys once into one key index, which records the
+// applications and folds that produced each key, and scores every fold
+// from it. A worker pool runs over the depths, with deterministic
+// assembly; the final dictionary learns from the same cached means.
 package core
 
 import (

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/apps"
@@ -33,17 +36,19 @@ type FitConfig struct {
 	// Joint combines all metrics into composite keys (see Config).
 	Joint bool
 	// Depths are the candidate rounding depths; nil tries 1 through 6.
+	// A non-nil empty list is an error.
 	Depths []int
 	// InnerFolds is the fold count of the internal cross-validation
 	// (default 5, reduced automatically when classes are small).
 	InnerFolds int
 	// Seed drives the internal fold shuffling.
 	Seed int64
-	// Workers bounds the worker pool of the depth×fold
-	// cross-validation grid: 0 means GOMAXPROCS, 1 runs sequentially.
-	// The selected depth, the report, and the resulting dictionary are
-	// byte-identical at every worker count — parallelism only changes
-	// wall-clock time.
+	// Workers bounds the worker pool over candidate depths (each
+	// depth builds one key index and scores every fold from it) and
+	// over the one-time extraction of raw window means: 0 means
+	// GOMAXPROCS, 1 runs sequentially. The selected depth, the report,
+	// and the resulting dictionary are byte-identical at every worker
+	// count — parallelism only changes wall-clock time.
 	Workers int
 }
 
@@ -179,29 +184,25 @@ func (d *Dictionary) learnRaw(re rawExec, label apps.Label, ks *keySet) {
 	}
 }
 
-// recognizeRaw recognizes a raw extraction at the dictionary's depth.
-func (r *Recognizer) recognizeRaw(re rawExec) Result {
-	r.d.keysFromRaw(&r.ks, re)
-	return r.vote(false)
-}
-
 // Fit learns a dictionary from the training set, selecting the rounding
 // depth by stratified cross-validation within the training set, then
 // building the final dictionary at the chosen depth over all training
 // executions.
 //
-// The depth×fold grid runs on a bounded worker pool (FitConfig.Workers)
-// and each execution's raw window means are extracted once and
-// re-rounded per candidate depth. Assembly is deterministic: the
-// report, scores, and dictionary are byte-identical to a sequential
-// run.
+// Each execution's raw window means are extracted once per Fit. The
+// cross-validation builds one key index per candidate depth from them
+// and scores every fold from that index, on a worker pool over depths
+// (FitConfig.Workers); the final dictionary learns from the same
+// cached means. The report, the scores and the dictionary equal those
+// of one Dictionary and Recognizer per (depth, fold) cell, and are
+// byte-identical at every worker count.
 func Fit(train *dataset.Dataset, cfg FitConfig) (*Dictionary, FitReport, error) {
 	if train.Len() == 0 {
 		return nil, FitReport{}, fmt.Errorf("core: empty training set")
 	}
-	depths := cfg.Depths
-	if depths == nil {
-		depths = []int{1, 2, 3, 4, 5, 6}
+	depths, err := candidateDepths(cfg.Depths)
+	if err != nil {
+		return nil, FitReport{}, err
 	}
 	folds := cfg.InnerFolds
 	if folds <= 0 {
@@ -228,88 +229,296 @@ func Fit(train *dataset.Dataset, cfg FitConfig) (*Dictionary, FitReport, error) 
 		// Too small to cross-validate: fall back to the median
 		// candidate depth.
 		report.Folds = 0
-		report.BestDepth = depths[len(depths)/2]
-	} else {
+		depths = []int{depths[len(depths)/2]}
+	}
+	dicts, err := depthDictionaries(cfg, depths)
+	if err != nil {
+		return nil, FitReport{}, err
+	}
+	raws := extractAll(train, cfg)
+	best := 0
+	if report.Folds > 0 {
 		kf, err := train.KFold(folds, cfg.Seed)
 		if err != nil {
 			return nil, FitReport{}, err
 		}
-		// Validate the fingerprint configuration once, up front, so
-		// grid workers cannot race on reporting the same error.
-		if err := (Config{Metrics: cfg.Metrics, Windows: cfg.Windows, Depth: depths[0], Joint: cfg.Joint}).Validate(); err != nil {
-			return nil, FitReport{}, err
-		}
-		// Extract each execution's raw means exactly once.
-		raws := make([]rawExec, train.Len())
-		par.For(train.Len(), cfg.Workers, func(i int) {
-			raws[i] = extractRaw(Source(train.Executions[i]), cfg.Metrics, cfg.Windows, cfg.Joint)
-		})
-		// Per-fold training order: ascending execution ID, matching
-		// build(), so per-fold dictionaries are identical to the ones
-		// the sequential path constructed.
-		trainOrder := make([][]int, len(kf))
-		for fi, fold := range kf {
-			idx := append([]int(nil), fold.Train...)
-			sort.Slice(idx, func(a, b int) bool {
-				return train.Executions[idx[a]].ID < train.Executions[idx[b]].ID
-			})
-			trainOrder[fi] = idx
-		}
-		// The grid: one task per (depth, fold) cell, results written
-		// into task-indexed slots and assembled in depth-major order
-		// below, so scores never depend on scheduling.
-		nf := len(kf)
-		cells := make([][]eval.Pair, len(depths)*nf)
-		errs := make([]error, len(cells))
-		par.For(len(cells), cfg.Workers, func(t int) {
-			di, fi := t/nf, t%nf
-			d, err := NewDictionary(Config{Metrics: cfg.Metrics, Windows: cfg.Windows, Depth: depths[di], Joint: cfg.Joint})
-			if err != nil {
-				errs[t] = err
-				return
-			}
-			var ks keySet
-			for _, i := range trainOrder[fi] {
-				d.learnRaw(raws[i], train.Executions[i].Label, &ks)
-			}
-			rec := d.NewRecognizer()
-			pairs := make([]eval.Pair, len(kf[fi].Test))
-			for pi, i := range kf[fi].Test {
-				pairs[pi] = eval.Pair{
-					Truth: train.Executions[i].Label.App,
-					Pred:  rec.recognizeRaw(raws[i]).Top(),
-				}
-			}
-			cells[t] = pairs
-		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, FitReport{}, err
-			}
-		}
 		bestScore := -1.0
-		var pooled []eval.Pair
-		for di, depth := range depths {
-			pooled = pooled[:0]
-			for fi := 0; fi < nf; fi++ {
-				pooled = append(pooled, cells[di*nf+fi]...)
-			}
-			score := eval.F1Macro(pooled)
-			report.DepthScores[depth] = score
-			// Strict improvement keeps the tie-break at the smaller
-			// (more pruned, more general) depth.
+		for di, score := range crossValidate(train, raws, dicts, kf, cfg.Workers) {
+			report.DepthScores[depths[di]] = score
+			// Strict improvement keeps the tie-break at the earlier
+			// candidate: the smaller (more pruned, more general) depth
+			// when the candidates ascend.
 			if score > bestScore {
-				bestScore = score
-				report.BestDepth = depth
+				bestScore, best = score, di
 			}
 		}
 	}
-
-	d, err := build(train, cfg, report.BestDepth)
-	if err != nil {
-		return nil, FitReport{}, err
+	report.BestDepth = depths[best]
+	// The chosen depth's dictionary only rendered keys in the grid, so
+	// it is still empty: learn every execution into it, in ID order.
+	d := dicts[best]
+	var ks keySet
+	for _, i := range idOrder(train) {
+		d.learnRaw(raws[i], train.Executions[i].Label, &ks)
 	}
 	return d, report, nil
+}
+
+// CrossValidate scores fixed rounding depths by k-fold
+// cross-validation over ds: each depth's score is the macro F1 of every
+// execution recognized by what the other folds learned at that depth,
+// the score Fit reports in FitReport.DepthScores. The folds are
+// ds.KFold(cfg.InnerFolds, cfg.Seed), taken as given (no default fold
+// count, no clamping); cfg.Depths and cfg.Workers mean what they mean
+// for Fit.
+func CrossValidate(ds *dataset.Dataset, cfg FitConfig) (map[int]float64, error) {
+	depths, err := candidateDepths(cfg.Depths)
+	if err != nil {
+		return nil, err
+	}
+	kf, err := ds.KFold(cfg.InnerFolds, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	dicts, err := depthDictionaries(cfg, depths)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[int]float64, len(depths))
+	for di, score := range crossValidate(ds, extractAll(ds, cfg), dicts, kf, cfg.Workers) {
+		out[depths[di]] = score
+	}
+	return out, nil
+}
+
+// candidateDepths resolves FitConfig.Depths: nil means 1 through 6.
+func candidateDepths(depths []int) ([]int, error) {
+	if depths == nil {
+		return []int{1, 2, 3, 4, 5, 6}, nil
+	}
+	if len(depths) == 0 {
+		return nil, fmt.Errorf("core: no candidate rounding depths (FitConfig.Depths is empty; nil means 1 through 6)")
+	}
+	return depths, nil
+}
+
+// depthDictionaries validates the fingerprint configuration at every
+// depth and returns one empty dictionary per depth; the grid renders
+// keys through them.
+func depthDictionaries(cfg FitConfig, depths []int) ([]*Dictionary, error) {
+	dicts := make([]*Dictionary, len(depths))
+	for di, depth := range depths {
+		d, err := NewDictionary(Config{Metrics: cfg.Metrics, Windows: cfg.Windows, Depth: depth, Joint: cfg.Joint})
+		if err != nil {
+			return nil, err
+		}
+		dicts[di] = d
+	}
+	return dicts, nil
+}
+
+// extractAll extracts every execution's raw window means once, on the
+// worker pool.
+func extractAll(ds *dataset.Dataset, cfg FitConfig) []rawExec {
+	raws := make([]rawExec, ds.Len())
+	par.For(ds.Len(), cfg.Workers, func(i int) {
+		raws[i] = extractRaw(Source(ds.Executions[i]), cfg.Metrics, cfg.Windows, cfg.Joint)
+	})
+	return raws
+}
+
+// idOrder returns the dataset's execution indexes by ascending ID: the
+// order in which build, and so every dictionary of the grid, learns.
+func idOrder(ds *dataset.Dataset) []int {
+	idx := make([]int, ds.Len())
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool { return ds.Executions[idx[a]].ID < ds.Executions[idx[b]].ID })
+	return idx
+}
+
+// crossValidate scores each depth of dicts (empty dictionaries, one per
+// candidate depth) by leave-fold-out recognition: every execution of
+// folds[f].Test is recognized against the executions outside fold f,
+// and a depth's score is the macro F1 of the pairs pooled in fold
+// order. folds must partition ds the way dataset.KFold does: each
+// execution is in exactly one fold's Test and every other fold's Train.
+// raws holds the extraction of every execution of ds.
+//
+// The scores are those of one Dictionary per (depth, fold) cell,
+// learned in ID order and queried through a Recognizer, but no cell
+// dictionary is built. Each depth renders every execution's keys once
+// (keysFromRaw, so key identity is the Dictionary's), interns them to
+// dense IDs, and records per key the distinct (application, fold)
+// pairs of the executions that produced it. A cell then votes the way
+// its dictionary's Recognizer would:
+//   - each key of a test execution gives one vote to every distinct
+//     application that produced it outside the fold;
+//   - a tie goes to the application the cell's dictionary interned
+//     first: that of the first training execution, by ID, with at
+//     least one key;
+//   - an execution none of whose keys was produced outside the fold
+//     is Unknown.
+//
+// Depths run on a pool of workers goroutines; scores[i] belongs to
+// dicts[i].
+func crossValidate(ds *dataset.Dataset, raws []rawExec, dicts []*Dictionary, folds []dataset.Fold, workers int) []float64 {
+	g := newCVGrid(ds, raws, folds)
+	scores := make([]float64, len(dicts))
+	par.For(len(dicts), workers, func(di int) {
+		scores[di] = g.score(dicts[di])
+	})
+	return scores
+}
+
+// cvGrid is the depth-independent part of the cross-validation: where
+// each execution's keys sit, which fold tests it, its application, and
+// each fold's tie-break order. Depths share it read-only.
+type cvGrid struct {
+	raws  []rawExec
+	folds []dataset.Fold
+	// refOff[i]:refOff[i+1] spans execution i's keys in the per-depth
+	// key slice. The key count of an execution does not depend on the
+	// depth.
+	refOff []int32
+	fold   []int32 // the fold whose Test holds each execution
+	app    []int32 // each execution's application ID
+	apps   []string
+	// rank[f][a] is the order in which fold f's dictionary would
+	// intern application a; the Recognizer breaks ties in that order.
+	rank [][]int32
+}
+
+// producer records that an execution of application app, tested in
+// fold, produced key; per depth the sorted, deduplicated producers
+// index each key.
+type producer struct{ key, app, fold int32 }
+
+func newCVGrid(ds *dataset.Dataset, raws []rawExec, folds []dataset.Fold) *cvGrid {
+	n := ds.Len()
+	g := &cvGrid{
+		raws: raws, folds: folds,
+		refOff: make([]int32, n+1),
+		fold:   make([]int32, n),
+		app:    make([]int32, n),
+	}
+	for i, re := range raws {
+		g.refOff[i+1] = g.refOff[i] + int32(len(re.fps))
+	}
+	for f, fold := range folds {
+		for _, i := range fold.Test {
+			g.fold[i] = int32(f)
+		}
+	}
+	appIDs := make(map[string]int32)
+	for i, e := range ds.Executions {
+		id, ok := appIDs[e.Label.App]
+		if !ok {
+			id = int32(len(g.apps))
+			appIDs[e.Label.App] = id
+			g.apps = append(g.apps, e.Label.App)
+		}
+		g.app[i] = id
+	}
+	order := idOrder(ds)
+	g.rank = make([][]int32, len(folds))
+	for f := range folds {
+		rank := make([]int32, len(g.apps))
+		for a := range rank {
+			rank[a] = -1
+		}
+		next := int32(0)
+		for _, i := range order {
+			// An execution without keys adds nothing to the
+			// dictionary, so it does not intern its application.
+			if g.fold[i] == int32(f) || len(raws[i].fps) == 0 || rank[g.app[i]] >= 0 {
+				continue
+			}
+			rank[g.app[i]] = next
+			next++
+		}
+		g.rank[f] = rank
+	}
+	return g
+}
+
+// score builds d's depth's key index and returns the pooled macro F1 of
+// every fold's test executions recognized from it.
+func (g *cvGrid) score(d *Dictionary) float64 {
+	nref := g.refOff[len(g.raws)]
+	// Intern every key: bucket coordinates plus canonical bytes, so two
+	// keys share an ID exactly when the Dictionary would store them
+	// under one entry.
+	ids := make(map[string]int32, nref)
+	keys := make([]int32, nref)
+	var ks keySet
+	var kb []byte
+	for i, re := range g.raws {
+		d.keysFromRaw(&ks, re)
+		for r, ref := range ks.refs {
+			kb = binary.LittleEndian.AppendUint32(kb[:0], uint32(ref.bk.metric))
+			kb = binary.LittleEndian.AppendUint32(kb, uint32(ref.bk.window))
+			kb = binary.LittleEndian.AppendUint32(kb, uint32(ref.bk.node))
+			kb = append(kb, ks.buf[ref.off:ref.end]...)
+			id, ok := ids[string(kb)]
+			if !ok {
+				id = int32(len(ids))
+				ids[string(kb)] = id
+			}
+			keys[g.refOff[i]+int32(r)] = id
+		}
+	}
+	// The producers of key k are prods[start[k]:start[k+1]]: distinct
+	// (application, fold) pairs, sorted by application.
+	prods := make([]producer, nref)
+	for i := range g.raws {
+		for r := g.refOff[i]; r < g.refOff[i+1]; r++ {
+			prods[r] = producer{key: keys[r], app: g.app[i], fold: g.fold[i]}
+		}
+	}
+	slices.SortFunc(prods, func(a, b producer) int {
+		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.app, b.app), cmp.Compare(a.fold, b.fold))
+	})
+	prods = slices.Compact(prods)
+	start := make([]int32, len(ids)+1)
+	for _, p := range prods {
+		start[p.key+1]++
+	}
+	for k := range len(ids) {
+		start[k+1] += start[k]
+	}
+
+	pairs := make([]eval.Pair, 0, len(g.raws))
+	votes := make([]int32, len(g.apps))
+	for f, fold := range g.folds {
+		rank := g.rank[f]
+		for _, i := range fold.Test {
+			clear(votes)
+			matched := false
+			for _, k := range keys[g.refOff[i]:g.refOff[i+1]] {
+				last := int32(-1)
+				for _, p := range prods[start[k]:start[k+1]] {
+					if p.fold != int32(f) && p.app != last {
+						votes[p.app]++
+						last, matched = p.app, true
+					}
+				}
+			}
+			pred := Unknown
+			if matched {
+				top := -1
+				for a, v := range votes {
+					if v > 0 && (top < 0 || v > votes[top] || v == votes[top] && rank[a] < rank[top]) {
+						top = a
+					}
+				}
+				pred = g.apps[top]
+			}
+			pairs = append(pairs, eval.Pair{Truth: g.apps[g.app[i]], Pred: pred})
+		}
+	}
+	return eval.F1Macro(pairs)
 }
 
 // build constructs a dictionary over the whole dataset at a fixed

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -198,4 +202,240 @@ func TestVoteBoundsProperty(t *testing.T) {
 			}
 		}
 	}
+}
+
+func TestFitEmptyDepths(t *testing.T) {
+	ds := smallDataset(t)
+	seen := make(map[apps.Label]bool)
+	tiny := ds.Filter(func(e *dataset.Execution) bool {
+		if seen[e.Label] {
+			return false
+		}
+		seen[e.Label] = true
+		return true
+	})
+	cfg := DefaultFitConfig()
+	cfg.Depths = []int{}
+	// Both the cross-validating path and the too-small fallback must
+	// reject an empty candidate list instead of indexing into it.
+	for name, train := range map[string]*dataset.Dataset{"cv": ds, "fallback": tiny} {
+		if _, _, err := Fit(train, cfg); err == nil {
+			t.Errorf("%s: Fit with empty Depths succeeded", name)
+		}
+	}
+	if _, err := CrossValidate(ds, cfg); err == nil {
+		t.Error("CrossValidate with empty Depths succeeded")
+	}
+}
+
+// referenceFit is the cross-validation Fit ran before the per-depth
+// key index: one Dictionary learned through learnRaw and one
+// Recognizer per (depth, fold) cell, then build at the chosen depth.
+// TestFitMatchesPerCellOracle holds Fit to it.
+func referenceFit(train *dataset.Dataset, cfg FitConfig) (*Dictionary, FitReport, error) {
+	depths := cfg.Depths
+	if depths == nil {
+		depths = []int{1, 2, 3, 4, 5, 6}
+	}
+	folds := cfg.InnerFolds
+	if folds <= 0 {
+		folds = 5
+	}
+	counts := make(map[apps.Label]int)
+	for _, e := range train.Executions {
+		counts[e.Label]++
+	}
+	for _, c := range counts {
+		folds = min(folds, c)
+	}
+	report := FitReport{DepthScores: make(map[int]float64), Folds: folds}
+	if folds < 2 {
+		report.Folds = 0
+		report.BestDepth = depths[len(depths)/2]
+	} else {
+		kf, err := train.KFold(folds, cfg.Seed)
+		if err != nil {
+			return nil, FitReport{}, err
+		}
+		raws := make([]rawExec, train.Len())
+		for i, e := range train.Executions {
+			raws[i] = extractRaw(Source(e), cfg.Metrics, cfg.Windows, cfg.Joint)
+		}
+		bestScore := -1.0
+		for _, depth := range depths {
+			var pooled []eval.Pair
+			for _, fold := range kf {
+				d, err := NewDictionary(Config{Metrics: cfg.Metrics, Windows: cfg.Windows, Depth: depth, Joint: cfg.Joint})
+				if err != nil {
+					return nil, FitReport{}, err
+				}
+				order := append([]int(nil), fold.Train...)
+				sort.Slice(order, func(a, b int) bool {
+					return train.Executions[order[a]].ID < train.Executions[order[b]].ID
+				})
+				var ks keySet
+				for _, i := range order {
+					d.learnRaw(raws[i], train.Executions[i].Label, &ks)
+				}
+				rec := d.NewRecognizer()
+				for _, i := range fold.Test {
+					e := train.Executions[i]
+					pooled = append(pooled, eval.Pair{Truth: e.Label.App, Pred: rec.Recognize(Source(e)).Top()})
+				}
+			}
+			score := eval.F1Macro(pooled)
+			report.DepthScores[depth] = score
+			if score > bestScore {
+				bestScore, report.BestDepth = score, depth
+			}
+		}
+	}
+	d, err := build(train, cfg, report.BestDepth)
+	return d, report, err
+}
+
+// oracleMetrics are the oracle grid's metrics: two that separate the
+// applications and one constant that collides everywhere.
+var oracleMetrics = []string{apps.HeadlineMetric, "Committed_AS_meminfo", "MemTotal_meminfo"}
+
+// oracleDataset generates a multi-metric grid and roughens it for the
+// oracle. Execution IDs are shuffled, so ID order interleaves the
+// applications. The six lowest IDs cover no window at all: they have no
+// key, so they must not decide which application wins a tie. Every
+// seventh ID misses the [0:60] window only.
+func oracleDataset(t testing.TB) *dataset.Dataset {
+	t.Helper()
+	cfg := dataset.DefaultGenConfig()
+	cfg.Apps = []string{"ft", "mg", "sp", "bt", "miniAMR"}
+	cfg.Repeats = 6
+	cfg.Cluster.Metrics = oracleMetrics
+	cfg.Seed = 11
+	ds, err := dataset.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := dataset.DefaultWindows()[0].Key()
+	perm := rand.New(rand.NewSource(3)).Perm(ds.Len())
+	out := &dataset.Dataset{Windows: ds.Windows}
+	for i, e := range ds.Executions {
+		c := *e
+		c.ID = perm[i]
+		switch {
+		case c.ID < 6:
+			c.Stats = dropWindows(e.Stats, func(string) bool { return true })
+		case c.ID%7 == 0:
+			c.Stats = dropWindows(e.Stats, func(k string) bool { return k == first })
+		}
+		c.IndexWindows()
+		out.Executions = append(out.Executions, &c)
+	}
+	return out
+}
+
+// dropWindows copies per-node summaries without the windows drop
+// selects.
+func dropWindows(stats map[string][]dataset.NodeMetricStats, drop func(key string) bool) map[string][]dataset.NodeMetricStats {
+	out := make(map[string][]dataset.NodeMetricStats, len(stats))
+	for metric, per := range stats {
+		cp := make([]dataset.NodeMetricStats, len(per))
+		for node, nms := range per {
+			means := make(map[string]float64)
+			for k, v := range nms.WindowMeans {
+				if !drop(k) {
+					means[k] = v
+				}
+			}
+			cp[node] = dataset.NodeMetricStats{Full: nms.Full, WindowMeans: means}
+		}
+		out[metric] = cp
+	}
+	return out
+}
+
+// TestFitMatchesPerCellOracle holds Fit's per-depth key index to
+// referenceFit over seeds, training subsets and fingerprint
+// configurations, at one worker and at eight: the reports must be
+// deeply equal (DepthScores bit for bit) and the fitted dictionaries
+// must save to the same bytes.
+func TestFitMatchesPerCellOracle(t *testing.T) {
+	ds := oracleDataset(t)
+	windows := dataset.DefaultWindows()
+	configs := []struct {
+		name string
+		set  func(*FitConfig)
+	}{
+		{"headline", func(*FitConfig) {}},
+		{"metrics", func(c *FitConfig) { c.Metrics = oracleMetrics }},
+		{"metrics joint", func(c *FitConfig) { c.Metrics, c.Joint = oracleMetrics, true }},
+		{"repeated metric", func(c *FitConfig) {
+			c.Metrics = []string{apps.HeadlineMetric, "Committed_AS_meminfo", apps.HeadlineMetric}
+		}},
+		{"repeated metric joint", func(c *FitConfig) {
+			c.Metrics, c.Joint = []string{apps.HeadlineMetric, apps.HeadlineMetric}, true
+		}},
+		{"windows", func(c *FitConfig) { c.Windows = windows[:3] }},
+		{"windows joint", func(c *FitConfig) {
+			c.Metrics, c.Windows, c.Joint = oracleMetrics[:2], windows[:3], true
+		}},
+		{"restricted depths", func(c *FitConfig) { c.Depths = []int{3} }},
+		{"unsorted depths", func(c *FitConfig) { c.Depths = []int{5, 2, 4, 1} }},
+		{"duplicate depths", func(c *FitConfig) { c.Depths = []int{3, 1, 3, 2} }},
+		{"clamped folds", func(c *FitConfig) { c.InnerFolds = 50 }},
+		{"three folds", func(c *FitConfig) { c.InnerFolds = 3 }},
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		seen := make(map[apps.Label]bool)
+		subsets := []struct {
+			name  string
+			train *dataset.Dataset
+		}{
+			{"all", ds},
+			{"random 70%", ds.Filter(func(*dataset.Execution) bool { return rng.Float64() < 0.7 })},
+			{"one per label", ds.Filter(func(e *dataset.Execution) bool {
+				if seen[e.Label] {
+					return false
+				}
+				seen[e.Label] = true
+				return true
+			})},
+		}
+		for _, sub := range subsets {
+			for _, c := range configs {
+				cfg := DefaultFitConfig()
+				cfg.Seed = seed
+				c.set(&cfg)
+				want, wantRep, err := referenceFit(sub.train, cfg)
+				if err != nil {
+					t.Fatalf("seed %d %s %s: reference: %v", seed, sub.name, c.name, err)
+				}
+				wantBytes := saved(t, want)
+				for _, workers := range []int{1, 8} {
+					cfg.Workers = workers
+					got, rep, err := Fit(sub.train, cfg)
+					if err != nil {
+						t.Fatalf("seed %d %s %s workers %d: %v", seed, sub.name, c.name, workers, err)
+					}
+					if !reflect.DeepEqual(rep, wantRep) {
+						t.Errorf("seed %d %s %s workers %d: report %+v, reference %+v",
+							seed, sub.name, c.name, workers, rep, wantRep)
+					}
+					if !bytes.Equal(saved(t, got), wantBytes) {
+						t.Errorf("seed %d %s %s workers %d: saved dictionary differs from the reference",
+							seed, sub.name, c.name, workers)
+					}
+				}
+			}
+		}
+	}
+}
+
+// saved returns the dictionary's Save bytes.
+func saved(t *testing.T, d *Dictionary) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := d.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

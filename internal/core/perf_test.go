@@ -110,6 +110,24 @@ func TestFitDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestFitAllocs pins the per-depth key index of the cross-validation
+// grid. When every (depth, fold) cell built its own Dictionary, one Fit
+// on smallDataset at one worker allocated 38,950 times; the index must
+// stay under a quarter of that.
+func TestFitAllocs(t *testing.T) {
+	ds := smallDataset(t)
+	cfg := DefaultFitConfig()
+	cfg.Workers = 1
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, _, err := Fit(ds, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := 38950.0 / 4; allocs >= limit {
+		t.Errorf("Fit allocates %.0f times, want < %.0f (one dictionary per grid cell again?)", allocs, limit)
+	}
+}
+
 // TestClassifyDeterministicAcrossGOMAXPROCS verifies that the pair
 // order of the chunked Classify is the dataset order regardless of
 // available parallelism.

@@ -12,29 +12,12 @@ import (
 // DepthAblation evaluates the normal-fold protocol at each fixed
 // rounding depth (no inner tuning), exposing the pruning/exclusiveness
 // trade-off of §5: shallow depths over-prune and collide, deep depths
-// under-prune and stop repeating.
+// under-prune and stop repeating. It is Fit's cross-validation grid
+// (core.CrossValidate) run over the outer folds.
 func (h *Harness) DepthAblation(depths []int) (map[int]float64, error) {
-	if depths == nil {
-		depths = []int{1, 2, 3, 4, 5, 6}
-	}
-	folds, err := h.DS.KFold(h.Folds, h.Seed)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[int]float64, len(depths))
-	for _, depth := range depths {
-		cfg := core.Config{Metrics: h.Fit.Metrics, Windows: h.Fit.Windows, Depth: depth}
-		var pairs []eval.Pair
-		for _, f := range folds {
-			d, err := core.Build(h.DS.Subset(f.Train), cfg)
-			if err != nil {
-				return nil, err
-			}
-			pairs = append(pairs, core.ClassifyWorkers(d, h.DS.Subset(f.Test), h.Fit.Workers)...)
-		}
-		out[depth] = eval.F1Macro(pairs)
-	}
-	return out, nil
+	cfg := h.Fit
+	cfg.Depths, cfg.InnerFolds, cfg.Seed = depths, h.Folds, h.Seed
+	return core.CrossValidate(h.DS, cfg)
 }
 
 // IntervalAblation evaluates the normal-fold protocol with the
@@ -205,7 +188,7 @@ func (h *Harness) DictionaryGrowth(depths []int) (map[int]core.Stats, error) {
 	out := make(map[int]core.Stats, len(depths))
 	for _, depth := range depths {
 		d, err := core.Build(h.DS, core.Config{
-			Metrics: h.Fit.Metrics, Windows: h.Fit.Windows, Depth: depth,
+			Metrics: h.Fit.Metrics, Windows: h.Fit.Windows, Depth: depth, Joint: h.Fit.Joint,
 		})
 		if err != nil {
 			return nil, err

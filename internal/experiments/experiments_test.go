@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/eval"
 	"repro/internal/taxonomist"
 	"repro/internal/telemetry"
 )
@@ -343,6 +345,50 @@ func TestDictionaryGrowth(t *testing.T) {
 	if growth[1].Keys >= growth[6].Keys {
 		t.Errorf("depth 1 (%d keys) should be far smaller than depth 6 (%d)",
 			growth[1].Keys, growth[6].Keys)
+	}
+}
+
+// TestAblationsHonorJoint runs the depth and growth ablations on a
+// joint two-metric harness and checks them against dictionaries built
+// with Joint set: the depth scores fold by fold through core.Build and
+// core.Classify, the growth through core.Build over the whole dataset.
+func TestAblationsHonorJoint(t *testing.T) {
+	h := testHarness(t)
+	h.Fit.Metrics = []string{apps.HeadlineMetric, "Committed_AS_meminfo"}
+	h.Fit.Joint = true
+	depths := []int{2, 3, 4}
+	scores, err := h.DepthAblation(depths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	growth, err := h.DictionaryGrowth(depths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	folds, err := h.DS.KFold(h.Folds, h.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, depth := range depths {
+		cfg := core.Config{Metrics: h.Fit.Metrics, Windows: h.Fit.Windows, Depth: depth, Joint: true}
+		var pairs []eval.Pair
+		for _, f := range folds {
+			d, err := core.Build(h.DS.Subset(f.Train), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pairs = append(pairs, core.Classify(d, h.DS.Subset(f.Test))...)
+		}
+		if want := eval.F1Macro(pairs); scores[depth] != want {
+			t.Errorf("depth %d: DepthAblation = %v, joint dictionaries score %v", depth, scores[depth], want)
+		}
+		d, err := core.Build(h.DS, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := d.Stats(); growth[depth] != want {
+			t.Errorf("depth %d: DictionaryGrowth = %+v, joint dictionary %+v", depth, growth[depth], want)
+		}
 	}
 }
 
