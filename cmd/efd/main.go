@@ -124,8 +124,11 @@ func cmdLearn(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
 	if err := d.Save(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
 		return err
 	}
 	fmt.Printf("saved to %s\n", *out)

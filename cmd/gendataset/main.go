@@ -70,8 +70,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	defer f.Close()
 	if err := ds.SaveCSV(f); err != nil {
+		f.Close()
+		fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("wrote %d executions (%d labels, %d metrics, %d nodes each) to %s\n",
@@ -99,8 +102,11 @@ func writeRaw(path, app string, in apps.Input, nodes int, seed int64, check bool
 	if err != nil {
 		return err
 	}
-	defer f.Close()
 	if err := ldms.WriteExecutionCSV(f, ns); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
 		return err
 	}
 	fmt.Printf("wrote raw telemetry of %s_%s (%v, %d nodes, %d series) to %s\n",
