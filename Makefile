@@ -16,7 +16,9 @@
 #                    10s) over the tsdb WAL/segment decoders, the LDMS
 #                    CSV reader and the binary ingest body decoder:
 #                    every parser that consumes bytes a crash, a
-#                    rotted disk or the network may have produced
+#                    rotted disk or the network may have produced;
+#                    plus the rounded-key kernel against its reference
+#                    composition, over arbitrary float64 bits and depths
 #   make chaos-short - seeded fault-injection chaos pass (CHAOSTIME
 #                    wall-clock per test, default 2s) over the tsdb
 #                    store and the monitor engine, with a fresh seed
@@ -92,7 +94,7 @@ lint:
 api-golden:
 	$(GO) run ./cmd/efdvet -api-golden
 
-# Go's fuzzer takes one -fuzz pattern per invocation, so each decoder
+# Go's fuzzer takes one -fuzz pattern per invocation, so each target
 # gets its own bounded run; seed corpora make even a short run cover
 # the interesting frame/footer shapes.
 fuzz-short:
@@ -100,6 +102,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentOpen$$' -fuzztime $(FUZZTIME) ./internal/tsdb
 	$(GO) test -run '^$$' -fuzz '^FuzzReadNodeCSV$$' -fuzztime $(FUZZTIME) ./internal/ldms
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryDecode$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendRoundedKey$$' -fuzztime $(FUZZTIME) ./internal/stats
 
 # -count=1 defeats the test cache: each chaos run draws a fresh seed
 # from the clock, so successive runs explore different schedules. A

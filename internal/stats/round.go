@@ -31,10 +31,18 @@ const MaxRoundDepth = 15
 // below 1 are clamped to 1 and values above MaxRoundDepth are clamped to
 // MaxRoundDepth. Zero, NaN and infinities are returned unchanged.
 //
-// The implementation goes through the shortest decimal representation of
-// x (strconv with precision -1) so that two means which print identically
-// always round to bit-identical float64 values. That bit-stability is what
-// makes rounded means usable as exact dictionary keys.
+// The implementation formats x with exactly depth significant digits
+// (strconv, correctly rounded, ties to even) and parses the decimal
+// back, so two means which print identically always round to
+// bit-identical float64 values. That bit-stability is what makes
+// rounded means usable as exact dictionary keys.
+//
+// When the rounding carries past MaxFloat64 the decimal does not parse
+// and x is returned unrounded: RoundDepth(-1.5957498682802589e308, 1)
+// formats "-2e+308", which overflows, so the result is x itself.
+//
+// RoundDepth is the reference for AppendRoundedKey, which renders the
+// same keys without the parse.
 func RoundDepth(x float64, depth int) float64 {
 	if x == 0 || math.IsNaN(x) || math.IsInf(x, 0) {
 		return x
@@ -53,8 +61,8 @@ func RoundDepth(x float64, depth int) float64 {
 	s := strconv.AppendFloat(buf[:0], x, 'e', depth-1, 64)
 	v, err := strconv.ParseFloat(bytesAsString(s), 64)
 	if err != nil {
-		// Cannot happen for output of AppendFloat; keep the original
-		// value rather than panic in a measurement path.
+		// The rounding carried past MaxFloat64 (ErrRange): keep the
+		// original value rather than return an infinity.
 		return x
 	}
 	return v
@@ -68,33 +76,6 @@ func bytesAsString(b []byte) string {
 		return ""
 	}
 	return unsafe.String(&b[0], len(b))
-}
-
-// RoundHalfUpDepth is a variant of RoundDepth that breaks ties away from
-// zero (the rounding school children learn) instead of IEEE
-// round-half-to-even. The paper's Table 1 is agnostic between the two
-// (none of its examples are ties); this variant exists for users who need
-// to match half-up systems.
-func RoundHalfUpDepth(x float64, depth int) float64 {
-	if x == 0 || math.IsNaN(x) || math.IsInf(x, 0) {
-		return x
-	}
-	if depth < 1 {
-		depth = 1
-	}
-	if depth > MaxRoundDepth {
-		depth = MaxRoundDepth
-	}
-	mag := int(math.Floor(math.Log10(math.Abs(x))))
-	// Scale so the target digit sits in the unit position.
-	scale := math.Pow(10, float64(depth-1-mag))
-	scaled := x * scale
-	r := math.Floor(scaled + 0.5)
-	if x < 0 {
-		r = math.Ceil(scaled - 0.5)
-	}
-	// Re-normalize through the decimal printer for bit stability.
-	return RoundDepth(r/scale, depth)
 }
 
 // SignificantDigits reports the number of significant decimal digits in
@@ -122,43 +103,6 @@ func SignificantDigits(x float64) int {
 	return n
 }
 
-// DecimalMagnitude returns the exponent of the leading decimal digit of
-// x, i.e. floor(log10(|x|)), computed through the decimal printer so that
-// values such as 1000 (whose log10 can land just below an integer in
-// floating point) are classified correctly. Zero/NaN/Inf return 0.
-func DecimalMagnitude(x float64) int {
-	if x == 0 || math.IsNaN(x) || math.IsInf(x, 0) {
-		return 0
-	}
-	s := strconv.FormatFloat(math.Abs(x), 'e', -1, 64)
-	for i := 0; i < len(s); i++ {
-		if s[i] == 'e' || s[i] == 'E' {
-			e, err := strconv.Atoi(s[i+1:])
-			if err != nil {
-				return int(math.Floor(math.Log10(math.Abs(x))))
-			}
-			return e
-		}
-	}
-	return int(math.Floor(math.Log10(math.Abs(x))))
-}
-
-// RoundingStep returns the absolute difference between adjacent
-// representable rounded values around x at the given depth — the
-// quantization step of the fingerprint space. For example at depth 2,
-// values near 1358 quantize in steps of 10^(3-1) = 100. A larger step
-// means heavier pruning.
-func RoundingStep(x float64, depth int) float64 {
-	if x == 0 || math.IsNaN(x) || math.IsInf(x, 0) {
-		return 0
-	}
-	if depth < 1 {
-		depth = 1
-	}
-	mag := DecimalMagnitude(x)
-	return math.Pow(10, float64(mag-depth+1))
-}
-
 // FormatKey renders a rounded measurement as its canonical shortest
 // decimal string. Two float64 values compare equal under == exactly when
 // FormatKey returns the same string for both, so the string form can be
@@ -182,9 +126,78 @@ func AppendKey(dst []byte, x float64) []byte {
 
 // AppendRoundedKey appends FormatKey(RoundDepth(x, depth)) to dst — the
 // canonical dictionary-key bytes of a raw mean at the given rounding
-// depth — without any intermediate string allocation. The produced
-// bytes are byte-identical to the string path, so keys built this way
-// match keys built via NewFingerprint exactly.
+// depth — without any intermediate string allocation.
+//
+// It makes one decimal conversion: x formatted with depth significant
+// digits, trailing zeros stripped, laid out as FormatKey lays out a
+// shortest decimal. The bytes equal the reference composition because
+// a decimal of at most 15 significant digits survives a float64 round
+// trip: RoundDepth parses it to the float64 whose shortest decimal is
+// that decimal again. The argument needs the parsed value to be a
+// normal float64, so magnitudes outside [1e-307, 1e308] take the
+// reference path: subnormal results, whose shortest decimal can be
+// shorter (1.23467004895728e-320 keys as "1.2347e-320" at depth 6),
+// and roundings that may carry past MaxFloat64. Zero, NaN and the
+// infinities take it too.
 func AppendRoundedKey(dst []byte, x float64, depth int) []byte {
-	return AppendKey(dst, RoundDepth(x, depth))
+	if a := math.Abs(x); !(a >= 1e-307 && a <= 1e308) {
+		return AppendKey(dst, RoundDepth(x, depth))
+	}
+	depth = min(max(depth, 1), MaxRoundDepth)
+	var buf [32]byte
+	s := strconv.AppendFloat(buf[:0], x, 'e', depth-1, 64) // [-]d[.ddd]e±dd[d]
+	e := len(s) - 4
+	if s[e] != 'e' {
+		e-- // a three-digit exponent
+	}
+	exp := 0
+	for _, c := range s[e+2:] {
+		exp = exp*10 + int(c-'0')
+	}
+	if s[e+1] == '-' {
+		exp = -exp
+	}
+	// Strip the mantissa's trailing zeros, and its point if no digit
+	// follows it; the leading digit of a non-zero x is not zero.
+	m := e
+	for s[m-1] == '0' {
+		m--
+	}
+	if s[m-1] == '.' {
+		m--
+	}
+	if exp < -4 || exp >= 6 {
+		// FormatKey's exponent form is the mantissa and the exponent
+		// as strconv wrote them.
+		dst = append(dst, s[:m]...)
+		return append(dst, s[e:]...)
+	}
+	if s[0] == '-' {
+		dst = append(dst, '-')
+		s, m = s[1:], m-1
+	}
+	// The digits are s[0] and frac, at decimal exponent exp.
+	lead, frac := s[0], s[:0]
+	if m > 1 {
+		frac = s[2:m]
+	}
+	if exp < 0 {
+		dst = append(dst, '0', '.')
+		for i := exp + 1; i < 0; i++ {
+			dst = append(dst, '0')
+		}
+		dst = append(dst, lead)
+		return append(dst, frac...)
+	}
+	dst = append(dst, lead)
+	if len(frac) <= exp {
+		dst = append(dst, frac...)
+		for i := len(frac); i < exp; i++ {
+			dst = append(dst, '0')
+		}
+		return dst
+	}
+	dst = append(dst, frac[:exp]...)
+	dst = append(dst, '.')
+	return append(dst, frac[exp:]...)
 }

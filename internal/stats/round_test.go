@@ -1,7 +1,11 @@
 package stats
 
 import (
+	"bytes"
 	"math"
+	"math/rand/v2"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -135,9 +139,16 @@ func TestRoundDepthRelativeError(t *testing.T) {
 		}
 		depth := int(d%6) + 1
 		r := RoundDepth(x, depth)
-		// Half-step bound, with a small epsilon for the decimal
-		// print/parse round trip.
-		bound := RoundingStep(x, depth)/2 + math.Abs(x)*1e-12
+		// Half a unit in the depth-th significant digit, with a small
+		// epsilon for the decimal print/parse round trip. The leading
+		// digit's exponent comes from the printer: log10 can land just
+		// below an integer for values such as 1000.
+		s := strconv.FormatFloat(x, 'e', -1, 64)
+		mag, err := strconv.Atoi(s[strings.IndexByte(s, 'e')+1:])
+		if err != nil {
+			return false
+		}
+		bound := math.Pow(10, float64(mag-depth+1))/2 + math.Abs(x)*1e-12
 		return math.Abs(r-x) <= bound
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -157,25 +168,6 @@ func TestRoundDepthSignPreserved(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRoundHalfUpDepth(t *testing.T) {
-	cases := []struct {
-		x     float64
-		depth int
-		want  float64
-	}{
-		{1358.0, 3, 1360.0},
-		{1350.0, 2, 1400.0},   // half-up breaks ties upward
-		{-1350.0, 2, -1400.0}, // ...away from zero for negatives
-		{5.28, 2, 5.3},
-		{0.038, 1, 0.04},
-	}
-	for _, c := range cases {
-		if got := RoundHalfUpDepth(c.x, c.depth); got != c.want {
-			t.Errorf("RoundHalfUpDepth(%v, %d) = %v, want %v", c.x, c.depth, got, c.want)
-		}
 	}
 }
 
@@ -199,48 +191,6 @@ func TestSignificantDigits(t *testing.T) {
 		if got := SignificantDigits(c.x); got != c.want {
 			t.Errorf("SignificantDigits(%v) = %d, want %d", c.x, got, c.want)
 		}
-	}
-}
-
-func TestDecimalMagnitude(t *testing.T) {
-	cases := []struct {
-		x    float64
-		want int
-	}{
-		{1358.0, 3},
-		{5.28, 0},
-		{0.038, -2},
-		{1000, 3},
-		{999.999, 2},
-		{-42, 1},
-		{0.1, -1},
-	}
-	for _, c := range cases {
-		if got := DecimalMagnitude(c.x); got != c.want {
-			t.Errorf("DecimalMagnitude(%v) = %d, want %d", c.x, got, c.want)
-		}
-	}
-}
-
-func TestRoundingStep(t *testing.T) {
-	cases := []struct {
-		x     float64
-		depth int
-		want  float64
-	}{
-		{1358.0, 2, 100},
-		{1358.0, 4, 1},
-		{5.28, 2, 0.1},
-		{0.038, 1, 0.01},
-	}
-	for _, c := range cases {
-		got := RoundingStep(c.x, c.depth)
-		if math.Abs(got-c.want) > 1e-12*c.want {
-			t.Errorf("RoundingStep(%v, %d) = %v, want %v", c.x, c.depth, got, c.want)
-		}
-	}
-	if got := RoundingStep(0, 3); got != 0 {
-		t.Errorf("RoundingStep(0,3) = %v, want 0", got)
 	}
 }
 
@@ -274,4 +224,103 @@ func TestRoundedKeysCollide(t *testing.T) {
 	if RoundDepth(6012.7, 3) == RoundDepth(5988.3, 3) {
 		t.Fatal("6012.7 and 5988.3 should separate at depth 3")
 	}
+}
+
+// TestRoundedKeyOutsideNormalRange pins the two inputs on which the
+// one-conversion kernel must fall back to the reference composition.
+func TestRoundedKeyOutsideNormalRange(t *testing.T) {
+	// The rounding carries past MaxFloat64: "-2e+308" does not parse,
+	// so RoundDepth returns x and the key is x's shortest decimal.
+	x := -1.5957498682802589e308
+	if got := RoundDepth(x, 1); got != x {
+		t.Errorf("RoundDepth(%v, 1) = %v, want x unrounded", x, got)
+	}
+	if got, want := string(AppendRoundedKey(nil, x, 1)), "-1.5957498682802589e+308"; got != want {
+		t.Errorf("AppendRoundedKey(%v, 1) = %q, want %q", x, got, want)
+	}
+	// A subnormal result has fewer significant bits than 15 digits
+	// need: the depth-6 decimal parses to a float64 whose shortest
+	// decimal has five digits.
+	x = 1.23467004895728e-320
+	if got, want := string(AppendKey(nil, RoundDepth(x, 6))), "1.2347e-320"; got != want {
+		t.Errorf("reference key of %v at depth 6 = %q, want %q", x, got, want)
+	}
+	if got, want := string(AppendRoundedKey(nil, x, 6)), "1.2347e-320"; got != want {
+		t.Errorf("AppendRoundedKey(%v, 6) = %q, want %q", x, got, want)
+	}
+}
+
+// roundedKeyChecker compares AppendRoundedKey with the reference
+// AppendKey(RoundDepth(x, depth)) through reused buffers. The kernel
+// appends after a prefix, which it must leave alone.
+type roundedKeyChecker struct{ got, want []byte }
+
+func (c *roundedKeyChecker) check(t *testing.T, x float64, depth int) {
+	t.Helper()
+	c.got = AppendRoundedKey(append(c.got[:0], "k|"...), x, depth)
+	c.want = AppendKey(append(c.want[:0], "k|"...), RoundDepth(x, depth))
+	if !bytes.Equal(c.got, c.want) {
+		t.Fatalf("AppendRoundedKey(%v [%#016x], %d) = %q, want %q",
+			x, math.Float64bits(x), depth, c.got[2:], c.want[2:])
+	}
+}
+
+// TestAppendRoundedKeyMatchesReference checks the kernel against the
+// reference on 10⁶ seeded values at depths -1 through 17. The values
+// mix arbitrary bit patterns with the shapes that stress the layout:
+// means of realistic magnitude, integer sums over 60-sample windows
+// (decimal ties), short decimals nudged by one ulp either way, and
+// values around FormatKey's switch between fixed and exponent form.
+func TestAppendRoundedKeyMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 2))
+	edges := []float64{1e-5, 1e-4, 1e-3, 1, 1e5, 1e6, 1e7, 1e21, 1e-307, 1e308}
+	var c roundedKeyChecker
+	for i := 0; i < 1_000_000; i++ {
+		var x float64
+		switch i % 5 {
+		case 0:
+			x = math.Float64frombits(r.Uint64())
+		case 1:
+			x = (1 + 9*r.Float64()) * math.Pow(10, float64(r.IntN(41)-20))
+		case 2:
+			x = float64(r.IntN(1e9)) / 60
+		case 3:
+			x = float64(r.IntN(1e6)) * math.Pow(10, float64(r.IntN(31)-15))
+			x = math.Nextafter(x, math.Inf(r.IntN(3)-1))
+		case 4:
+			x = edges[r.IntN(len(edges))] * (1 + (r.Float64()-0.5)*1e-3*math.Pow(10, -float64(r.IntN(14))))
+		}
+		if r.IntN(2) == 0 {
+			x = -x
+		}
+		c.check(t, x, r.IntN(19)-1)
+	}
+}
+
+// FuzzAppendRoundedKey checks the kernel against the reference for
+// arbitrary float64 bits and depths -1 through 17.
+func FuzzAppendRoundedKey(f *testing.F) {
+	seeds := []struct {
+		x     float64
+		depth int
+	}{
+		// FormatKey's switches between fixed and exponent form.
+		{9.9995e-5, 4}, {9.9995e-5, 5}, {1e-4, 3}, {999999.5, 6}, {999999.5, 7},
+		{1e6, 2}, {1e21, 1},
+		// Decimal carries into a new leading digit.
+		{9.95, 2}, {9.96, 2}, {99999.95, 6}, {-0.000999996, 5},
+		{math.Copysign(0, -1), 3}, {math.NaN(), 2}, {math.Inf(1), 2}, {math.Inf(-1), 2},
+		{math.MaxFloat64, 15}, {-math.MaxFloat64, 1}, {math.SmallestNonzeroFloat64, 1},
+		{-1.5957498682802589e308, 1}, {1.23467004895728e-320, 6},
+		{1358, -1}, {1358, 17},
+	}
+	for _, s := range seeds {
+		f.Add(math.Float64bits(s.x), s.depth)
+	}
+	f.Fuzz(func(t *testing.T, bits uint64, depth int) {
+		var c roundedKeyChecker
+		// Fold any depth into -1..17, leaving that range as it is.
+		depth = ((depth+1)%19+19)%19 - 1
+		c.check(t, math.Float64frombits(bits), depth)
+	})
 }
