@@ -36,10 +36,14 @@
 // scratch so its Result is independently owned. Training (Fit) extracts
 // raw window means once per execution. Its depth×fold cross-validation
 // grid builds no dictionary per cell: each candidate depth renders every
-// execution's keys once into one key index, which records the
-// applications and folds that produced each key, and scores every fold
-// from it. A worker pool runs over the depths, with deterministic
-// assembly; the final dictionary learns from the same cached means.
+// execution's keys once into one key index, which numbers the distinct
+// keys and records the applications and folds that produced each, and
+// scores every fold from it. Neither the numbering nor the producer
+// order needs a string per key or a comparison sort. A worker pool runs
+// over the depths, with deterministic assembly; the final dictionary
+// learns the keys the chosen depth's index already holds, so no key is
+// rendered twice. Rendering a key is one decimal conversion
+// (stats.AppendRoundedKey).
 package core
 
 import (

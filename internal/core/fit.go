@@ -1,10 +1,10 @@
 package core
 
 import (
-	"cmp"
-	"encoding/binary"
+	"bytes"
 	"fmt"
-	"slices"
+	"hash/maphash"
+	"math/bits"
 	"sort"
 
 	"repro/internal/apps"
@@ -93,7 +93,9 @@ type rawExec struct {
 // extractRaw walks the source once in Extract order and records every
 // available raw window mean.
 func extractRaw(src WindowSource, metrics []string, windows []telemetry.Window, joint bool) rawExec {
-	var re rawExec
+	// Room for every window mean, so the walk never grows the slices.
+	n := src.NodeCount() * len(windows) * len(metrics)
+	re := rawExec{fps: make([]rawFP, 0, n), means: make([]float64, 0, n)}
 	extractRawInto(&re, src, metrics, windows, joint)
 	return re
 }
@@ -192,9 +194,10 @@ func (d *Dictionary) learnRaw(re rawExec, label apps.Label, ks *keySet) {
 // Each execution's raw window means are extracted once per Fit. The
 // cross-validation builds one key index per candidate depth from them
 // and scores every fold from that index, on a worker pool over depths
-// (FitConfig.Workers); the final dictionary learns from the same
-// cached means. The report, the scores and the dictionary equal those
-// of one Dictionary and Recognizer per (depth, fold) cell, and are
+// (FitConfig.Workers); the final dictionary learns the keys the chosen
+// depth's index already rendered, so each key is rendered once per
+// depth. The report, the scores and the dictionary equal those of one
+// Dictionary and Recognizer per (depth, fold) cell, and are
 // byte-identical at every worker count.
 func Fit(train *dataset.Dataset, cfg FitConfig) (*Dictionary, FitReport, error) {
 	if train.Len() == 0 {
@@ -237,13 +240,15 @@ func Fit(train *dataset.Dataset, cfg FitConfig) (*Dictionary, FitReport, error) 
 	}
 	raws := extractAll(train, cfg)
 	best := 0
+	var ix *keyIndex
 	if report.Folds > 0 {
 		kf, err := train.KFold(folds, cfg.Seed)
 		if err != nil {
 			return nil, FitReport{}, err
 		}
+		scores, index := crossValidate(train, raws, dicts, kf, cfg.Workers)
 		bestScore := -1.0
-		for di, score := range crossValidate(train, raws, dicts, kf, cfg.Workers) {
+		for di, score := range scores {
 			report.DepthScores[depths[di]] = score
 			// Strict improvement keeps the tie-break at the earlier
 			// candidate: the smaller (more pruned, more general) depth
@@ -252,14 +257,20 @@ func Fit(train *dataset.Dataset, cfg FitConfig) (*Dictionary, FitReport, error) 
 				bestScore, best = score, di
 			}
 		}
+		ix = index[best]
+	} else {
+		ix = newKeyIndex(dicts[0], raws, new(gridScratch))
 	}
 	report.BestDepth = depths[best]
-	// The chosen depth's dictionary only rendered keys in the grid, so
-	// it is still empty: learn every execution into it, in ID order.
+	// The chosen depth's dictionary only rendered keys, so it is still
+	// empty: learn every execution into it from the keys ix holds.
 	d := dicts[best]
-	var ks keySet
 	for _, i := range idOrder(train) {
-		d.learnRaw(raws[i], train.Executions[i].Label, &ks)
+		label := train.Executions[i].Label
+		for _, k := range ix.id[ix.off[i]:ix.off[i+1]] {
+			ref := ix.keys[k]
+			d.addKeyBytes(ref.bk, ix.buf[ref.off:ref.end], label, 1)
+		}
 	}
 	return d, report, nil
 }
@@ -285,7 +296,8 @@ func CrossValidate(ds *dataset.Dataset, cfg FitConfig) (map[int]float64, error) 
 		return nil, err
 	}
 	out := make(map[int]float64, len(depths))
-	for di, score := range crossValidate(ds, extractAll(ds, cfg), dicts, kf, cfg.Workers) {
+	scores, _ := crossValidate(ds, extractAll(ds, cfg), dicts, kf, cfg.Workers)
+	for di, score := range scores {
 		out[depths[di]] = score
 	}
 	return out, nil
@@ -349,10 +361,10 @@ func idOrder(ds *dataset.Dataset) []int {
 // The scores are those of one Dictionary per (depth, fold) cell,
 // learned in ID order and queried through a Recognizer, but no cell
 // dictionary is built. Each depth renders every execution's keys once
-// (keysFromRaw, so key identity is the Dictionary's), interns them to
-// dense IDs, and records per key the distinct (application, fold)
-// pairs of the executions that produced it. A cell then votes the way
-// its dictionary's Recognizer would:
+// into a keyIndex (keysFromRaw, so key identity is the Dictionary's),
+// and records per key the distinct (application, fold) pairs of the
+// executions that produced it. A cell then votes the way its
+// dictionary's Recognizer would:
 //   - each key of a test execution gives one vote to every distinct
 //     application that produced it outside the fold;
 //   - a tie goes to the application the cell's dictionary interned
@@ -361,50 +373,115 @@ func idOrder(ds *dataset.Dataset) []int {
 //   - an execution none of whose keys was produced outside the fold
 //     is Unknown.
 //
-// Depths run on a pool of workers goroutines; scores[i] belongs to
+// Depths run on a pool of workers goroutines, each scoring a span of
+// depths through one gridScratch; scores[i] and index[i] belong to
 // dicts[i].
-func crossValidate(ds *dataset.Dataset, raws []rawExec, dicts []*Dictionary, folds []dataset.Fold, workers int) []float64 {
+func crossValidate(ds *dataset.Dataset, raws []rawExec, dicts []*Dictionary, folds []dataset.Fold, workers int) (scores []float64, index []*keyIndex) {
 	g := newCVGrid(ds, raws, folds)
-	scores := make([]float64, len(dicts))
-	par.For(len(dicts), workers, func(di int) {
-		scores[di] = g.score(dicts[di])
+	scores = make([]float64, len(dicts))
+	index = make([]*keyIndex, len(dicts))
+	par.Chunks(len(dicts), workers, 1, func(lo, hi int) {
+		var sc gridScratch
+		for di := lo; di < hi; di++ {
+			index[di] = newKeyIndex(dicts[di], raws, &sc)
+			scores[di] = g.score(index[di], &sc)
+		}
 	})
-	return scores
+	return scores, index
 }
 
-// cvGrid is the depth-independent part of the cross-validation: where
-// each execution's keys sit, which fold tests it, its application, and
-// each fold's tie-break order. Depths share it read-only.
+// gridScratch holds the buffers one depth of the grid needs only while
+// it is built and scored, for reuse by the next depth.
+type gridScratch struct {
+	ks         keySet
+	slots      []int32
+	start, end []int32
+	prods      []producer
+	pairs      []eval.Pair
+	votes      []int32
+}
+
+// keyIndex holds one depth's keys of every execution of a training
+// set, numbered so that two keys share an ID exactly when the
+// Dictionary would store them under one entry. Execution i's keys have
+// the IDs id[off[i]:off[i+1]], in extraction order; keys[k] holds key
+// k's bucket and the span of its bytes in buf.
+type keyIndex struct {
+	off  []int32
+	id   []int32
+	keys []keyRef
+	buf  []byte
+}
+
+// newKeyIndex renders the keys of every execution of raws at d's depth
+// (keysFromRaw) and numbers them in order of first appearance.
+func newKeyIndex(d *Dictionary, raws []rawExec, sc *gridScratch) *keyIndex {
+	ix := &keyIndex{off: make([]int32, len(raws)+1)}
+	for i, re := range raws {
+		ix.off[i+1] = ix.off[i] + int32(len(re.fps))
+	}
+	nref := ix.off[len(raws)]
+	ix.id = make([]int32, 0, nref)
+	// An open-addressing table of IDs plus one, at most half full. It
+	// keeps each distinct key's bytes once, in buf, and allocates
+	// nothing per key.
+	lg := bits.Len(uint(2 * nref))
+	sc.slots = grow(sc.slots, 1<<lg)
+	slots, mask := sc.slots, uint64(1<<lg-1)
+	seed := maphash.MakeSeed()
+	ks := &sc.ks
+	for _, re := range raws {
+		d.keysFromRaw(ks, re)
+		for _, ref := range ks.refs {
+			key := ks.buf[ref.off:ref.end]
+			h := maphash.Bytes(seed, key) ^ uint64(ref.bk.metric)<<42 ^ uint64(ref.bk.window)<<21 ^ uint64(ref.bk.node)
+			s := (h * 0x9e3779b97f4a7c15) >> (64 - lg) // the product's top lg bits
+			for slots[s] != 0 {
+				k := ix.keys[slots[s]-1]
+				if k.bk == ref.bk && bytes.Equal(ix.buf[k.off:k.end], key) {
+					break
+				}
+				s = (s + 1) & mask
+			}
+			if slots[s] == 0 {
+				slots[s] = int32(len(ix.keys)) + 1
+				ix.keys = append(ix.keys, keyRef{bk: ref.bk, off: int32(len(ix.buf)), end: int32(len(ix.buf) + len(key))})
+				ix.buf = append(ix.buf, key...)
+			}
+			ix.id = append(ix.id, slots[s]-1)
+		}
+	}
+	return ix
+}
+
+// cvGrid is the depth-independent part of the cross-validation: which
+// fold tests each execution, its application, and each fold's
+// tie-break order. Depths share it read-only.
 type cvGrid struct {
-	raws  []rawExec
 	folds []dataset.Fold
-	// refOff[i]:refOff[i+1] spans execution i's keys in the per-depth
-	// key slice. The key count of an execution does not depend on the
-	// depth.
-	refOff []int32
-	fold   []int32 // the fold whose Test holds each execution
-	app    []int32 // each execution's application ID
-	apps   []string
+	fold  []int32 // the fold whose Test holds each execution
+	app   []int32 // each execution's application ID
+	apps  []string
+	// byAppFold lists the executions by (application, fold), stably:
+	// the first of the two counting passes that order each key's
+	// producers.
+	byAppFold []int32
 	// rank[f][a] is the order in which fold f's dictionary would
 	// intern application a; the Recognizer breaks ties in that order.
 	rank [][]int32
 }
 
 // producer records that an execution of application app, tested in
-// fold, produced key; per depth the sorted, deduplicated producers
-// index each key.
-type producer struct{ key, app, fold int32 }
+// fold, produced a key; per depth each key's distinct producers are
+// sorted by application, then fold.
+type producer struct{ app, fold int32 }
 
 func newCVGrid(ds *dataset.Dataset, raws []rawExec, folds []dataset.Fold) *cvGrid {
 	n := ds.Len()
 	g := &cvGrid{
-		raws: raws, folds: folds,
-		refOff: make([]int32, n+1),
-		fold:   make([]int32, n),
-		app:    make([]int32, n),
-	}
-	for i, re := range raws {
-		g.refOff[i+1] = g.refOff[i] + int32(len(re.fps))
+		folds: folds,
+		fold:  make([]int32, n),
+		app:   make([]int32, n),
 	}
 	for f, fold := range folds {
 		for _, i := range fold.Test {
@@ -420,6 +497,21 @@ func newCVGrid(ds *dataset.Dataset, raws []rawExec, folds []dataset.Fold) *cvGri
 			g.apps = append(g.apps, e.Label.App)
 		}
 		g.app[i] = id
+	}
+	// Counting sort by (application, fold).
+	nf := int32(len(folds))
+	next := make([]int32, int32(len(g.apps))*nf+1)
+	for i := range n {
+		next[g.app[i]*nf+g.fold[i]+1]++
+	}
+	for c := 1; c < len(next); c++ {
+		next[c] += next[c-1]
+	}
+	g.byAppFold = make([]int32, n)
+	for i := range n {
+		c := g.app[i]*nf + g.fold[i]
+		g.byAppFold[next[c]] = int32(i)
+		next[c]++
 	}
 	order := idOrder(ds)
 	g.rank = make([][]int32, len(folds))
@@ -443,62 +535,46 @@ func newCVGrid(ds *dataset.Dataset, raws []rawExec, folds []dataset.Fold) *cvGri
 	return g
 }
 
-// score builds d's depth's key index and returns the pooled macro F1 of
-// every fold's test executions recognized from it.
-func (g *cvGrid) score(d *Dictionary) float64 {
-	nref := g.refOff[len(g.raws)]
-	// Intern every key: bucket coordinates plus canonical bytes, so two
-	// keys share an ID exactly when the Dictionary would store them
-	// under one entry.
-	ids := make(map[string]int32, nref)
-	keys := make([]int32, nref)
-	var ks keySet
-	var kb []byte
-	for i, re := range g.raws {
-		d.keysFromRaw(&ks, re)
-		for r, ref := range ks.refs {
-			kb = binary.LittleEndian.AppendUint32(kb[:0], uint32(ref.bk.metric))
-			kb = binary.LittleEndian.AppendUint32(kb, uint32(ref.bk.window))
-			kb = binary.LittleEndian.AppendUint32(kb, uint32(ref.bk.node))
-			kb = append(kb, ks.buf[ref.off:ref.end]...)
-			id, ok := ids[string(kb)]
-			if !ok {
-				id = int32(len(ids))
-				ids[string(kb)] = id
-			}
-			keys[g.refOff[i]+int32(r)] = id
-		}
+// score returns the pooled macro F1 of every fold's test executions
+// recognized from ix.
+func (g *cvGrid) score(ix *keyIndex, sc *gridScratch) float64 {
+	// The producers of key k are prods[start[k]:end[k]]: distinct
+	// (application, fold) pairs, sorted by application, then fold. The
+	// second counting pass scatters the executions' keys, taken in
+	// (application, fold) order, to their key's slots; a pair equal to
+	// the key's last one is a duplicate and is dropped.
+	n := len(ix.keys)
+	sc.start = grow(sc.start, n+1)
+	start := sc.start
+	for _, k := range ix.id {
+		start[k+1]++
 	}
-	// The producers of key k are prods[start[k]:start[k+1]]: distinct
-	// (application, fold) pairs, sorted by application.
-	prods := make([]producer, nref)
-	for i := range g.raws {
-		for r := g.refOff[i]; r < g.refOff[i+1]; r++ {
-			prods[r] = producer{key: keys[r], app: g.app[i], fold: g.fold[i]}
-		}
-	}
-	slices.SortFunc(prods, func(a, b producer) int {
-		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.app, b.app), cmp.Compare(a.fold, b.fold))
-	})
-	prods = slices.Compact(prods)
-	start := make([]int32, len(ids)+1)
-	for _, p := range prods {
-		start[p.key+1]++
-	}
-	for k := range len(ids) {
+	for k := range n {
 		start[k+1] += start[k]
 	}
+	sc.end = append(sc.end[:0], start[:n]...)
+	sc.prods = grow(sc.prods, len(ix.id))
+	end, prods := sc.end, sc.prods
+	for _, i := range g.byAppFold {
+		p := producer{app: g.app[i], fold: g.fold[i]}
+		for _, k := range ix.id[ix.off[i]:ix.off[i+1]] {
+			if e := end[k]; e == start[k] || prods[e-1] != p {
+				prods[e] = p
+				end[k] = e + 1
+			}
+		}
+	}
 
-	pairs := make([]eval.Pair, 0, len(g.raws))
-	votes := make([]int32, len(g.apps))
+	sc.votes = grow(sc.votes, len(g.apps))
+	pairs, votes := sc.pairs[:0], sc.votes
 	for f, fold := range g.folds {
 		rank := g.rank[f]
 		for _, i := range fold.Test {
 			clear(votes)
 			matched := false
-			for _, k := range keys[g.refOff[i]:g.refOff[i+1]] {
+			for _, k := range ix.id[ix.off[i]:ix.off[i+1]] {
 				last := int32(-1)
-				for _, p := range prods[start[k]:start[k+1]] {
+				for _, p := range prods[start[k]:end[k]] {
 					if p.fold != int32(f) && p.app != last {
 						votes[p.app]++
 						last, matched = p.app, true
@@ -518,6 +594,7 @@ func (g *cvGrid) score(d *Dictionary) float64 {
 			pairs = append(pairs, eval.Pair{Truth: g.apps[g.app[i]], Pred: pred})
 		}
 	}
+	sc.pairs = pairs
 	return eval.F1Macro(pairs)
 }
 

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/apps"
 	"repro/internal/dataset"
@@ -225,6 +226,70 @@ func TestFitEmptyDepths(t *testing.T) {
 	}
 	if _, err := CrossValidate(ds, cfg); err == nil {
 		t.Error("CrossValidate with empty Depths succeeded")
+	}
+}
+
+// TestKeyIndexNumbering holds newKeyIndex to a map numbering: two keys
+// share an ID exactly when their buckets and bytes are equal, and IDs
+// count up in order of first appearance. Every node of every execution
+// has one of two means, so each key's bytes recur in dozens of
+// buckets, and a probe that matched bytes alone would merge keys
+// across nodes.
+func TestKeyIndexNumbering(t *testing.T) {
+	for _, joint := range []bool{false, true} {
+		cfg := Config{
+			Metrics: []string{apps.HeadlineMetric, "Active_meminfo"},
+			Windows: []telemetry.Window{telemetry.PaperWindow, {Start: 0, End: 60 * time.Second}},
+			Depth:   3, Joint: joint,
+		}
+		d, err := NewDictionary(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var raws []rawExec
+		for e := 0; e < 5; e++ {
+			src := mapSource{nodes: 24, means: make(map[string]float64)}
+			for node := range src.nodes {
+				for _, m := range cfg.Metrics {
+					for _, w := range cfg.Windows {
+						src.means[key(m, node, w)] = float64(6000 + 500*((e+node)%2))
+					}
+				}
+			}
+			raws = append(raws, extractRaw(src, cfg.Metrics, cfg.Windows, joint))
+		}
+		ix := newKeyIndex(d, raws, new(gridScratch))
+		type identity struct {
+			bk  bucketKey
+			key string
+		}
+		want := make(map[identity]int32)
+		var ks keySet
+		r := 0
+		for i, re := range raws {
+			d.keysFromRaw(&ks, re)
+			if got := int(ix.off[i+1] - ix.off[i]); got != len(ks.refs) {
+				t.Fatalf("joint=%v: execution %d spans %d keys, want %d", joint, i, got, len(ks.refs))
+			}
+			for _, ref := range ks.refs {
+				k := identity{ref.bk, string(ks.buf[ref.off:ref.end])}
+				id, ok := want[k]
+				if !ok {
+					id = int32(len(want))
+					want[k] = id
+				}
+				if ix.id[r] != id {
+					t.Fatalf("joint=%v: key %d (%+v) has ID %d, want %d", joint, r, k, ix.id[r], id)
+				}
+				if got := ix.keys[id]; got.bk != ref.bk || string(ix.buf[got.off:got.end]) != k.key {
+					t.Fatalf("joint=%v: ID %d holds %+v %q, want %+v", joint, id, got.bk, ix.buf[got.off:got.end], k)
+				}
+				r++
+			}
+		}
+		if r != len(ix.id) || len(ix.keys) != len(want) {
+			t.Errorf("joint=%v: %d refs and %d keys, want %d and %d", joint, len(ix.id), len(ix.keys), r, len(want))
+		}
 	}
 }
 

@@ -181,14 +181,12 @@ func (r *Recognizer) RecognizeWeighted(src WindowSource) Result {
 // grow returns s resized to n elements, all zero, reusing capacity.
 //
 //efd:hotpath
-func grow(s []int32, n int) []int32 {
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
+	clear(s)
 	return s
 }
 
