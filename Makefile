@@ -38,15 +38,18 @@
 #                    of check): /metrics text must stay byte-stable
 #   make bench-compare - benchstat (or a plain-awk fallback) over the
 #                    two most recent BENCH_<rev>.txt files
-#   make vet       - static analysis only (the stock go vet pass)
+#   make vet       - static analysis only (the stock go vet pass, also
+#                    over perfbench, its own module, which go build
+#                    ./... skips)
 #   make lint      - the repo's own analyzers: efdvet (internal/
 #                    analysis, documented in LINTS.md) enforcing the
 #                    vfs seam, the off-lock group-commit rule, the
 #                    transitive hot-path allocation contract (call-
 #                    graph propagation from //efd:hotpath roots),
 #                    whole-module atomic-field discipline, the locked
-#                    public API surface, errors.Is on sentinels, and
-#                    no process exits in libraries; the driver prints
+#                    public API surface, errors.Is on sentinels, no
+#                    process exits in libraries, and no function that
+#                    no binary reaches (deadcode); the driver prints
 #                    the call-graph build cost to stderr so analysis
 #                    regressions show in CI logs; exit 2 means the
 #                    tree failed to typecheck and the analyzers
@@ -85,6 +88,7 @@ test-race:
 
 vet:
 	$(GO) vet ./...
+	$(GO) -C perfbench vet ./...
 
 lint:
 	$(GO) run ./cmd/efdvet ./...

@@ -351,22 +351,6 @@ func BenchmarkMicroRecognizeWarmed(b *testing.B) {
 	}
 }
 
-// BenchmarkMicroExtractInto times public fingerprint extraction with a
-// reused destination slice.
-func BenchmarkMicroExtractInto(b *testing.B) {
-	ds := benchDataset(b)
-	cfg := core.DefaultConfig(3)
-	var fps []core.Fingerprint
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fps = core.ExtractInto(fps[:0], core.Source(ds.Executions[i%ds.Len()]), cfg)
-		if len(fps) == 0 {
-			b.Fatal("no fingerprints")
-		}
-	}
-}
-
 // BenchmarkFitSequential and BenchmarkFitParallel compare Fit at one
 // worker versus GOMAXPROCS workers. The pool runs over candidate
 // depths, each building one key index and scoring every fold from it;
@@ -536,7 +520,7 @@ func runServerThroughput(b *testing.B, h http.Handler, nJobs int) {
 // against BenchmarkServerThroughputSerialized (the seed's single
 // global mutex) at the same -cpu to see the concurrency win.
 func BenchmarkServerThroughput(b *testing.B) {
-	s := server.New(benchServerDictionary(b))
+	s := server.NewEngine(monitor.New(benchServerDictionary(b)))
 	b.ReportAllocs()
 	runServerThroughput(b, s.Handler(), 64)
 }
@@ -611,16 +595,9 @@ func BenchmarkServerThroughputSerialized(b *testing.B) {
 
 // --- PR 3: columnar telemetry + prefix-sum windows + byte ingest ----
 
-// benchRampSource is a deterministic ValueSource for the ingest
-// benchmarks.
-type benchRampSource struct{}
-
-func (benchRampSource) Value(metric string, node int, t time.Duration) float64 {
-	return float64(len(metric)*1000+node*100) + t.Seconds()*1.25
-}
-
-// benchNodeCSVOnce renders the shared ingest fixture: one node of a
-// ten-minute execution with a 50-metric set at 1 Hz.
+// benchNodeCSV renders the shared ingest fixture: one node of a
+// ten-minute execution with a 50-metric set at 1 Hz, each value a
+// deterministic ramp of metric, node and time.
 var (
 	benchCSVOnce sync.Once
 	benchCSV     []byte
@@ -629,21 +606,15 @@ var (
 func benchNodeCSV(b *testing.B) []byte {
 	b.Helper()
 	benchCSVOnce.Do(func() {
-		metrics := make([]string, 50)
-		for i := range metrics {
-			metrics[i] = "metric_" + string(rune('a'+i/26)) + string(rune('a'+i%26))
-		}
-		s, err := ldms.NewSampler("bench", metrics)
-		if err != nil {
-			panic(err)
-		}
-		c, err := ldms.NewCollector([]ldms.Sampler{s}, time.Second)
-		if err != nil {
-			panic(err)
-		}
-		ns, err := c.Collect(benchRampSource{}, 1, 599*time.Second)
-		if err != nil {
-			panic(err)
+		ns := telemetry.NewNodeSet()
+		for i := 0; i < 50; i++ {
+			metric := "metric_" + string(rune('a'+i/26)) + string(rune('a'+i%26))
+			s := telemetry.NewSeries(metric, 0, 600)
+			for tick := 0; tick < 600; tick++ {
+				at := time.Duration(tick) * time.Second
+				s.Append(at, float64(len(metric)*1000)+at.Seconds()*1.25)
+			}
+			ns.Put(s)
 		}
 		var buf bytes.Buffer
 		if err := ldms.WriteNodeCSV(&buf, ns, 0); err != nil {
@@ -824,16 +795,41 @@ func tsdbBenchNodeSet(series, n int) *telemetry.NodeSet {
 	return ns
 }
 
+// tsdbBenchFinish lands ns in the store as a finished, not yet
+// flushed execution through the production write path: Register,
+// AppendRuns and Finish.
+func tsdbBenchFinish(b *testing.B, st *tsdb.Store, job string, ns *telemetry.NodeSet) {
+	b.Helper()
+	nodes := ns.Nodes()
+	if err := st.Register(job, len(nodes)); err != nil {
+		b.Fatal(err)
+	}
+	err := st.AppendRuns(job, len(nodes), func(i int) (string, int, []time.Duration, []float64) {
+		s := ns.Get(nodes[i], "m")
+		return s.Metric, s.Node, s.AppendOffsets(nil), s.ValuesView()
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := st.Finish(job, ""); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkTSDBSegmentFlush measures flushing one finished execution
 // (4 series × 4096 samples) into an immutable segment: columnar
-// write, per-block CRCs, footer, mmap open, WAL compaction.
+// write, per-block CRCs, footer, mmap open, WAL compaction. Landing
+// the execution in the WAL beforehand is untimed.
 func BenchmarkTSDBSegmentFlush(b *testing.B) {
 	st := tsdbBenchStore(b)
 	ns := tsdbBenchNodeSet(4, 4096)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := st.IngestExecution(fmt.Sprintf("e%d", i), "", ns); err != nil {
+		b.StopTimer()
+		tsdbBenchFinish(b, st, fmt.Sprintf("e%d", i), ns)
+		b.StartTimer()
+		if err := st.Flush(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -845,7 +841,8 @@ func BenchmarkTSDBSegmentFlush(b *testing.B) {
 // answering one window mean per series.
 func BenchmarkTSDBMmapRead(b *testing.B) {
 	st := tsdbBenchStore(b)
-	if err := st.IngestExecution("e", "", tsdbBenchNodeSet(4, 4096)); err != nil {
+	tsdbBenchFinish(b, st, "e", tsdbBenchNodeSet(4, 4096))
+	if err := st.Flush(); err != nil {
 		b.Fatal(err)
 	}
 	w := telemetry.Window{Start: 60 * time.Second, End: 120 * time.Second}
@@ -921,7 +918,7 @@ func benchClientRuns(iter int) []monitor.RunBatch {
 // least 2x below BenchmarkClientIngestJSON in allocs/op (pinned by
 // TestClientIngestAllocRatio in efd/client).
 func runClientIngest(b *testing.B, mode client.BinaryMode) {
-	srv := server.New(benchServerDictionary(b))
+	srv := server.NewEngine(monitor.New(benchServerDictionary(b)))
 	ts := httptest.NewServer(srv.Handler())
 	b.Cleanup(ts.Close)
 	c := client.New(ts.URL, client.WithBinaryIngest(mode))

@@ -287,7 +287,7 @@ func TestLockedDataDir(t *testing.T) {
 	dictPath := writeTestDict(t, dir)
 	dataDir := filepath.Join(dir, "store")
 
-	st, err := tsdb.Open(dataDir)
+	st, err := tsdb.OpenOptions(dataDir, tsdb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,8 @@ func runIn(t *testing.T, dir string, args ...string) (int, string) {
 
 func TestCleanTreeExitsZero(t *testing.T) {
 	dir := writeModule(t, map[string]string{
-		"a/a.go": "package a\n\n// Add adds.\nfunc Add(x, y int) int { return x + y }\n",
+		"a/a.go":        "package a\n\n// Add adds.\nfunc Add(x, y int) int { return x + y }\n",
+		"cmd/m/main.go": "package main\n\nimport \"fixturedriver/a\"\n\nfunc main() { println(a.Add(1, 2)) }\n",
 	})
 	code, out := runIn(t, dir)
 	if code != exitClean {
@@ -150,7 +151,7 @@ func TestListIncludesInterproceduralRules(t *testing.T) {
 	if code != exitClean {
 		t.Fatalf("-list exit = %d\n%s", code, out)
 	}
-	for _, rule := range []string{"hotpath", "atomicfield", "apilock"} {
+	for _, rule := range []string{"hotpath", "atomicfield", "apilock", "deadcode"} {
 		if !strings.Contains(out, rule) {
 			t.Errorf("-list missing %q:\n%s", rule, out)
 		}

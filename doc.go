@@ -20,8 +20,8 @@
 // columns, regular 1 Hz series keep their offsets implicit in the
 // index, and Seal builds a double-double prefix sum of the values (Σx)
 // that answers any window's mean in O(1)/O(log n) regardless of window
-// length — Summarize, metric sweeps and aligned recognition amortize
-// to one pass per series. The durable store's memtable holds the same
+// length — Summarize and metric sweeps amortize to one pass per
+// series. The durable store's memtable holds the same
 // telemetry.Series.
 // LDMS CSV ingest is byte-oriented (bufio line walking, in-place field
 // splits, zero-copy float parsing, bulk columnar series construction),

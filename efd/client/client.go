@@ -306,12 +306,6 @@ type transportErr struct{ err error }
 func (e *transportErr) Error() string { return e.err.Error() }
 func (e *transportErr) Unwrap() error { return e.err }
 
-// do performs one request with affinity "" (fleet-level, no home
-// endpoint preference beyond the deterministic default).
-func (c *Client) do(ctx context.Context, method, path, contentType string, body []byte, out any, idempotent bool) error {
-	return c.doRouted(ctx, method, path, contentType, body, out, idempotent, "")
-}
-
 // doRouted performs one request with retries and failover. body is
 // re-sent from the byte slice on every attempt; idempotent requests
 // retry on connection errors and 5xx, non-idempotent ones never retry

@@ -48,7 +48,7 @@ func trainedDict(t testing.TB) *core.Dictionary {
 
 func newFixture(t testing.TB, opts ...Option) (*server.Server, *Client) {
 	t.Helper()
-	srv := server.New(trainedDict(t))
+	srv := server.NewEngine(monitor.New(trainedDict(t)))
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, New(ts.URL, opts...)

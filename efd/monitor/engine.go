@@ -742,9 +742,9 @@ func (jb *Job) ingest(verr error, feed func() (int, bool, error)) (int, error) {
 	return n, err
 }
 
-// Result answers with the job's current recognition state —
-// provisional until State.Complete, final (identical to offline
-// recognition of the same telemetry) afterwards.
+// Result answers with the job's current recognition state, provisional
+// until State.Complete; even then it can differ from offline recognition
+// of the same telemetry at rounding ties (ROADMAP.md, open item 1).
 func (jb *Job) Result() (State, error) {
 	jb.j.mu.Lock()
 	if jb.j.done {

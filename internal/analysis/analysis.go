@@ -71,6 +71,7 @@ var All = []*Analyzer{
 	APILock,
 	ErrIs,
 	NoExit,
+	DeadCode,
 }
 
 // Run executes the analyzers over one loaded package and returns the
@@ -79,7 +80,7 @@ var All = []*Analyzer{
 // transitive rules see only its own edges. Multi-package runs (the
 // driver, the dogfood gate) build one Module and use Module.Run so
 // cross-package chains resolve and shared indexes build once.
-func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
+func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic { //efdvet:ignore deadcode test support: analysistest and the internal/analysis fixture tests
 	return NewModule([]*Package{pkg}).Run(pkg, analyzers)
 }
 

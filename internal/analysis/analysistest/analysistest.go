@@ -33,7 +33,7 @@ var quotedRe = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
 // analyzers, and fails t unless the diagnostics and the fixture's
 // `// want` comments match one-to-one. The raw diagnostics are
 // returned for any further assertions.
-func Run(t *testing.T, dir, importPath string, analyzers ...*analysis.Analyzer) []analysis.Diagnostic {
+func Run(t *testing.T, dir, importPath string, analyzers ...*analysis.Analyzer) []analysis.Diagnostic { //efdvet:ignore deadcode test support: the internal/analysis fixture tests
 	t.Helper()
 	pkg, diags := Diagnostics(t, dir, importPath, analyzers...)
 	wants := collectWants(t, pkg)
@@ -53,7 +53,7 @@ func Run(t *testing.T, dir, importPath string, analyzers ...*analysis.Analyzer) 
 // Diagnostics loads the fixture and runs the analyzers without
 // checking want comments — for asserting an analyzer stays silent
 // (scope tests, package-main exemptions).
-func Diagnostics(t *testing.T, dir, importPath string, analyzers ...*analysis.Analyzer) (*analysis.Package, []analysis.Diagnostic) {
+func Diagnostics(t *testing.T, dir, importPath string, analyzers ...*analysis.Analyzer) (*analysis.Package, []analysis.Diagnostic) { //efdvet:ignore deadcode test support: the internal/analysis fixture tests
 	t.Helper()
 	loader, err := analysis.NewLoader(dir)
 	if err != nil {
@@ -75,7 +75,7 @@ type want struct {
 }
 
 // collectWants extracts every expectation comment in the package.
-func collectWants(t *testing.T, pkg *analysis.Package) []*want {
+func collectWants(t *testing.T, pkg *analysis.Package) []*want { //efdvet:ignore deadcode test support: want matching of analysistest.Run
 	t.Helper()
 	var wants []*want
 	for _, f := range pkg.Files {
@@ -110,7 +110,7 @@ func collectWants(t *testing.T, pkg *analysis.Package) []*want {
 	return wants
 }
 
-func unquote(tok string) (string, error) {
+func unquote(tok string) (string, error) { //efdvet:ignore deadcode test support: want matching of analysistest.Run
 	if strings.HasPrefix(tok, "`") {
 		return strings.Trim(tok, "`"), nil
 	}
@@ -119,7 +119,7 @@ func unquote(tok string) (string, error) {
 
 // claim marks the first unused want on the diagnostic's line whose
 // regexp matches the message.
-func claim(wants []*want, d analysis.Diagnostic) bool {
+func claim(wants []*want, d analysis.Diagnostic) bool { //efdvet:ignore deadcode test support: want matching of analysistest.Run
 	for _, w := range wants {
 		if w.used || w.file != d.File || w.line != d.Line {
 			continue

@@ -122,6 +122,32 @@ func TestHotPathHorizon(t *testing.T) {
 	}
 }
 
+// TestDeadCode: every root and edge kind keeps its function live, a
+// helper only a dead function calls is flagged with it, and the
+// suppression on kept drops that finding without going stale.
+func TestDeadCode(t *testing.T) {
+	diags := analysistest.Run(t, fixture("deadcode"), "fixture/deadcode", analysis.DeadCode)
+	pkg, _ := analysistest.Diagnostics(t, fixture("deadcode"), "fixture/deadcode", analysis.DeadCode)
+	var survivors []string
+	for _, d := range analysis.Suppress(pkg, diags) {
+		survivors = append(survivors, d.Rule+": "+d.Message)
+	}
+	if len(survivors) != 2 || !strings.Contains(survivors[0], "orphan is dead") ||
+		!strings.Contains(survivors[1], "orphanHelper is dead") {
+		t.Fatalf("after suppression want exactly the orphan pair, got:\n%s", strings.Join(survivors, "\n"))
+	}
+}
+
+// TestDeadCodeNeedsMain: a load without a package main has no roots
+// to judge from, so the rule stays silent on a library fixture rather
+// than reporting every function in it.
+func TestDeadCodeNeedsMain(t *testing.T) {
+	_, diags := analysistest.Diagnostics(t, fixture("callgraph"), "fixture/callgraph", analysis.DeadCode)
+	if len(diags) != 0 {
+		t.Fatalf("deadcode fired on a load without package main: %v", diags)
+	}
+}
+
 func TestAtomicField(t *testing.T) {
 	diags := analysistest.Run(t, fixture("atomicfield"), "fixture/atomicfield", analysis.AtomicField)
 	if len(diags) == 0 {

@@ -12,7 +12,8 @@ import (
 
 // Module is the shared state of one efdvet run: every loaded target
 // package plus the lazily built module-wide indexes (the call graph,
-// the atomic-field access index, the transitive hot-path findings).
+// the atomic-field access index, the transitive hot-path findings, the
+// unreachable functions).
 // The driver builds one Module and routes every package's pass through
 // it, so the expensive constructions happen exactly once per run no
 // matter how many analyzers consume them.
@@ -27,6 +28,9 @@ type Module struct {
 
 	atomicOnce sync.Once
 	atomic     []ownedDiag
+
+	deadOnce sync.Once
+	dead     []ownedDiag
 }
 
 // NewModule groups loaded packages into one analysis unit. Transitive

@@ -1,6 +1,6 @@
 // Package analysis hosts efdvet, the repo's custom static-analysis
 // suite: a stdlib-only framework (go/parser + go/ast + go/types over
-// a from-source importer, zero module dependencies) plus the seven
+// a from-source importer, zero module dependencies) plus the eight
 // analyzers that mechanically enforce invariants earlier PRs paid for
 // in benchmarks and crash tests:
 //
@@ -31,6 +31,11 @@
 //	               io.EOF from a direct Reader.Read
 //	noexit         library packages never terminate or panic on
 //	               error values; only cmd/* may (PR 5 embeddability)
+//	deadcode       every function is reachable through the call graph
+//	               from a main, an init, a package-level declaration,
+//	               the pinned public API or a method the standard
+//	               library calls; test support carries a suppression
+//	               naming its tests
 //
 // Since PR 10 the engine is interprocedural: one run builds a
 // type-resolved module-wide call graph (callgraph.go — static calls

@@ -25,6 +25,15 @@ func TestTreeClean(t *testing.T) {
 	if len(pkgs) < 10 {
 		t.Fatalf("loaded only %d packages — pattern expansion is broken", len(pkgs))
 	}
+	// perfbench is a module of its own, so go build ./... skips it, yet
+	// its main is the only root of functions deadcode must keep.
+	perfbench := false
+	for _, pkg := range pkgs {
+		perfbench = perfbench || pkg.Path == "repro/perfbench"
+	}
+	if !perfbench {
+		t.Fatal("repro/perfbench is not among the loaded packages — deadcode would lose its main as a root")
+	}
 	// One shared Module, exactly as the driver builds it: transitive
 	// rules must see cross-package call chains, and the call graph
 	// must be constructed once for the whole run.

@@ -201,9 +201,9 @@ func (h *hotWalker) call(x *ast.CallExpr) {
 		// safe; registration, exposition, and tracing helpers are
 		// construction/scrape-time API.
 		switch fn.Name() {
-		case "Add", "Inc", "Set", "Observe", "Value", "Count", "Sum":
+		case "Add", "Observe", "Value", "Count", "Sum":
 		default:
-			h.reportf(x.Pos(), "obs.%s in a hot path allocates: only the instrument fast paths (Add, Inc, Set, Observe) are hot-path safe", fn.Name())
+			h.reportf(x.Pos(), "obs.%s in a hot path allocates: only the instrument fast paths (Add, Observe) are hot-path safe", fn.Name())
 		}
 	}
 }

@@ -135,7 +135,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 // LoadDir typechecks a single directory under an explicit import path
 // — the fixture-package entry point, where the path the analyzers see
 // (e.g. a synthetic ".../internal/tsdb/...") is part of the test.
-func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
+func (l *Loader) LoadDir(dir, importPath string) (*Package, error) { //efdvet:ignore deadcode test support: analysistest and the apilock and callgraph fixture tests
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, &LoadError{Pattern: dir, Err: err}

@@ -163,16 +163,6 @@ func MetricNames() []string {
 	return out
 }
 
-// LookupMetric returns the definition of the named metric.
-func LookupMetric(name string) (MetricDef, bool) {
-	for _, m := range catalog {
-		if m.Name == name {
-			return m, true
-		}
-	}
-	return MetricDef{}, false
-}
-
 // HeadlineMetric is the single metric the paper's headline result uses.
 const HeadlineMetric = "nr_mapped_vmstat"
 

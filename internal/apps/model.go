@@ -393,18 +393,6 @@ func (e *Execution) Ideal(metricIndex, node int, t time.Duration) float64 {
 	return v
 }
 
-// Labels enumerates every (application, input) pair of the dataset in
-// deterministic order — the 37 label combinations of Table 2.
-func Labels() []Label {
-	var out []Label
-	for _, s := range specs {
-		for _, in := range s.Inputs {
-			out = append(out, Label{App: s.Name, Input: in})
-		}
-	}
-	return out
-}
-
 // Label identifies an (application, input size) pair, e.g. {ft, X}. Its
 // string form "ft_X" matches the value format of Table 4.
 type Label struct {

@@ -84,9 +84,6 @@ func New(cfg Config) (*Simulator, error) {
 	return s, nil
 }
 
-// Config returns the simulator configuration.
-func (s *Simulator) Config() Config { return s.cfg }
-
 // Run instantiates one execution of the application with the given
 // input and collects its telemetry. All randomness is drawn from rng.
 func (s *Simulator) Run(spec apps.Spec, in apps.Input, rng *rand.Rand) (*telemetry.NodeSet, *apps.Execution, error) {
@@ -132,14 +129,4 @@ func (s *Simulator) Collect(exec *apps.Execution, rng *rand.Rand) *telemetry.Nod
 		}
 	}
 	return ns
-}
-
-// MetricNames returns the names of the metrics this simulator collects,
-// in catalog order.
-func (s *Simulator) MetricNames() []string {
-	out := make([]string, len(s.metricIndexes))
-	for i, mi := range s.metricIndexes {
-		out[i] = apps.Metrics()[mi].Name
-	}
-	return out
 }

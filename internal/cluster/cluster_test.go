@@ -13,7 +13,7 @@ import (
 
 func quietSim(t *testing.T, nodes int, metrics []string) *Simulator {
 	t.Helper()
-	s, err := New(Config{Nodes: nodes, Noise: noise.QuietProfile(), Metrics: metrics})
+	s, err := New(Config{Nodes: nodes, Noise: noise.Profile{Jitter: 0.0005, InitAmplitude: 0.3, InitSettle: 10 * time.Second}, Metrics: metrics})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,12 +34,12 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(s.MetricNames()); got != len(apps.Metrics()) {
+	if got := len(s.metricIndexes); got != len(apps.Metrics()) {
 		t.Errorf("default selection = %d metrics, want full catalog %d",
 			got, len(apps.Metrics()))
 	}
-	if s.Config().Period != telemetry.DefaultPeriod {
-		t.Errorf("default period = %v", s.Config().Period)
+	if s.cfg.Period != telemetry.DefaultPeriod {
+		t.Errorf("default period = %v", s.cfg.Period)
 	}
 }
 
@@ -51,8 +51,18 @@ func TestRunProducesCompleteTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ns.Validate(); err != nil {
-		t.Fatalf("telemetry invalid: %v", err)
+	for _, node := range ns.Nodes() {
+		for _, m := range ns.Metrics() {
+			s := ns.Get(node, m)
+			if s == nil || !s.Sorted() {
+				t.Fatalf("node %d %s: series missing or unsorted", node, m)
+			}
+			for _, v := range s.ValuesView() {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("node %d %s: non-finite value %v", node, m, v)
+				}
+			}
+		}
 	}
 	if got := ns.Nodes(); len(got) != 3 {
 		t.Fatalf("nodes = %v", got)

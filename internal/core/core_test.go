@@ -1,6 +1,7 @@
 package core
 
 import (
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -37,7 +38,9 @@ func srcWith(nodes int, metric string, values ...float64) mapSource {
 }
 
 func TestFingerprintString(t *testing.T) {
-	fp := NewFingerprint("nr_mapped_vmstat", 0, telemetry.PaperWindow, 6012.7, 2)
+	d, _ := NewDictionary(paperCfg(2))
+	d.Learn(srcWith(1, apps.HeadlineMetric, 6012.7), apps.Label{App: "ft", Input: apps.InputX})
+	fp := d.Entries()[0].Key
 	want := "[nr_mapped_vmstat, 0, [60:120], 6000]"
 	if fp.String() != want {
 		t.Errorf("String = %q, want %q", fp.String(), want)
@@ -68,19 +71,21 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestExtract(t *testing.T) {
-	src := srcWith(4, apps.HeadlineMetric, 6012, 6049, 5988, 6031)
-	fps := Extract(src, paperCfg(2))
-	if len(fps) != 4 {
-		t.Fatalf("Extract returned %d fingerprints, want 4", len(fps))
+	d, _ := NewDictionary(paperCfg(2))
+	d.Learn(srcWith(4, apps.HeadlineMetric, 6012, 6049, 5988, 6031), apps.Label{App: "ft", Input: apps.InputX})
+	es := d.Entries()
+	if len(es) != 4 {
+		t.Fatalf("learned %d fingerprints, want 4", len(es))
 	}
-	for _, fp := range fps {
-		if fp.Mean() != 6000 {
-			t.Errorf("node %d mean = %v, want 6000", fp.Node, fp.Mean())
+	for _, e := range es {
+		if e.Key.Mean() != 6000 {
+			t.Errorf("node %d mean = %v, want 6000", e.Key.Node, e.Key.Mean())
 		}
 	}
 	// Nodes without data contribute nothing.
-	src2 := srcWith(4, apps.HeadlineMetric, 6012, 6049)
-	if got := len(Extract(src2, paperCfg(2))); got != 2 {
+	d2, _ := NewDictionary(paperCfg(2))
+	d2.Learn(srcWith(4, apps.HeadlineMetric, 6012, 6049), apps.Label{App: "ft", Input: apps.InputX})
+	if got := d2.Len(); got != 2 {
 		t.Errorf("partial source: %d fingerprints, want 2", got)
 	}
 }
@@ -179,8 +184,10 @@ func TestInputsAggregation(t *testing.T) {
 		t.Fatal("should recognize ft")
 	}
 	// All three input labels share the keys.
-	if len(res.Inputs()) != 3 {
-		t.Errorf("Inputs = %v", res.Inputs())
+	for _, e := range d.Entries() {
+		if len(e.Labels) != 3 {
+			t.Errorf("entry %v labels = %v, want all three inputs", e.Key, e.Labels)
+		}
 	}
 	// One vote per matched key per app, not per label.
 	if res.VotesFor("ft") != 2 {
@@ -210,10 +217,10 @@ func TestAddIdempotent(t *testing.T) {
 	d, _ := NewDictionary(paperCfg(2))
 	fp := Fingerprint{Metric: "m", Node: 0, Window: "[60:120]", Key: "6000"}
 	l := apps.Label{App: "ft", Input: apps.InputX}
-	d.Add(fp, l)
-	d.Add(fp, l)
-	if got := d.Lookup(fp); len(got) != 1 {
-		t.Errorf("duplicate Add should not duplicate labels: %v", got)
+	d.AddN(fp, l, 1)
+	d.AddN(fp, l, 1)
+	if got := d.Entries()[0]; len(got.Labels) != 1 || got.Counts[0] != 2 {
+		t.Errorf("duplicate AddN should count, not duplicate labels: %+v", got)
 	}
 	if d.Len() != 1 {
 		t.Errorf("Len = %d", d.Len())
@@ -222,9 +229,9 @@ func TestAddIdempotent(t *testing.T) {
 
 func TestEntriesSortedLikeTable4(t *testing.T) {
 	d, _ := NewDictionary(paperCfg(2))
-	d.Add(Fingerprint{Metric: "m", Node: 1, Window: "[60:120]", Key: "7000"}, apps.Label{App: "b", Input: "X"})
-	d.Add(Fingerprint{Metric: "m", Node: 0, Window: "[60:120]", Key: "7000"}, apps.Label{App: "b", Input: "X"})
-	d.Add(Fingerprint{Metric: "m", Node: 3, Window: "[60:120]", Key: "6000"}, apps.Label{App: "a", Input: "X"})
+	d.AddN(Fingerprint{Metric: "m", Node: 1, Window: "[60:120]", Key: "7000"}, apps.Label{App: "b", Input: "X"}, 1)
+	d.AddN(Fingerprint{Metric: "m", Node: 0, Window: "[60:120]", Key: "7000"}, apps.Label{App: "b", Input: "X"}, 1)
+	d.AddN(Fingerprint{Metric: "m", Node: 3, Window: "[60:120]", Key: "6000"}, apps.Label{App: "a", Input: "X"}, 1)
 	es := d.Entries()
 	if len(es) != 3 {
 		t.Fatalf("Entries = %d", len(es))
@@ -300,22 +307,6 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a, _ := NewDictionary(paperCfg(2))
-	b, _ := NewDictionary(paperCfg(2))
-	a.Learn(srcWith(1, apps.HeadlineMetric, 6000), apps.Label{App: "ft", Input: apps.InputX})
-	b.Learn(srcWith(1, apps.HeadlineMetric, 7000), apps.Label{App: "mg", Input: apps.InputX})
-	b.Learn(srcWith(1, apps.HeadlineMetric, 6000), apps.Label{App: "cg", Input: apps.InputX})
-	a.Merge(b)
-	if a.Len() != 2 {
-		t.Fatalf("merged Len = %d", a.Len())
-	}
-	fp := Fingerprint{Metric: apps.HeadlineMetric, Node: 0, Window: "[60:120]", Key: "6000"}
-	if got := a.Lookup(fp); len(got) != 2 {
-		t.Errorf("merged entry labels = %v", got)
-	}
-}
-
 func TestPredictUsage(t *testing.T) {
 	d, _ := NewDictionary(paperCfg(2))
 	d.Learn(srcWith(2, apps.HeadlineMetric, 6000, 6100), apps.Label{App: "ft", Input: apps.InputX})
@@ -384,3 +375,81 @@ func TestStreamProvisionalAnswer(t *testing.T) {
 		t.Errorf("provisional answer should already match: %+v", res)
 	}
 }
+
+func TestCountsSurviveSaveLoad(t *testing.T) {
+	d, _ := NewDictionary(paperCfg(3))
+	l := apps.Label{App: "ft", Input: apps.InputX}
+	src := srcWith(1, apps.HeadlineMetric, 6000)
+	for i := 0; i < 4; i++ {
+		d.Learn(src, l)
+	}
+
+	var buf stringsBuilder
+	if err := d.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(buf.Reader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := loaded.Entries()[0].Counts; len(got) != 1 || got[0] != 4 {
+		t.Errorf("loaded counts = %v, want [4]", got)
+	}
+}
+
+func TestJointExtract(t *testing.T) {
+	cfg := Config{
+		Metrics: []string{"m1", "m2"},
+		Windows: []telemetry.Window{telemetry.PaperWindow},
+		Depth:   2,
+		Joint:   true,
+	}
+	src := mapSource{nodes: 2, means: map[string]float64{
+		key("m1", 0, telemetry.PaperWindow): 6012,
+		key("m2", 0, telemetry.PaperWindow): 84321,
+		key("m1", 1, telemetry.PaperWindow): 6012,
+		// m2 missing on node 1: the composite key is suppressed.
+	}}
+	d, err := NewDictionary(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Learn(src, apps.Label{App: "ft", Input: apps.InputX})
+	es := d.Entries()
+	if len(es) != 1 {
+		t.Fatalf("joint fingerprints = %d, want 1", len(es))
+	}
+	if fp := es[0].Key; fp.Metric != "m1+m2" || fp.Key != "6000|84000" {
+		t.Errorf("joint fingerprint = %+v", fp)
+	}
+	if es[0].Key.Mean() != 6000 {
+		t.Errorf("joint Mean() = %v", es[0].Key.Mean())
+	}
+}
+
+// stringsBuilder is a tiny buffer usable as both writer and reader in
+// round-trip tests.
+type stringsBuilder struct{ data []byte }
+
+func (b *stringsBuilder) Write(p []byte) (int, error) {
+	b.data = append(b.data, p...)
+	return len(p), nil
+}
+
+func (b *stringsBuilder) Reader() *bytesReader { return &bytesReader{data: b.data} }
+
+type bytesReader struct {
+	data []byte
+	pos  int
+}
+
+func (r *bytesReader) Read(p []byte) (int, error) {
+	if r.pos >= len(r.data) {
+		return 0, errEOF
+	}
+	n := copy(p, r.data[r.pos:])
+	r.pos += n
+	return n, nil
+}
+
+var errEOF = io.EOF

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -21,25 +22,25 @@ import (
 // Internally the dictionary does not store the public 3-string
 // Fingerprint form. Metric names, window encodings, application names
 // and labels are interned into small integer IDs at construction and
-// Add time, and entries live in per-(metric, window, node) buckets
+// learning time, and entries live in per-(metric, window, node) buckets
 // keyed only by the canonical mean encoding. The public Fingerprint is
-// converted to and from that compact space at the API boundary (Add,
-// Lookup, Count, Entries, Save/Load), which keeps the recognition hot
-// path free of string formatting and per-call map allocation.
+// converted to and from that compact space at the API boundary (AddN,
+// Entries, Save/Load), which keeps the recognition hot path free of
+// string formatting and per-call map allocation.
 //
 // Concurrency contract: a Dictionary is single-writer. Concurrent
-// Lookup/Recognize/Stats/Save calls are safe with each other but not
-// with any mutation (Learn, Add, Merge, Compact). Services that mix
-// online learning with live recognition must wrap the dictionary in a
-// SharedDictionary (see Share), which grants readers shared access and
-// writers exclusive access; the recognition hot path inside a read
-// section stays lock-free per entry.
+// Recognize/Stats/Save calls are safe with each other but not with any
+// mutation (Learn, AddN). Services that mix online learning with live
+// recognition must wrap the dictionary in a SharedDictionary (see
+// Share), which grants readers shared access and writers exclusive
+// access; the recognition hot path inside a read section stays
+// lock-free per entry.
 type Dictionary struct {
 	cfg Config
 
 	// Interning tables for the key components. metricIDs covers both
-	// configured metrics and any metric name seen through Add (e.g.
-	// foreign names during Merge or Load).
+	// configured metrics and any metric name seen through AddN (e.g.
+	// foreign names during Load).
 	metricIDs   map[string]int32
 	metricNames []string
 	windowIDs   map[string]int32
@@ -95,20 +96,13 @@ type bucketKey struct {
 type entry struct {
 	// labels lists the label IDs in learning order; counts is parallel
 	// and tracks how many training executions produced this key per
-	// label — the "repetition count" of §3. It feeds weighted voting
-	// and Compact.
+	// label — the "repetition count" of §3, which Save preserves.
 	labels []int32
 	counts []int32
-	// votes precomputes the per-application voting contribution of
-	// this key: one element per distinct application (learning order)
-	// carrying the maximum per-label count, so recognition needs no
-	// per-key scratch map.
-	votes []appVote
-}
-
-type appVote struct {
-	app int32
-	max int32
+	// apps lists the distinct application IDs of labels, in learning
+	// order: the applications one match of this key votes for, so
+	// recognition needs no per-key scratch map.
+	apps []int32
 }
 
 // NewDictionary returns an empty dictionary with the given fingerprint
@@ -184,13 +178,6 @@ func (d *Dictionary) internLabel(l apps.Label) int32 {
 // Config returns the dictionary's fingerprint configuration.
 func (d *Dictionary) Config() Config { return d.cfg }
 
-// Add inserts one fingerprint/label pair. A repeated pair increments
-// the pair's observation count; a fingerprint gaining a second label
-// becomes a collision entry.
-func (d *Dictionary) Add(fp Fingerprint, label apps.Label) {
-	d.AddN(fp, label, 1)
-}
-
 // AddN inserts a fingerprint/label pair observed n times (n must be
 // positive; non-positive counts are ignored).
 func (d *Dictionary) AddN(fp Fingerprint, label apps.Label, n int) {
@@ -235,113 +222,20 @@ func (d *Dictionary) addKeyBytes(bk bucketKey, key []byte, label apps.Label, n i
 }
 
 // bump records n more observations of label ID lid on entry e,
-// maintaining the per-application vote precompute.
+// maintaining the entry's application list.
 func (d *Dictionary) bump(e *entry, lid, n int32) {
-	count := n
-	found := false
 	for i, l := range e.labels {
 		if l == lid {
 			e.counts[i] += n
-			count = e.counts[i]
-			found = true
-			break
-		}
-	}
-	if !found {
-		e.labels = append(e.labels, lid)
-		e.counts = append(e.counts, n)
-	}
-	app := d.labelApps[lid]
-	for i := range e.votes {
-		if e.votes[i].app == app {
-			if count > e.votes[i].max {
-				e.votes[i].max = count
-			}
 			return
 		}
 	}
-	e.votes = append(e.votes, appVote{app: app, max: count})
-}
-
-// entryFor resolves the public fingerprint form to its entry, or nil.
-func (d *Dictionary) entryFor(fp Fingerprint) *entry {
-	mid, ok := d.metricIDs[fp.Metric]
-	if !ok {
-		return nil
+	e.labels = append(e.labels, lid)
+	e.counts = append(e.counts, n)
+	app := d.labelApps[lid]
+	if !slices.Contains(e.apps, app) {
+		e.apps = append(e.apps, app)
 	}
-	wid, ok := d.windowIDs[fp.Window]
-	if !ok {
-		return nil
-	}
-	return d.buckets[bucketKey{metric: mid, window: wid, node: int32(fp.Node)}][fp.Key]
-}
-
-// Count reports how many training executions produced the fingerprint
-// under the label.
-func (d *Dictionary) Count(fp Fingerprint, label apps.Label) int {
-	e := d.entryFor(fp)
-	if e == nil {
-		return 0
-	}
-	lid, ok := d.labelIDs[label]
-	if !ok {
-		return 0
-	}
-	for i, l := range e.labels {
-		if l == lid {
-			return int(e.counts[i])
-		}
-	}
-	return 0
-}
-
-// Compact removes keys whose total observation count is below min,
-// pruning one-off noise fingerprints (e.g. a single interference-
-// shifted run) while keeping the repeated, reliable keys. It returns
-// the number of keys removed. Compact never removes the last key of a
-// label, so no learned application vanishes from the dictionary.
-func (d *Dictionary) Compact(min int) int {
-	if min <= 1 {
-		return 0
-	}
-	// Count keys per label so the guard below can hold.
-	keysPerLabel := make([]int, len(d.labels))
-	for _, b := range d.buckets {
-		for _, e := range b {
-			for _, lid := range e.labels {
-				keysPerLabel[lid]++
-			}
-		}
-	}
-	removed := 0
-	for _, b := range d.buckets {
-		for key, e := range b {
-			total := int32(0)
-			for _, c := range e.counts {
-				total += c
-			}
-			if int(total) >= min {
-				continue
-			}
-			last := false
-			for _, lid := range e.labels {
-				if keysPerLabel[lid] <= 1 {
-					last = true
-					break
-				}
-			}
-			if last {
-				continue
-			}
-			for _, lid := range e.labels {
-				keysPerLabel[lid]--
-			}
-			delete(b, key)
-			d.size--
-			removed++
-		}
-	}
-	return removed
 }
 
 // Learn extracts the fingerprints of a labelled execution and adds them
@@ -376,17 +270,6 @@ func (d *Dictionary) materializeLabels(e *entry) []apps.Label {
 	return out
 }
 
-// Lookup returns the labels stored under the fingerprint, in learning
-// order, or nil when the fingerprint is unknown. The slice is freshly
-// allocated and owned by the caller.
-func (d *Dictionary) Lookup(fp Fingerprint) []apps.Label {
-	e := d.entryFor(fp)
-	if e == nil {
-		return nil
-	}
-	return d.materializeLabels(e)
-}
-
 // Len reports the number of distinct fingerprint keys.
 func (d *Dictionary) Len() int { return d.size }
 
@@ -418,7 +301,7 @@ func (d *Dictionary) Stats() Stats {
 			for _, lid := range e.labels {
 				labelSeen[lid] = true
 			}
-			if len(e.votes) <= 1 {
+			if len(e.apps) <= 1 {
 				s.Exclusive++
 			} else {
 				s.Collisions++
@@ -509,17 +392,6 @@ func (d *Dictionary) Dump(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Merge adds every entry of other into d. Entries arrive in other's
-// Entries() order (deterministic); label order within merged entries
-// follows d first, then other's additions.
-func (d *Dictionary) Merge(other *Dictionary) {
-	for _, e := range other.Entries() {
-		for i, l := range e.Labels {
-			d.AddN(e.Key, l, e.Counts[i])
-		}
-	}
 }
 
 // jsonDict is the serialized form of a Dictionary.

@@ -90,7 +90,7 @@ type rawExec struct {
 	means []float64
 }
 
-// extractRaw walks the source once in Extract order and records every
+// extractRaw walks the source once in extraction order and records every
 // available raw window mean.
 func extractRaw(src WindowSource, metrics []string, windows []telemetry.Window, joint bool) rawExec {
 	// Room for every window mean, so the walk never grows the slices.
@@ -101,9 +101,8 @@ func extractRaw(src WindowSource, metrics []string, windows []telemetry.Window, 
 }
 
 // extractRawInto is extractRaw with reused buffers. It is the single
-// extraction walk of the package: ExtractInto (public Fingerprint
-// form), Learn, the Recognizer, and the Fit grid all consume its
-// output, so iteration order — and therefore learning/tie-break order
+// extraction walk of the package: Learn, the Recognizer, and the Fit
+// grid all consume its output, so iteration order — and therefore learning/tie-break order
 // — cannot drift between paths.
 func extractRawInto(re *rawExec, src WindowSource, metrics []string, windows []telemetry.Window, joint bool) {
 	re.fps = re.fps[:0]

@@ -391,7 +391,6 @@ func oracleDataset(t testing.TB) *dataset.Dataset {
 		case c.ID%7 == 0:
 			c.Stats = dropWindows(e.Stats, func(k string) bool { return k == first })
 		}
-		c.IndexWindows()
 		out.Executions = append(out.Executions, &c)
 	}
 	return out

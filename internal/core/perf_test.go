@@ -39,16 +39,6 @@ func TestRecognizerZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("warmed Recognizer.Recognize allocates %.1f/op, want 0", allocs)
 	}
-	allocs = testing.AllocsPerRun(200, func() {
-		e := ds.Executions[i%ds.Len()]
-		i++
-		if res := rec.RecognizeWeighted(Source(e)); res.Total == 0 {
-			t.Fatal("no fingerprints constructed")
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("warmed RecognizeWeighted allocates %.1f/op, want 0", allocs)
-	}
 }
 
 // TestStreamRecognizeZeroAlloc checks the streaming poll path: once a
@@ -238,24 +228,5 @@ func TestJointSaveLoadRoundTrip(t *testing.T) {
 	}
 	if buf.String() != buf2.String() {
 		t.Error("joint dictionary serialization not stable across a round trip")
-	}
-}
-
-// TestExtractIntoReusesBuffer checks the append-style extraction API.
-func TestExtractIntoReusesBuffer(t *testing.T) {
-	src := srcWith(4, apps.HeadlineMetric, 6012, 6049, 5988, 6031)
-	first := ExtractInto(nil, src, paperCfg(2))
-	if len(first) != 4 {
-		t.Fatalf("ExtractInto returned %d fingerprints, want 4", len(first))
-	}
-	reused := ExtractInto(first[:0], src, paperCfg(2))
-	if len(reused) != 4 {
-		t.Fatalf("reused ExtractInto returned %d fingerprints", len(reused))
-	}
-	if &first[0] != &reused[0] {
-		t.Error("ExtractInto did not reuse the destination's backing array")
-	}
-	if !reflect.DeepEqual(Extract(src, paperCfg(2)), reused) {
-		t.Error("ExtractInto and Extract disagree")
 	}
 }

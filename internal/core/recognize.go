@@ -11,10 +11,9 @@ const Unknown = "unknown"
 
 // Result is the outcome of recognizing one execution.
 //
-// Per-application votes and per-label input counts are held in dense
-// accumulators indexed by the dictionary's interned app/label IDs; the
-// Votes and Inputs methods materialize map views on demand, and
-// VotesFor/InputCount read single cells without allocating. A Result
+// Per-application votes are held in a dense accumulator indexed by the
+// dictionary's interned app IDs; Votes materializes a map view on
+// demand, and VotesFor reads a single cell without allocating. A Result
 // produced by a Recognizer borrows the recognizer's buffers and is only
 // valid until that recognizer's next call; Dictionary.Recognize returns
 // a Result with freshly allocated buffers.
@@ -29,9 +28,8 @@ type Result struct {
 	Matched int
 	Total   int
 
-	votes  []int32 // dense, indexed by app ID
-	inputs []int32 // dense, indexed by label ID
-	d      *Dictionary
+	votes []int32 // dense, indexed by app ID
+	d     *Dictionary
 }
 
 // Recognized reports whether any fingerprint matched.
@@ -75,35 +73,6 @@ func (r Result) Votes() map[string]int {
 	return out
 }
 
-// InputCount returns the match count of one full (application, input)
-// label without allocating, for input-size estimation.
-func (r Result) InputCount(label apps.Label) int {
-	if r.d == nil {
-		return 0
-	}
-	lid, ok := r.d.labelIDs[label]
-	if !ok || int(lid) >= len(r.inputs) {
-		return 0
-	}
-	return int(r.inputs[lid])
-}
-
-// Inputs materializes the per-label match counts as a map (labels with
-// zero matches are absent). Each call allocates; hot paths should use
-// InputCount.
-func (r Result) Inputs() map[apps.Label]int {
-	out := make(map[apps.Label]int)
-	if r.d == nil {
-		return out
-	}
-	for lid, v := range r.inputs {
-		if v != 0 {
-			out[r.d.labels[lid]] = int(v)
-		}
-	}
-	return out
-}
-
 // Confidence is the fraction of constructed fingerprints that voted for
 // the top application. It is not part of the paper's mechanism but is
 // useful for monitoring dashboards.
@@ -111,18 +80,12 @@ func (r Result) Confidence() float64 {
 	if r.Total == 0 || len(r.Apps) == 0 {
 		return 0
 	}
-	c := float64(r.VotesFor(r.Apps[0])) / float64(r.Total)
-	if c > 1 {
-		// Weighted voting can push the top vote count past the
-		// fingerprint count; full confidence is the ceiling.
-		c = 1
-	}
-	return c
+	return float64(r.VotesFor(r.Apps[0])) / float64(r.Total)
 }
 
 // Recognizer performs recognitions against one dictionary through a
-// reused scratch state: the extraction buffer, the dense vote/input
-// accumulators, and the tie slice. After warm-up, Recognize performs
+// reused scratch state: the extraction buffer, the dense vote
+// accumulator, and the tie slice. After warm-up, Recognize performs
 // zero allocations per call (given an allocation-free WindowSource,
 // e.g. a dataset execution or a stream).
 //
@@ -130,12 +93,11 @@ func (r Result) Confidence() float64 {
 // goroutine. The Result of each call borrows the recognizer's buffers
 // and is valid only until the next call.
 type Recognizer struct {
-	d      *Dictionary
-	raw    rawExec
-	ks     keySet
-	votes  []int32
-	inputs []int32
-	apps   []string
+	d     *Dictionary
+	raw   rawExec
+	ks    keySet
+	votes []int32
+	apps  []string
 }
 
 // NewRecognizer returns a reusable recognizer against the dictionary.
@@ -163,19 +125,7 @@ func (r *Recognizer) extract(src WindowSource) {
 //efd:hotpath
 func (r *Recognizer) Recognize(src WindowSource) Result {
 	r.extract(src)
-	return r.vote(false)
-}
-
-// RecognizeWeighted is a variant of Recognize in which each matched key
-// contributes its per-application observation count rather than a
-// single vote, so frequently repeated fingerprints outweigh one-off
-// noise keys. This is an extension beyond the paper (which votes
-// uniformly); the voting ablation compares the two.
-//
-//efd:hotpath
-func (r *Recognizer) RecognizeWeighted(src WindowSource) Result {
-	r.extract(src)
-	return r.vote(true)
+	return r.vote()
 }
 
 // grow returns s resized to n elements, all zero, reusing capacity.
@@ -196,11 +146,10 @@ func grow[T any](s []T, n int) []T {
 // directly, and votes accumulate per interned app ID.
 //
 //efd:hotpath
-func (r *Recognizer) vote(weighted bool) Result {
+func (r *Recognizer) vote() Result {
 	d := r.d
 	r.votes = grow(r.votes, len(d.apps))
-	r.inputs = grow(r.inputs, len(d.labels))
-	res := Result{Total: len(r.ks.refs), votes: r.votes, inputs: r.inputs, d: d}
+	res := Result{Total: len(r.ks.refs), votes: r.votes, d: d}
 	for _, ref := range r.ks.refs {
 		b := d.buckets[ref.bk]
 		if b == nil {
@@ -213,22 +162,10 @@ func (r *Recognizer) vote(weighted bool) Result {
 		res.Matched++
 		// A key may store several inputs of one application (e.g.
 		// ft_X, ft_Y, ft_Z); the application still gets a single vote
-		// per matched key (or its maximum label count when weighted),
-		// which is what the precomputed entry.votes encode.
-		if weighted {
-			for i, lid := range e.labels {
-				r.inputs[lid] += e.counts[i]
-			}
-			for _, av := range e.votes {
-				r.votes[av.app] += av.max
-			}
-		} else {
-			for _, lid := range e.labels {
-				r.inputs[lid]++
-			}
-			for _, av := range e.votes {
-				r.votes[av.app]++
-			}
+		// per matched key, which is why entry.apps lists each
+		// application once.
+		for _, app := range e.apps {
+			r.votes[app]++
 		}
 	}
 	if res.Matched == 0 {
@@ -259,13 +196,6 @@ func (r *Recognizer) vote(weighted bool) Result {
 func (d *Dictionary) Recognize(src WindowSource) Result {
 	r := Recognizer{d: d}
 	return r.Recognize(src)
-}
-
-// RecognizeWeighted is the count-weighted voting variant of Recognize;
-// see Recognizer.RecognizeWeighted.
-func (d *Dictionary) RecognizeWeighted(src WindowSource) Result {
-	r := Recognizer{d: d}
-	return r.RecognizeWeighted(src)
 }
 
 // PredictUsage performs the paper's "dictionary in reverse" (§6):

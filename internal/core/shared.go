@@ -8,16 +8,15 @@ import (
 
 // SharedDictionary is the concurrency contract for serving one
 // Dictionary to many goroutines: any number of concurrent readers
-// (recognition, stats, lookup, save) proceed in parallel, while
-// mutation (online Learn, Add, Merge, Compact) is exclusive. It is the
-// coordination point the HTTP monitoring server uses so recognition
-// polls of many jobs run concurrently and an online Learn briefly
-// drains them.
+// (recognition, stats, save) proceed in parallel, while mutation
+// (online Learn, AddN) is exclusive. It is the coordination point the
+// HTTP monitoring server uses so recognition polls of many jobs run
+// concurrently and an online Learn briefly drains them.
 //
 // The contract, precisely:
 //
 //   - Read sections may call any non-mutating Dictionary method —
-//     Recognize, Lookup, Stats, Apps, Entries, Save — and may drive a
+//     Recognize, Stats, Apps, Entries, Save — and may drive a
 //     Recognizer or Stream bound to the dictionary. Reads take no
 //     per-entry locks: inside a Read section the recognition hot path
 //     is exactly the allocation-free interned lookup of the unshared

@@ -61,7 +61,7 @@ func NewStream(d *Dictionary, nodes int) *Stream {
 // the monitor can blindly forward its full stream.
 //
 //efd:hotpath
-func (s *Stream) Feed(metric string, node int, offset time.Duration, value float64) {
+func (s *Stream) Feed(metric string, node int, offset time.Duration, value float64) { //efdvet:ignore deadcode FeedRun's reference in stream_run_test and server concurrency_test
 	if offset > s.seen {
 		s.seen = offset
 	}
@@ -157,10 +157,15 @@ func (s *Stream) NodeCount() int { return s.nodes }
 
 // Recognize answers with the current accumulated state. Calling it
 // before Complete() returns a provisional answer based on partial
-// windows; once Complete(), the answer is identical to offline
-// recognition of the same telemetry. The Result borrows the stream's
-// reused recognizer scratch and is valid until the next Recognize call
-// on this stream.
+// windows; once Complete(), every configured window has closed and the
+// answer recognizes the means accumulated so far. Those are Welford
+// running means, which match offline recognition's exact window means
+// only to within rounding: where an exact mean sits on a rounding tie
+// (integer-valued telemetry hits ties often) the key, and so the
+// answer, can differ from offline recognition of the same telemetry
+// (ROADMAP.md, open item 1). The Result borrows the stream's reused
+// recognizer scratch and is valid until the next Recognize call on this
+// stream.
 func (s *Stream) Recognize() Result {
 	return s.rec.Recognize(s)
 }

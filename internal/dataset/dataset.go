@@ -93,17 +93,6 @@ func (e *Execution) WindowMean(metric string, node int, w telemetry.Window) (flo
 	return v, ok
 }
 
-// IndexWindows builds the Window-indexed lookup of every node/metric
-// summary, upgrading hand-assembled executions to the allocation-free
-// WindowMean path. Summarize and the CSV loader call it automatically.
-func (e *Execution) IndexWindows() {
-	for _, per := range e.Stats {
-		for i := range per {
-			per[i].indexWindows()
-		}
-	}
-}
-
 // Metrics returns the sorted metric names present in the execution.
 func (e *Execution) Metrics() []string {
 	out := make([]string, 0, len(e.Stats))

@@ -277,7 +277,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 func TestSummarizeFromNodeSet(t *testing.T) {
 	sim, err := cluster.New(cluster.Config{
 		Nodes:   2,
-		Noise:   noise.QuietProfile(),
+		Noise:   noise.Profile{Jitter: 0.0005, InitAmplitude: 0.3, InitSettle: 10 * time.Second},
 		Metrics: []string{apps.HeadlineMetric},
 	})
 	if err != nil {

@@ -42,16 +42,6 @@ func DefaultGenConfig() GenConfig {
 	}
 }
 
-// LargeNodeGenConfig is the secondary grid of Table 2: 32 nodes with 6
-// repeats per pair.
-func LargeNodeGenConfig() GenConfig {
-	cfg := DefaultGenConfig()
-	cfg.Cluster.Nodes = 32
-	cfg.Repeats = 6
-	cfg.Seed = 2
-	return cfg
-}
-
 // Generate builds the dataset described by cfg. Every execution draws
 // its randomness from an independent seed derived from cfg.Seed, so the
 // result is identical whether generation runs sequentially or in

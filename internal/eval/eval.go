@@ -1,6 +1,6 @@
 // Package eval implements the classification metrics the paper takes
 // from scikit-learn: precision, recall, F-score (macro and weighted
-// averaging), confusion matrices and classification reports.
+// averaging) and classification reports.
 package eval
 
 import (
@@ -123,65 +123,6 @@ func F1Macro(pairs []Pair) float64 {
 		return 0
 	}
 	return r.MacroF1
-}
-
-// ConfusionMatrix tabulates prediction counts per truth class.
-type ConfusionMatrix struct {
-	Classes []string
-	// Counts[i][j] is the number of instances of truth Classes[i]
-	// predicted as Classes[j].
-	Counts [][]int
-}
-
-// Confusion builds the confusion matrix of the outcomes, with classes
-// sorted alphabetically.
-func Confusion(pairs []Pair) ConfusionMatrix {
-	seen := make(map[string]bool)
-	for _, p := range pairs {
-		seen[p.Truth] = true
-		seen[p.Pred] = true
-	}
-	classes := make([]string, 0, len(seen))
-	for c := range seen {
-		classes = append(classes, c)
-	}
-	sort.Strings(classes)
-	idx := make(map[string]int, len(classes))
-	for i, c := range classes {
-		idx[c] = i
-	}
-	counts := make([][]int, len(classes))
-	for i := range counts {
-		counts[i] = make([]int, len(classes))
-	}
-	for _, p := range pairs {
-		counts[idx[p.Truth]][idx[p.Pred]]++
-	}
-	return ConfusionMatrix{Classes: classes, Counts: counts}
-}
-
-// String renders the confusion matrix as an aligned table.
-func (m ConfusionMatrix) String() string {
-	var b strings.Builder
-	width := 8
-	for _, c := range m.Classes {
-		if len(c)+1 > width {
-			width = len(c) + 1
-		}
-	}
-	fmt.Fprintf(&b, "%*s", width, "")
-	for _, c := range m.Classes {
-		fmt.Fprintf(&b, "%*s", width, c)
-	}
-	b.WriteByte('\n')
-	for i, c := range m.Classes {
-		fmt.Fprintf(&b, "%*s", width, c)
-		for j := range m.Classes {
-			fmt.Fprintf(&b, "%*d", width, m.Counts[i][j])
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 // String renders the report in scikit-learn's classification_report

@@ -147,31 +147,6 @@ func TestEvaluateProperties(t *testing.T) {
 	}
 }
 
-func TestConfusionMatrix(t *testing.T) {
-	pairs := []Pair{
-		{"a", "a"}, {"a", "b"}, {"b", "b"}, {"b", "b"},
-	}
-	m := Confusion(pairs)
-	if len(m.Classes) != 2 {
-		t.Fatalf("classes = %v", m.Classes)
-	}
-	// classes sorted: a=0, b=1.
-	if m.Counts[0][0] != 1 || m.Counts[0][1] != 1 || m.Counts[1][1] != 2 || m.Counts[1][0] != 0 {
-		t.Errorf("counts = %v", m.Counts)
-	}
-	s := m.String()
-	if !strings.Contains(s, "a") || !strings.Contains(s, "2") {
-		t.Errorf("String rendering missing content:\n%s", s)
-	}
-}
-
-func TestConfusionIncludesPredictionOnlyClasses(t *testing.T) {
-	m := Confusion([]Pair{{"a", "unknown"}})
-	if len(m.Classes) != 2 {
-		t.Fatalf("classes = %v", m.Classes)
-	}
-}
-
 func TestReportString(t *testing.T) {
 	r, err := Evaluate([]Pair{{"a", "a"}, {"b", "a"}})
 	if err != nil {
@@ -195,18 +170,13 @@ func TestRowSumsEqualSupport(t *testing.T) {
 		for i, b := range raw {
 			pairs[i] = Pair{Truth: classes[int(b)%3], Pred: classes[int(b/3)%3]}
 		}
-		m := Confusion(pairs)
-		r, _ := Evaluate(pairs)
-		support := make(map[string]int)
-		for _, c := range r.Classes {
-			support[c.Class] = c.Support
+		rows := make(map[string]int) // the confusion matrix's row sums
+		for _, p := range pairs {
+			rows[p.Truth]++
 		}
-		for i, cl := range m.Classes {
-			sum := 0
-			for j := range m.Classes {
-				sum += m.Counts[i][j]
-			}
-			if sum != support[cl] {
+		r, _ := Evaluate(pairs)
+		for _, c := range r.Classes {
+			if c.Support != rows[c.Class] {
 				return false
 			}
 		}

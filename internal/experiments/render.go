@@ -5,7 +5,6 @@ import (
 	"io"
 	"strings"
 
-	"repro/internal/apps"
 	"repro/internal/dataset"
 	"repro/internal/stats"
 )
@@ -116,7 +115,3 @@ func RenderPerDimension(w io.Writer, s Score) {
 		fmt.Fprintf(w, "  %-12s %.3f\n", k, s.PerDimension[k])
 	}
 }
-
-// HeadlineMetricName re-exports the paper's single headline metric for
-// presentation layers.
-const HeadlineMetricName = apps.HeadlineMetric

@@ -1,3 +1,8 @@
+// Package ldms is the telemetry file codec of the reproduction: it
+// reads and writes the per-node CSV layout of the Taxonomist artifact,
+// as an LDMS-style collector (Agelastos et al., SC'14) sampling each
+// node's metric sets once per second lays it out, and assembles the
+// per-execution telemetry the recognition layers consume.
 package ldms
 
 import (
@@ -276,7 +281,7 @@ func splitField(b []byte) []byte {
 // ReadNodeCSVStd is the original encoding/csv implementation, retained
 // as the differential-fuzzing and benchmarking baseline for the
 // byte-oriented reader above.
-func ReadNodeCSVStd(r io.Reader, node int) (*telemetry.NodeSet, error) {
+func ReadNodeCSVStd(r io.Reader, node int) (*telemetry.NodeSet, error) { //efdvet:ignore deadcode baseline of FuzzReadNodeCSV, TestReadNodeCSVMatchesStd, TestIngestAllocRatio, root bench
 	cr := csv.NewReader(r)
 	header, err := cr.Read()
 	if err != nil {
@@ -411,34 +416,4 @@ func lineLen(b []byte) int {
 		return i + 1
 	}
 	return len(b)
-}
-
-// ReadNodeCSVFiles opens and parses one per-node CSV file per path
-// (index = node ID) concurrently on the internal/par pool and merges
-// the results into a single NodeSet — the bulk-ingest entry point for
-// directories laid out like the Taxonomist artifact.
-func ReadNodeCSVFiles(open func(i int) (io.ReadCloser, error), n, workers int) (*telemetry.NodeSet, error) {
-	parts := make([]*telemetry.NodeSet, n)
-	errs := make([]error, n)
-	par.For(n, workers, func(i int) {
-		rc, err := open(i)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		defer rc.Close()
-		parts[i], errs[i] = ReadNodeCSV(rc, i)
-	})
-	out := telemetry.NewNodeSet()
-	for i, p := range parts {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("ldms: node %d: %w", i, errs[i])
-		}
-		for _, m := range p.Metrics() {
-			if s := p.Get(i, m); s != nil {
-				out.Put(s)
-			}
-		}
-	}
-	return out, nil
 }

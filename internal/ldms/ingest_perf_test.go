@@ -15,18 +15,7 @@ func ingestFixture(t testing.TB) []byte {
 	for i := range metrics {
 		metrics[i] = "metric_" + string(rune('a'+i/26)) + string(rune('a'+i%26))
 	}
-	s, err := NewSampler("s", metrics)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewCollector([]Sampler{s}, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ns, err := c.Collect(rampSource{}, 1, 599*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ns := rampTelemetry(metrics, 1, 599*time.Second)
 	var buf bytes.Buffer
 	if err := WriteNodeCSV(&buf, ns, 0); err != nil {
 		t.Fatal(err)

@@ -2,137 +2,34 @@ package ldms
 
 import (
 	"bytes"
-	"fmt"
-	"io"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/apps"
 	"repro/internal/telemetry"
 )
 
-// rampSource is a deterministic ValueSource for tests: value encodes
-// metric, node and time.
-type rampSource struct{}
-
-func (rampSource) Value(metric string, node int, t time.Duration) float64 {
-	return float64(len(metric)*1000+node*100) + t.Seconds()
-}
-
-func TestNewSamplerValidation(t *testing.T) {
-	if _, err := NewSampler("empty", nil); err == nil {
-		t.Error("empty metric list should fail")
-	}
-	s, err := NewSampler("s", []string{"a", "b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Name() != "s" || len(s.Metrics()) != 2 {
-		t.Errorf("sampler header wrong: %s %v", s.Name(), s.Metrics())
-	}
-}
-
-func TestSamplerSample(t *testing.T) {
-	s, _ := NewSampler("s", []string{"aa", "bbb"})
-	ms := s.Sample(rampSource{}, 2, 5*time.Second)
-	if len(ms) != 2 {
-		t.Fatalf("measurements = %d", len(ms))
-	}
-	if ms[0].Metric != "aa" || ms[0].Value != 2205 {
-		t.Errorf("measurement 0 = %+v", ms[0])
-	}
-	if ms[1].Metric != "bbb" || ms[1].Value != 3205 {
-		t.Errorf("measurement 1 = %+v", ms[1])
-	}
-}
-
-func TestCatalogSamplersCoverCatalog(t *testing.T) {
-	samplers := CatalogSamplers()
-	if len(samplers) != 3 {
-		t.Fatalf("samplers = %d, want 3 (vmstat, meminfo, metric_set_nic)", len(samplers))
-	}
-	covered := make(map[string]bool)
-	for _, s := range samplers {
-		for _, m := range s.Metrics() {
-			if covered[m] {
-				t.Errorf("metric %q covered twice", m)
+// rampTelemetry builds 1 Hz telemetry of the metrics on nodes
+// [0, nodes) from t=0 through duration; each value encodes metric,
+// node and time.
+func rampTelemetry(metrics []string, nodes int, duration time.Duration) *telemetry.NodeSet {
+	ns := telemetry.NewNodeSet()
+	ticks := int(duration/time.Second) + 1
+	for node := 0; node < nodes; node++ {
+		for _, m := range metrics {
+			s := telemetry.NewSeries(m, node, ticks)
+			for i := 0; i < ticks; i++ {
+				at := time.Duration(i) * time.Second
+				s.Append(at, float64(len(m)*1000+node*100)+at.Seconds())
 			}
-			covered[m] = true
+			ns.Put(s)
 		}
 	}
-	for _, m := range apps.Metrics() {
-		if !covered[m.Name] {
-			t.Errorf("metric %q not covered by any sampler", m.Name)
-		}
-	}
-}
-
-func TestNewCollectorValidation(t *testing.T) {
-	if _, err := NewCollector(nil, time.Second); err == nil {
-		t.Error("no samplers should fail")
-	}
-	a, _ := NewSampler("a", []string{"m"})
-	b, _ := NewSampler("b", []string{"m"})
-	if _, err := NewCollector([]Sampler{a, b}, time.Second); err == nil {
-		t.Error("duplicate metric across samplers should fail")
-	}
-}
-
-func TestCollect(t *testing.T) {
-	s1, _ := NewSampler("s1", []string{"aa"})
-	s2, _ := NewSampler("s2", []string{"bbb", "cccc"})
-	c, err := NewCollector([]Sampler{s1, s2}, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ns, err := c.Collect(rampSource{}, 2, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ns.Metrics(); len(got) != 3 {
-		t.Fatalf("metrics = %v", got)
-	}
-	if got := ns.Nodes(); len(got) != 2 {
-		t.Fatalf("nodes = %v", got)
-	}
-	sr := ns.Get(1, "aa")
-	if sr.Len() != 11 {
-		t.Errorf("series length = %d, want 11", sr.Len())
-	}
-	if sr.ValueAt(3) != 2103+0 {
-		// aa on node 1 at t=3: 2*1000+1*100+3 = 2103.
-		t.Errorf("sample value = %v, want 2103", sr.ValueAt(3))
-	}
-	if err := ns.Validate(); err != nil {
-		t.Errorf("collected telemetry invalid: %v", err)
-	}
-	if _, err := c.Collect(rampSource{}, 0, time.Second); err == nil {
-		t.Error("zero nodes should fail")
-	}
-	if _, err := c.Collect(rampSource{}, 1, -time.Second); err == nil {
-		t.Error("negative duration should fail")
-	}
-}
-
-func TestCollectDefaultPeriod(t *testing.T) {
-	s, _ := NewSampler("s", []string{"m"})
-	c, err := NewCollector([]Sampler{s}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Period != telemetry.DefaultPeriod {
-		t.Errorf("Period = %v", c.Period)
-	}
+	return ns
 }
 
 func TestCSVRoundTrip(t *testing.T) {
-	s, _ := NewSampler("s", []string{"m1", "m2"})
-	c, _ := NewCollector([]Sampler{s}, time.Second)
-	ns, err := c.Collect(rampSource{}, 1, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ns := rampTelemetry([]string{"m1", "m2"}, 1, 5*time.Second)
 	var buf bytes.Buffer
 	if err := WriteNodeCSV(&buf, ns, 0); err != nil {
 		t.Fatal(err)
@@ -155,9 +52,7 @@ func TestCSVRoundTrip(t *testing.T) {
 }
 
 func TestCSVHeaderFormat(t *testing.T) {
-	s, _ := NewSampler("s", []string{"zz", "aa"})
-	c, _ := NewCollector([]Sampler{s}, time.Second)
-	ns, _ := c.Collect(rampSource{}, 1, time.Second)
+	ns := rampTelemetry([]string{"zz", "aa"}, 1, time.Second)
 	var buf bytes.Buffer
 	if err := WriteNodeCSV(&buf, ns, 0); err != nil {
 		t.Fatal(err)
@@ -249,12 +144,7 @@ func TestCSVRoundTripFractionalOffsets(t *testing.T) {
 // TestReadNodeCSVMatchesStd pins the byte-oriented reader to the
 // encoding/csv baseline on realistic collector output.
 func TestReadNodeCSVMatchesStd(t *testing.T) {
-	s, _ := NewSampler("s", []string{"m1", "m2", "m3"})
-	c, _ := NewCollector([]Sampler{s}, time.Second)
-	ns, err := c.Collect(rampSource{}, 1, 120*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ns := rampTelemetry([]string{"m1", "m2", "m3"}, 1, 120*time.Second)
 	var buf bytes.Buffer
 	if err := WriteNodeCSV(&buf, ns, 0); err != nil {
 		t.Fatal(err)
@@ -281,12 +171,7 @@ func TestReadNodeCSVMatchesStd(t *testing.T) {
 }
 
 func TestReadExecutionCSVRoundTrip(t *testing.T) {
-	s, _ := NewSampler("s", []string{"aa", "bbb"})
-	c, _ := NewCollector([]Sampler{s}, time.Second)
-	ns, err := c.Collect(rampSource{}, 3, 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ns := rampTelemetry([]string{"aa", "bbb"}, 3, 30*time.Second)
 	var buf bytes.Buffer
 	if err := WriteExecutionCSV(&buf, ns); err != nil {
 		t.Fatal(err)
@@ -322,47 +207,8 @@ func TestReadExecutionCSVRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadNodeCSVFiles(t *testing.T) {
-	s, _ := NewSampler("s", []string{"m"})
-	c, _ := NewCollector([]Sampler{s}, time.Second)
-	ns, err := c.Collect(rampSource{}, 4, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bufs := make([]bytes.Buffer, 4)
-	for node := 0; node < 4; node++ {
-		if err := WriteNodeCSV(&bufs[node], ns, node); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := ReadNodeCSVFiles(func(i int) (io.ReadCloser, error) {
-		return io.NopCloser(bytes.NewReader(bufs[i].Bytes())), nil
-	}, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Nodes()) != 4 {
-		t.Fatalf("nodes = %v", got.Nodes())
-	}
-	for node := 0; node < 4; node++ {
-		a, b := ns.Get(node, "m"), got.Get(node, "m")
-		for i := 0; i < a.Len(); i++ {
-			if a.At(i) != b.At(i) {
-				t.Fatalf("node %d sample %d differs", node, i)
-			}
-		}
-	}
-	if _, err := ReadNodeCSVFiles(func(i int) (io.ReadCloser, error) {
-		return nil, fmt.Errorf("boom")
-	}, 1, 1); err == nil {
-		t.Error("open failure should propagate")
-	}
-}
-
 func TestWriteExecutionCSV(t *testing.T) {
-	s, _ := NewSampler("s", []string{"m"})
-	c, _ := NewCollector([]Sampler{s}, time.Second)
-	ns, _ := c.Collect(rampSource{}, 2, 2*time.Second)
+	ns := rampTelemetry([]string{"m"}, 2, 2*time.Second)
 	var buf bytes.Buffer
 	if err := WriteExecutionCSV(&buf, ns); err != nil {
 		t.Fatal(err)

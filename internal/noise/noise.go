@@ -179,11 +179,6 @@ func DefaultProfile() Profile {
 	}
 }
 
-// QuietProfile returns a nearly noise-free environment for calibration.
-func QuietProfile() Profile {
-	return Profile{Jitter: 0.0005, InitAmplitude: 0.3, InitSettle: 10 * time.Second}
-}
-
 // NewChain instantiates a fresh model chain for one execution. A new
 // chain must be created per execution because Interference carries
 // per-execution state.

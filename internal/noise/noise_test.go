@@ -180,13 +180,3 @@ func TestDefaultProfileWindowIsQuiet(t *testing.T) {
 			p.InitAmplitude*decay)
 	}
 }
-
-func TestQuietProfileIsQuieterThanDefault(t *testing.T) {
-	q, d := QuietProfile(), DefaultProfile()
-	if q.Jitter >= d.Jitter {
-		t.Error("quiet profile should have less jitter")
-	}
-	if q.InterferenceProb > 0 || q.SpikeProb > 0 {
-		t.Error("quiet profile should have no interference or spikes")
-	}
-}

@@ -56,11 +56,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				}
 				writeSample(&b, fam.name, "", s.labels, "", float64(v))
 			case kindGauge:
-				v := s.g.Value()
-				if s.gf != nil {
-					v = s.gf()
-				}
-				writeSample(&b, fam.name, "", s.labels, "", v)
+				writeSample(&b, fam.name, "", s.labels, "", s.gf())
 			case kindHistogram:
 				writeHistogram(&b, fam.name, s)
 			}

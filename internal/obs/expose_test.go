@@ -22,7 +22,7 @@ func goldenRegistry() *Registry {
 	r.Counter("efd_http_requests_total", `route="/v1/jobs",code="2xx"`, "HTTP requests by route and status class").Add(3)
 	r.Counter("efd_http_requests_total", `route="/v1/jobs",code="4xx"`, "HTTP requests by route and status class").Add(1)
 	r.CounterFunc("efd_engine_samples_accepted_total", "", "samples accepted since start", func() int64 { return 6000 })
-	r.Gauge("efd_engine_live_jobs", "", "currently tracked jobs").Set(4)
+	r.GaugeFunc("efd_engine_live_jobs", "", "currently tracked jobs", func() float64 { return 4 })
 	r.GaugeFunc("efd_tsdb_recovery_seconds", "", "duration of the last store recovery", func() float64 { return 0.25 })
 	h := r.Histogram("efd_http_request_seconds", `route="/v1/samples"`, "request latency", []float64{0.001, 0.01, 0.1, 1})
 	for _, v := range []float64{0.0005, 0.002, 0.002, 0.05, 2} {

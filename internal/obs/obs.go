@@ -4,16 +4,17 @@
 // and a slowest-requests ring (trace.go), all designed so the ingest
 // hot path can be instrumented without allocating.
 //
-// The instrument fast paths — Counter.Add/Inc, Gauge.Set/Add,
-// Histogram.Observe — are single atomic operations on pre-registered
+// The instrument fast paths — Counter.Add and Histogram.Observe — are
+// single atomic operations on pre-registered
 // series and are safe on nil receivers (a nil instrument is a no-op),
 // so optional instrumentation needs no call-site branches. Series are
 // registered up front with a pre-rendered label string; nothing on
 // the observation path formats, hashes, or allocates.
 //
 // CounterFunc/GaugeFunc register callback-backed series over counters
-// a subsystem already maintains (the engine's atomic.Int64 totals),
-// so existing hot paths gain exposition without a second increment.
+// and levels a subsystem already maintains (the engine's atomic.Int64
+// totals, its live-job count), so existing hot paths gain exposition
+// without a second increment. Gauges exist only in that form.
 package obs
 
 import (
@@ -25,8 +26,7 @@ import (
 )
 
 // Counter is a monotonically increasing metric. The zero value is
-// usable; Add/Inc are single atomic adds and are no-ops on a nil
-// receiver.
+// usable; Add is a single atomic add and a no-op on a nil receiver.
 type Counter struct {
 	v atomic.Int64
 }
@@ -41,61 +41,12 @@ func (c *Counter) Add(n int64) {
 	c.v.Add(n)
 }
 
-// Inc increments the counter by one.
-//
-//efd:hotpath
-func (c *Counter) Inc() {
-	if c == nil {
-		return
-	}
-	c.v.Add(1)
-}
-
 // Value reads the counter.
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a settable float64 metric. Set/Add are atomic (Add is a
-// CAS loop on the float bits) and no-ops on a nil receiver.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge's value.
-//
-//efd:hotpath
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add adjusts the gauge by delta.
-//
-//efd:hotpath
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
-			return
-		}
-	}
-}
-
-// Value reads the gauge.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
 }
 
 // Histogram is a fixed-bucket distribution. Buckets are cumulative
@@ -186,7 +137,6 @@ func (k kind) String() string {
 type series struct {
 	labels string // pre-rendered `k="v",…` payload, "" for none
 	c      *Counter
-	g      *Gauge
 	h      *Histogram
 	cf     func() int64
 	gf     func() float64
@@ -257,17 +207,6 @@ func (r *Registry) CounterFunc(name, labels, help string, fn func() int64) {
 		panic(fmt.Sprintf("obs: duplicate registration of %s{%s}", name, labels))
 	}
 	s.cf = fn
-}
-
-// Gauge registers (or returns the existing) gauge series.
-func (r *Registry) Gauge(name, labels, help string) *Gauge {
-	s, fresh := r.register(name, labels, help, kindGauge)
-	if fresh {
-		s.g = new(Gauge)
-	} else if s.g == nil {
-		panic(fmt.Sprintf("obs: %s{%s} already registered as a callback gauge", name, labels))
-	}
-	return s.g
 }
 
 // GaugeFunc registers a callback-backed gauge series.

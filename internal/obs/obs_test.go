@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 )
@@ -10,15 +11,19 @@ func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "", "a counter")
 	c.Add(2)
-	c.Inc()
+	c.Add(1)
 	if got := c.Value(); got != 3 {
 		t.Fatalf("counter = %d, want 3", got)
 	}
-	g := r.Gauge("g", "", "a gauge")
-	g.Set(1.5)
-	g.Add(-0.5)
-	if got := g.Value(); got != 1.0 {
-		t.Fatalf("gauge = %v, want 1.0", got)
+	level := 1.5
+	r.GaugeFunc("g", "", "a gauge", func() float64 { return level })
+	level -= 0.5
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "\ng 1\n") {
+		t.Fatalf("gauge exposition lacks the callback's current value 1:\n%s", b.String())
 	}
 	// Idempotent re-registration returns the same instrument.
 	if r.Counter("c_total", "", "a counter") != c {
@@ -27,10 +32,6 @@ func TestCounterGaugeBasics(t *testing.T) {
 	// Nil instruments are silent no-ops.
 	var nc *Counter
 	nc.Add(1)
-	nc.Inc()
-	var ng *Gauge
-	ng.Set(1)
-	ng.Add(1)
 	var nh *Histogram
 	nh.Observe(1)
 }
@@ -57,7 +58,7 @@ func TestKindMismatchPanics(t *testing.T) {
 			t.Fatal("registering m as gauge after counter did not panic")
 		}
 	}()
-	r.Gauge("m", "", "")
+	r.GaugeFunc("m", "", "", func() float64 { return 0 })
 }
 
 func TestExpBuckets(t *testing.T) {
@@ -77,15 +78,11 @@ func TestObserveAllocFree(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "", "")
 	h := r.Histogram("h_seconds", "", "", ExpBuckets(1e-6, 4, 12))
-	g := r.Gauge("g", "", "")
 	if n := testing.AllocsPerRun(1000, func() { c.Add(1) }); n != 0 {
 		t.Errorf("Counter.Add allocates %v/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() { h.Observe(0.0001) }); n != 0 {
 		t.Errorf("Histogram.Observe allocates %v/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() { g.Set(4.2) }); n != 0 {
-		t.Errorf("Gauge.Set allocates %v/op, want 0", n)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/efd/monitor"
 	"repro/internal/apps"
 	"repro/internal/core"
 )
@@ -43,7 +44,7 @@ func makePlan(i int) jobPlan {
 // referenceState feeds the plan serially into a fresh stream against an
 // identical (but unshared) dictionary and returns the expected terminal
 // recognition state.
-func referenceState(t *testing.T, p jobPlan) jobState {
+func referenceState(t *testing.T, p jobPlan) monitor.State {
 	t.Helper()
 	d := trainedDict(t)
 	st := core.NewStream(d, 2)
@@ -51,7 +52,7 @@ func referenceState(t *testing.T, p jobPlan) jobState {
 		st.Feed(smp.Metric, smp.Node, time.Duration(smp.OffsetS*float64(time.Second)), smp.Value)
 	}
 	res := st.Recognize()
-	return jobState{
+	return monitor.State{
 		JobID: p.id, Complete: st.Complete(),
 		Recognized: res.Recognized(), Top: res.Top(),
 		Matched: res.Matched, Total: res.Total,
@@ -65,7 +66,7 @@ func referenceState(t *testing.T, p jobPlan) jobState {
 // stream.
 func TestShardedServerConcurrency(t *testing.T) {
 	const jobs = 32
-	s := New(trainedDict(t))
+	s := NewEngine(monitor.New(trainedDict(t)))
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/efd/monitor"
 	"repro/internal/obs"
 )
 
@@ -14,7 +15,7 @@ import (
 // registered job.
 func obsServer(t *testing.T, seed uint64) (*Server, http.Handler, *obs.Registry) {
 	t.Helper()
-	srv := New(trainedDict(t))
+	srv := NewEngine(monitor.New(trainedDict(t)))
 	if _, err := srv.Register("job-1", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestObsTraceHeader(t *testing.T) {
 }
 
 func TestObsDisabledHandlerUnchanged(t *testing.T) {
-	srv := New(trainedDict(t))
+	srv := NewEngine(monitor.New(trainedDict(t)))
 	h := srv.Handler()
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/health", nil))

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/efd/monitor"
 	"repro/internal/tsdb"
 	"repro/internal/vfs"
 )
@@ -28,7 +29,7 @@ func readonlyFixture(t *testing.T, watermark int64, probe time.Duration) (*Serve
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(trainedDict(t))
+	srv := NewEngine(monitor.New(trainedDict(t)))
 	srv.StoreProbeInterval = probe
 	if _, err := srv.AttachStore(st); err != nil {
 		st.Close()

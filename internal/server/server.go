@@ -56,15 +56,8 @@ import (
 	"time"
 
 	"repro/efd/monitor"
-	"repro/internal/core"
 	"repro/internal/obs"
 )
-
-// NumShards is the number of job-table shards (see efd/monitor).
-const NumShards = monitor.NumShards
-
-// MaxJobIDLen bounds the byte length of a registered job ID.
-const MaxJobIDLen = monitor.MaxJobIDLen
 
 // DefaultMaxBodyBytes is the default request body limit: generous for
 // batch ingest (a multi-thousand-sample JSON batch is well under a
@@ -89,13 +82,10 @@ type Server struct {
 	obs *serverObs
 }
 
-// New returns a service over the dictionary. The server takes
-// ownership of the dictionary's concurrency: all further access must
-// go through the server (or SaveDictionary).
-func New(dict *core.Dictionary) *Server { return NewEngine(monitor.New(dict)) }
-
-// NewEngine wraps an existing engine — the path for embedders that
-// built (and possibly pre-loaded) the engine themselves.
+// NewEngine returns the HTTP service over an engine, which the caller
+// built (and possibly pre-loaded) itself, e.g. with monitor.New. The
+// server takes over the engine: all further access goes through the
+// server (or SaveDictionary).
 func NewEngine(e *monitor.Engine) *Server {
 	return &Server{Engine: e, MaxBodyBytes: DefaultMaxBodyBytes}
 }
@@ -216,10 +206,8 @@ func noRoute(w http.ResponseWriter, r *http.Request) {
 // The engine's wire types ARE the v1 JSON schema; aliases keep the
 // adapter (and its tests) in the protocol's vocabulary.
 type (
-	wireSample   = monitor.Sample
-	sampleBatch  = monitor.Batch
-	jobState     = monitor.State
-	metricsState = monitor.Stats
+	wireSample  = monitor.Sample
+	sampleBatch = monitor.Batch
 )
 
 type registerRequest struct {

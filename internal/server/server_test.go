@@ -49,7 +49,7 @@ func (f fixedSource) NodeCount() int { return f.nodes }
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	s := New(trainedDict(t))
+	s := NewEngine(monitor.New(trainedDict(t)))
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -181,7 +181,7 @@ func TestOnlineLearning(t *testing.T) {
 
 func TestRegistrationErrors(t *testing.T) {
 	// MaxJobs must be set before serving, so use a dedicated server.
-	s := New(trainedDict(t))
+	s := NewEngine(monitor.New(trainedDict(t)))
 	s.MaxJobs = 2
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -216,13 +216,13 @@ func TestRegistrationErrors(t *testing.T) {
 
 func TestJobIDValidation(t *testing.T) {
 	_, ts := newTestServer(t)
-	bad := []string{"a/b", "x/label", "/", strings.Repeat("x", MaxJobIDLen+1), ".", ".."}
+	bad := []string{"a/b", "x/label", "/", strings.Repeat("x", monitor.MaxJobIDLen+1), ".", ".."}
 	for _, id := range bad {
 		if resp, _ := post(t, ts.URL+"/v1/jobs", registerRequest{JobID: id, Nodes: 1}); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("id %q: %v, want 400", id, resp.Status)
 		}
 	}
-	good := []string{"ok.job-1", "label", strings.Repeat("y", MaxJobIDLen)}
+	good := []string{"ok.job-1", "label", strings.Repeat("y", monitor.MaxJobIDLen)}
 	for _, id := range good {
 		if resp, _ := post(t, ts.URL+"/v1/jobs", registerRequest{JobID: id, Nodes: 1}); resp.StatusCode != http.StatusCreated {
 			t.Errorf("id %q: %v, want 201", id, resp.Status)
@@ -407,7 +407,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if body["live_jobs"].(float64) != 2 || body["registered_total"].(float64) != 2 {
 		t.Errorf("job counters: %v", body)
 	}
-	if body["shards"].(float64) != NumShards {
+	if body["shards"].(float64) != monitor.NumShards {
 		t.Errorf("shards = %v", body["shards"])
 	}
 	occ := body["shard_occupancy"].([]any)
@@ -415,7 +415,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, o := range occ {
 		total += o.(float64)
 	}
-	if len(occ) != NumShards || total != 2 {
+	if len(occ) != monitor.NumShards || total != 2 {
 		t.Errorf("occupancy = %v (len %d)", total, len(occ))
 	}
 	if body["samples_accepted_total"].(float64) == 0 || body["recognitions_total"].(float64) != 1 {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/efd/monitor"
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/tsdb"
@@ -23,11 +24,11 @@ func storageFixture(t *testing.T, dir string) (*Server, *httptest.Server, *tsdb.
 		t.Fatal(err)
 	}
 	d.Learn(fixedSource{nodes: 2, level: 6000}, apps.Label{App: "ft", Input: apps.InputX})
-	st, err := tsdb.Open(dir)
+	st, err := tsdb.OpenOptions(dir, tsdb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(d)
+	srv := NewEngine(monitor.New(d))
 	if _, err := srv.AttachStore(st); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestStorageBackedLifecycle(t *testing.T) {
 
 	// Recognition says unknown; the operator labels it — it becomes a
 	// stored execution.
-	var state jobState
+	var state monitor.State
 	if code := doJSON(t, "GET", base+"/v1/jobs/hist1", nil, &state); code != http.StatusOK || state.Top != core.Unknown {
 		t.Fatalf("pre-label state: %d %+v", code, state)
 	}
@@ -145,7 +146,7 @@ func TestStorageBackedLifecycle(t *testing.T) {
 	// Historical re-recognition: the dictionary learned lammps at 9000
 	// *after* hist1 finished; re-running recognition over the stored
 	// execution now identifies it.
-	var rr jobState
+	var rr monitor.State
 	if code := doJSON(t, "POST", base+"/v1/executions/hist1/recognize", nil, &rr); code != http.StatusOK {
 		t.Fatalf("re-recognize: %d", code)
 	}
@@ -163,7 +164,7 @@ func TestStorageBackedLifecycle(t *testing.T) {
 	}
 
 	// Metrics expose the store section.
-	var met metricsState
+	var met monitor.Stats
 	if code := doJSON(t, "GET", base+"/v1/metrics", nil, &met); code != http.StatusOK {
 		t.Fatalf("metrics: %d", code)
 	}
@@ -212,7 +213,7 @@ func TestStorageRestartRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	dRef.Learn(fixedSource{nodes: 2, level: 6000}, apps.Label{App: "ft", Input: apps.InputX})
-	refSrv := httptest.NewServer(New(dRef).Handler())
+	refSrv := httptest.NewServer(NewEngine(monitor.New(dRef)).Handler())
 	defer refSrv.Close()
 	if code := doJSON(t, "POST", refSrv.URL+"/v1/jobs", map[string]any{"job_id": "j", "nodes": 2}, nil); code != http.StatusCreated {
 		t.Fatal("register ref")
@@ -244,11 +245,11 @@ func TestStorageRestartRecovery(t *testing.T) {
 
 	// The recovered job keeps working: complete the window and label.
 	feedFlat(t, ts2.URL, "j", 91, 125, 6000)
-	var state jobState
+	var state monitor.State
 	if code := doJSON(t, "GET", ts2.URL+"/v1/jobs/j", nil, &state); code != http.StatusOK || state.Top != "ft" {
 		t.Fatalf("completed recovered job: %d %+v", code, state)
 	}
-	var met metricsState
+	var met monitor.Stats
 	if code := doJSON(t, "GET", ts2.URL+"/v1/metrics", nil, &met); code != http.StatusOK || met.Store == nil {
 		t.Fatal("metrics after restart")
 	}
@@ -267,7 +268,7 @@ func TestStorageRoutesWithoutStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(d).Handler())
+	ts := httptest.NewServer(NewEngine(monitor.New(d)).Handler())
 	defer ts.Close()
 	for _, route := range []struct{ method, path string }{
 		{"GET", "/v1/jobs/x/series"},
@@ -278,7 +279,7 @@ func TestStorageRoutesWithoutStore(t *testing.T) {
 			t.Errorf("%s %s without store: %d, want 501", route.method, route.path, code)
 		}
 	}
-	var met metricsState
+	var met monitor.Stats
 	if code := doJSON(t, "GET", ts.URL+"/v1/metrics", nil, &met); code != http.StatusOK {
 		t.Fatal("metrics")
 	}

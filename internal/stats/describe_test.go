@@ -26,9 +26,6 @@ func TestMeanBasic(t *testing.T) {
 		{[]float64{-1, 1}, 0},
 	}
 	for _, c := range cases {
-		if got := Mean(c.xs); got != c.want {
-			t.Errorf("Mean(%v) = %v, want %v", c.xs, got, c.want)
-		}
 		if got := KahanMean(c.xs); got != c.want {
 			t.Errorf("KahanMean(%v) = %v, want %v", c.xs, got, c.want)
 		}
@@ -195,18 +192,6 @@ func TestPercentilesMatchSingle(t *testing.T) {
 	}
 }
 
-func TestMedian(t *testing.T) {
-	if got := Median([]float64{3, 1, 2}); got != 2 {
-		t.Errorf("Median odd = %v, want 2", got)
-	}
-	if got := Median([]float64{4, 1, 3, 2}); got != 2.5 {
-		t.Errorf("Median even = %v, want 2.5", got)
-	}
-	if got := Median(nil); got != 0 {
-		t.Errorf("Median empty = %v, want 0", got)
-	}
-}
-
 func TestDescribeConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	xs := make([]float64, 500)
@@ -236,9 +221,8 @@ func TestDescribeConsistency(t *testing.T) {
 func TestSummaryVector(t *testing.T) {
 	s := Describe([]float64{1, 2, 3, 4, 5, 6, 7, 8})
 	v := s.Vector()
-	names := FeatureNames()
-	if len(v) != len(names) || len(v) != 11 {
-		t.Fatalf("vector/name length mismatch: %d vs %d", len(v), len(names))
+	if len(v) != 11 {
+		t.Fatalf("vector length = %d, want 11", len(v))
 	}
 	if v[0] != s.Min || v[1] != s.Max || v[2] != s.Mean || v[3] != s.StdDev {
 		t.Error("vector layout mismatch")

@@ -1,16 +1,11 @@
 package stats
 
-import "math"
-
-// Online accumulates streaming moments using Welford's algorithm,
-// allowing the streaming recognizer to maintain window means without
-// buffering every sample. The zero value is ready to use.
+// Online accumulates a streaming mean using Welford's update, allowing
+// the streaming recognizer to maintain window means without buffering
+// every sample. The zero value is ready to use.
 type Online struct {
 	n    int
 	mean float64
-	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add folds one observation into the accumulator.
@@ -18,27 +13,9 @@ func (o *Online) Add(x float64) {
 	o.n++
 	if o.n == 1 {
 		o.mean = x
-		o.m2 = 0
-		o.min = x
-		o.max = x
 		return
 	}
-	d := x - o.mean
-	o.mean += d / float64(o.n)
-	o.m2 += d * (x - o.mean)
-	if x < o.min {
-		o.min = x
-	}
-	if x > o.max {
-		o.max = x
-	}
-}
-
-// AddAll folds a batch of observations into the accumulator.
-func (o *Online) AddAll(xs []float64) {
-	for _, x := range xs {
-		o.Add(x)
-	}
+	o.mean += (x - o.mean) / float64(o.n)
 }
 
 // Count reports the number of observations seen.
@@ -46,50 +23,3 @@ func (o *Online) Count() int { return o.n }
 
 // Mean reports the running mean, or 0 before any observation.
 func (o *Online) Mean() float64 { return o.mean }
-
-// Variance reports the unbiased running sample variance, or 0 with fewer
-// than two observations.
-func (o *Online) Variance() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n-1)
-}
-
-// StdDev reports the unbiased running sample standard deviation.
-func (o *Online) StdDev() float64 { return math.Sqrt(o.Variance()) }
-
-// Min reports the smallest observation, or 0 before any observation.
-func (o *Online) Min() float64 { return o.min }
-
-// Max reports the largest observation, or 0 before any observation.
-func (o *Online) Max() float64 { return o.max }
-
-// Reset returns the accumulator to its zero state.
-func (o *Online) Reset() { *o = Online{} }
-
-// Merge combines another accumulator into o, as if every observation of
-// other had been Added to o. Merging with an empty accumulator is a
-// no-op. This is the parallel-reduction step used when node windows are
-// summarized concurrently.
-func (o *Online) Merge(other *Online) {
-	if other.n == 0 {
-		return
-	}
-	if o.n == 0 {
-		*o = *other
-		return
-	}
-	na, nb := float64(o.n), float64(other.n)
-	d := other.mean - o.mean
-	tot := na + nb
-	o.mean += d * nb / tot
-	o.m2 += other.m2 + d*d*na*nb/tot
-	o.n += other.n
-	if other.min < o.min {
-		o.min = other.min
-	}
-	if other.max > o.max {
-		o.max = other.max
-	}
-}

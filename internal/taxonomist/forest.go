@@ -148,12 +148,6 @@ func (f *Forest) SetThreshold(t float64) error {
 	return nil
 }
 
-// Classes returns the class table shared by all member trees.
-func (f *Forest) Classes() []string { return f.classes }
-
-// Trees reports the ensemble size.
-func (f *Forest) Trees() int { return len(f.trees) }
-
 // Proba averages member-tree class probabilities for the vector.
 func (f *Forest) Proba(values []float64) []float64 {
 	out := make([]float64, len(f.classes))

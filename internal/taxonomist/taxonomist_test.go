@@ -32,16 +32,16 @@ func TestTreeLearnsSeparableProblem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Predict([]float64{-0.5, 0.2}); got != "low" {
+	if got := predictTree(tr, []float64{-0.5, 0.2}); got != "low" {
 		t.Errorf("Predict(low point) = %q", got)
 	}
-	if got := tr.Predict([]float64{10.5, 9.7}); got != "high" {
+	if got := predictTree(tr, []float64{10.5, 9.7}); got != "high" {
 		t.Errorf("Predict(high point) = %q", got)
 	}
-	if tr.Depth() < 1 {
+	if depthOf(tr.root) < 1 {
 		t.Error("tree should have split at least once")
 	}
-	if tr.Leaves() < 2 {
+	if leavesOf(tr.root) < 2 {
 		t.Error("tree should have at least two leaves")
 	}
 }
@@ -94,8 +94,8 @@ func TestTreeMaxDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Depth() > 1 {
-		t.Errorf("Depth = %d, want <= 1", tr.Depth())
+	if depthOf(tr.root) > 1 {
+		t.Errorf("Depth = %d, want <= 1", depthOf(tr.root))
 	}
 }
 
@@ -107,8 +107,8 @@ func TestTreeMinLeaf(t *testing.T) {
 		t.Fatal(err)
 	}
 	// With MinLeaf 10 on 60 examples, at most 6 leaves are possible.
-	if tr.Leaves() > 6 {
-		t.Errorf("Leaves = %d with MinLeaf 10", tr.Leaves())
+	if leavesOf(tr.root) > 6 {
+		t.Errorf("Leaves = %d with MinLeaf 10", leavesOf(tr.root))
 	}
 }
 
@@ -121,10 +121,10 @@ func TestTreePureInputMakesLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Depth() != 0 {
-		t.Errorf("pure class should yield a single leaf, depth %d", tr.Depth())
+	if depthOf(tr.root) != 0 {
+		t.Errorf("pure class should yield a single leaf, depth %d", depthOf(tr.root))
 	}
-	if got := tr.Predict([]float64{99, -99}); got != "only" {
+	if got := predictTree(tr, []float64{99, -99}); got != "only" {
 		t.Errorf("Predict = %q", got)
 	}
 }
@@ -140,8 +140,8 @@ func TestTreeConstantFeaturesMakeLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Depth() != 0 {
-		t.Errorf("unsplittable data should yield a leaf, depth %d", tr.Depth())
+	if depthOf(tr.root) != 0 {
+		t.Errorf("unsplittable data should yield a leaf, depth %d", depthOf(tr.root))
 	}
 }
 
@@ -171,8 +171,8 @@ func TestForestOnDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if forest.Trees() != 20 {
-		t.Errorf("Trees = %d", forest.Trees())
+	if len(forest.trees) != 20 {
+		t.Errorf("Trees = %d", len(forest.trees))
 	}
 	preds := forest.PredictBatch(fvs)
 	correct := 0
@@ -261,4 +261,37 @@ func TestFeatureNamesFor(t *testing.T) {
 	if names[0] != "m1:min" || names[11] != "m2:min" || names[21] != "m2:p95" {
 		t.Errorf("name layout: %v", names)
 	}
+}
+
+// predictTree returns the majority class of the leaf the vector falls
+// into.
+func predictTree(t *Tree, values []float64) string {
+	probs := t.Proba(values)
+	best := 0
+	for i, p := range probs {
+		if p > probs[best] {
+			best = i
+		}
+	}
+	return t.classes[best]
+}
+
+// depthOf reports the height of the subtree (a single leaf has depth
+// 0).
+func depthOf(n *node) int {
+	if n == nil || n.counts != nil {
+		return 0
+	}
+	return max(depthOf(n.left), depthOf(n.right)) + 1
+}
+
+// leavesOf reports the number of leaf nodes of the subtree.
+func leavesOf(n *node) int {
+	if n == nil {
+		return 0
+	}
+	if n.counts != nil {
+		return 1
+	}
+	return leavesOf(n.left) + leavesOf(n.right)
 }

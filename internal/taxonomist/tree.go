@@ -218,24 +218,8 @@ func bestSplit(ts *trainingSet, idx []int, parentCounts []int, cfg TreeConfig, r
 	return bestFeat, bestThr, found
 }
 
-// Classes returns the class table of the tree.
-func (t *Tree) Classes() []string { return t.classes }
-
-// Predict returns the majority class of the leaf the vector falls into.
-func (t *Tree) Predict(values []float64) string {
-	probs := t.Proba(values)
-	best, bestP := 0, -1.0
-	for i, p := range probs {
-		if p > bestP {
-			bestP = p
-			best = i
-		}
-	}
-	return t.classes[best]
-}
-
 // Proba returns per-class leaf frequencies for the vector, indexed like
-// Classes().
+// the tree's class table.
 func (t *Tree) Proba(values []float64) []float64 {
 	n := t.root
 	for n.counts == nil {
@@ -253,31 +237,4 @@ func (t *Tree) Proba(values []float64) []float64 {
 		out[i] = float64(c) / float64(n.total)
 	}
 	return out
-}
-
-// Depth reports the height of the tree (a single leaf has depth 0).
-func (t *Tree) Depth() int { return depthOf(t.root) }
-
-func depthOf(n *node) int {
-	if n == nil || n.counts != nil {
-		return 0
-	}
-	l, r := depthOf(n.left), depthOf(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
-
-// Leaves reports the number of leaf nodes.
-func (t *Tree) Leaves() int { return leavesOf(t.root) }
-
-func leavesOf(n *node) int {
-	if n == nil {
-		return 0
-	}
-	if n.counts != nil {
-		return 1
-	}
-	return leavesOf(n.left) + leavesOf(n.right)
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"sort"
 	"time"
 )
@@ -97,62 +96,4 @@ func (ns *NodeSet) Duration() time.Duration {
 		}
 	}
 	return d
-}
-
-// Validate checks every series in the set and also verifies that all
-// nodes expose the same metric names, which the dataset format
-// guarantees and the recognizer assumes.
-func (ns *NodeSet) Validate() error {
-	var ref []string
-	for _, node := range ns.Nodes() {
-		m := ns.series[node]
-		names := make([]string, 0, len(m))
-		for name, s := range m {
-			if err := s.Validate(); err != nil {
-				return err
-			}
-			if s.Node != node {
-				return fmt.Errorf("telemetry: series %s filed under node %d but labelled %d",
-					name, node, s.Node)
-			}
-			if s.Metric != name {
-				return fmt.Errorf("telemetry: series filed under %q but labelled %q",
-					name, s.Metric)
-			}
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		if ref == nil {
-			ref = names
-			continue
-		}
-		if len(names) != len(ref) {
-			return fmt.Errorf("telemetry: node %d has %d metrics, expected %d",
-				node, len(names), len(ref))
-		}
-		for i := range names {
-			if names[i] != ref[i] {
-				return fmt.Errorf("telemetry: node %d metric set differs at %q", node, names[i])
-			}
-		}
-	}
-	return nil
-}
-
-// FilterMetrics returns a shallow view containing only the listed
-// metrics (series are shared, not copied). Unknown names are ignored.
-func (ns *NodeSet) FilterMetrics(metrics []string) *NodeSet {
-	want := make(map[string]bool, len(metrics))
-	for _, m := range metrics {
-		want[m] = true
-	}
-	out := NewNodeSet()
-	for _, m := range ns.series {
-		for name, s := range m {
-			if want[name] {
-				out.Put(s)
-			}
-		}
-	}
-	return out
 }

@@ -26,8 +26,8 @@
 // Seal freezes the current contents and builds a per-series prefix sum
 // of the values (~106-bit double-doubles), after which WindowMean
 // answers any window in O(1)/O(log n) regardless of window length —
-// probing many windows over one series, as Summarize, metric sweeps
-// and aligned recognition do, amortizes to a single pass. Sealing
+// probing many windows over one series, as Summarize and metric sweeps
+// do, amortizes to a single pass. Sealing
 // costs one pass and 16 bytes per sample; mutating the series again
 // simply drops the seal. Sealed and unsealed answers agree to the last
 // bit except in astronomically unlikely half-ulp ties (both paths
@@ -265,9 +265,6 @@ func (s *Series) Seal() {
 	s.pre = pre
 }
 
-// Sealed reports whether the prefix sums are current.
-func (s *Series) Sealed() bool { return s.pre != nil }
-
 // Len reports the number of samples.
 func (s *Series) Len() int { return len(s.vals) }
 
@@ -367,9 +364,6 @@ func (w Window) Valid() bool {
 	return w.Start >= 0 && w.End > w.Start
 }
 
-// Duration reports the length of the window.
-func (w Window) Duration() time.Duration { return w.End - w.Start }
-
 // Contains reports whether offset falls inside the half-open window.
 func (w Window) Contains(offset time.Duration) bool {
 	return offset >= w.Start && offset < w.End
@@ -444,21 +438,6 @@ func (s *Series) window(w Window) (lo, hi int, err error) {
 	return lo, hi, nil
 }
 
-// Slice returns the values of the samples falling in the window. It
-// returns ErrShortSeries when the series ends before the window starts
-// or contains no samples in the window, so callers can distinguish "the
-// application finished early" from "the application was idle", and
-// ErrUnsortedSeries when out-of-order appends have not been Sorted yet.
-func (s *Series) Slice(w Window) ([]float64, error) {
-	lo, hi, err := s.window(w)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, hi-lo)
-	copy(out, s.vals[lo:hi])
-	return out, nil
-}
-
 // WindowMean returns the arithmetic mean of the samples in the window.
 // On a sealed series it is a prefix-sum subtraction — O(1) on the
 // implicit grid, O(log n) with explicit offsets, independent of window
@@ -481,54 +460,4 @@ func (s *Series) WindowMean(w Window) (float64, error) {
 		sum.Add(x)
 	}
 	return sum.Value() / float64(hi-lo), nil
-}
-
-// Resample returns a copy of the series re-gridded to the given period
-// using last-observation-carried-forward, starting at offset zero and
-// ending at the series duration. It is used to repair telemetry with
-// missing or jittered collection ticks before windowing.
-func (s *Series) Resample(period time.Duration) (*Series, error) {
-	if period <= 0 {
-		return nil, errors.New("telemetry: non-positive resample period")
-	}
-	if len(s.vals) == 0 {
-		return &Series{Metric: s.Metric, Node: s.Node}, nil
-	}
-	dur := s.Duration()
-	n := int(dur/period) + 1
-	out := NewSeries(s.Metric, s.Node, n)
-	j := 0
-	last := s.vals[0]
-	for i := 0; i < n; i++ {
-		at := time.Duration(i) * period
-		for j < len(s.vals) && s.OffsetAt(j) <= at {
-			last = s.vals[j]
-			j++
-		}
-		out.Append(at, last)
-	}
-	return out, nil
-}
-
-// Validate reports the first problem found in the series: unsorted
-// samples, negative offsets, or non-finite values. A nil return means
-// the series is well-formed.
-func (s *Series) Validate() error {
-	var prev time.Duration = -1
-	for i, x := range s.vals {
-		off := s.OffsetAt(i)
-		if off < 0 {
-			return fmt.Errorf("telemetry: %s node %d sample %d: negative offset %v",
-				s.Metric, s.Node, i, off)
-		}
-		if off < prev {
-			return fmt.Errorf("telemetry: %s node %d sample %d: out of order", s.Metric, s.Node, i)
-		}
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return fmt.Errorf("telemetry: %s node %d sample %d: non-finite value",
-				s.Metric, s.Node, i)
-		}
-		prev = off
-	}
-	return nil
 }

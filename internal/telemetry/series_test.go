@@ -46,15 +46,9 @@ func TestSeriesSort(t *testing.T) {
 	if s.Sorted() {
 		t.Error("out-of-order appends should clear Sorted")
 	}
-	if err := s.Validate(); err == nil {
-		t.Fatal("out-of-order series should fail validation")
-	}
 	s.Sort()
 	if !s.Sorted() {
 		t.Error("Sort should restore Sorted")
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatalf("sorted series should validate: %v", err)
 	}
 	if s.ValueAt(0) != 10 || s.ValueAt(2) != 30 {
 		t.Errorf("sort order wrong: %v", s.Values())
@@ -66,8 +60,8 @@ func TestSeriesSort(t *testing.T) {
 	}
 }
 
-// TestUnsortedSeriesWindowing covers the Append/Slice contract: the
-// binary search used by Slice and WindowMean must not silently return
+// TestUnsortedSeriesWindowing covers the Append/WindowMean contract: the
+// binary search used by WindowMean must not silently return
 // wrong windows when samples arrived out of order — windowing fails
 // with ErrUnsortedSeries until an explicit Sort restores order.
 func TestUnsortedSeriesWindowing(t *testing.T) {
@@ -89,9 +83,6 @@ func TestUnsortedSeriesWindowing(t *testing.T) {
 	if _, err := shuffled.WindowMean(w); !errors.Is(err, ErrUnsortedSeries) {
 		t.Fatalf("unsorted WindowMean err = %v, want ErrUnsortedSeries", err)
 	}
-	if _, err := shuffled.Slice(w); !errors.Is(err, ErrUnsortedSeries) {
-		t.Fatalf("unsorted Slice err = %v, want ErrUnsortedSeries", err)
-	}
 	shuffled.Sort()
 	want, err := ordered.WindowMean(w)
 	if err != nil {
@@ -104,10 +95,6 @@ func TestUnsortedSeriesWindowing(t *testing.T) {
 	if got != want {
 		t.Errorf("WindowMean after Sort = %v, want %v", got, want)
 	}
-	vals, err := shuffled.Slice(w)
-	if err != nil || len(vals) != 60 || vals[0] != 60 {
-		t.Errorf("Slice after Sort = (%d vals, %v)", len(vals), err)
-	}
 }
 
 func TestWindowBasics(t *testing.T) {
@@ -115,8 +102,8 @@ func TestWindowBasics(t *testing.T) {
 	if w.String() != "[60:120]" {
 		t.Errorf("String = %q", w.String())
 	}
-	if !w.Valid() || w.Duration() != sec(60) {
-		t.Error("window validity/duration wrong")
+	if !w.Valid() {
+		t.Error("window validity wrong")
 	}
 	if !w.Contains(sec(60)) || w.Contains(sec(120)) || !w.Contains(sec(119)) {
 		t.Error("half-open containment wrong")
@@ -156,28 +143,13 @@ func TestParseWindowRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSliceWindow(t *testing.T) {
-	vals := make([]float64, 200)
-	for i := range vals {
-		vals[i] = float64(i)
-	}
-	s := mkSeries(t, "m", 0, vals)
-	got, err := s.Slice(Window{Start: sec(60), End: sec(120)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 60 || got[0] != 60 || got[59] != 119 {
-		t.Errorf("Slice = len %d, first %v, last %v", len(got), got[0], got[len(got)-1])
-	}
-}
-
 func TestSliceShortSeries(t *testing.T) {
 	s := mkSeries(t, "m", 0, []float64{1, 2, 3}) // covers [0,2]
-	_, err := s.Slice(Window{Start: sec(60), End: sec(120)})
+	_, err := s.WindowMean(Window{Start: sec(60), End: sec(120)})
 	if !errors.Is(err, ErrShortSeries) {
 		t.Fatalf("want ErrShortSeries, got %v", err)
 	}
-	if _, err := s.Slice(Window{Start: sec(5), End: sec(1)}); err == nil {
+	if _, err := s.WindowMean(Window{Start: sec(5), End: sec(1)}); err == nil {
 		t.Fatal("invalid window should error")
 	}
 }
@@ -221,49 +193,6 @@ func TestWindowMeanPartialCoverage(t *testing.T) {
 	}
 }
 
-func TestResample(t *testing.T) {
-	s := NewSeries("m", 0, 4)
-	s.Append(0, 1)
-	s.Append(sec(2), 2) // missing tick at 1s
-	s.Append(sec(3), 3)
-	r, err := s.Resample(time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, 1, 2, 3} // LOCF fills the gap
-	got := r.Values()
-	if len(got) != len(want) {
-		t.Fatalf("Resample length %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Resample[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if _, err := s.Resample(0); err == nil {
-		t.Error("non-positive period should error")
-	}
-	empty := NewSeries("m", 0, 0)
-	r2, err := empty.Resample(time.Second)
-	if err != nil || r2.Len() != 0 {
-		t.Error("resampling empty series should yield empty series")
-	}
-}
-
-func TestValidateCatchesNonFinite(t *testing.T) {
-	s := NewSeries("m", 0, 2)
-	s.Append(0, 1)
-	s.Append(sec(1), math.NaN())
-	if err := s.Validate(); err == nil {
-		t.Error("NaN should fail validation")
-	}
-	s2 := NewSeries("m", 0, 1)
-	s2.Append(-sec(1), 1)
-	if err := s2.Validate(); err == nil {
-		t.Error("negative offset should fail validation")
-	}
-}
-
 func TestNodeSet(t *testing.T) {
 	ns := NewNodeSet()
 	ns.Put(mkSeries(t, "a", 0, []float64{1}))
@@ -285,18 +214,6 @@ func TestNodeSet(t *testing.T) {
 	if ns.Get(0, "a") == nil || ns.Get(2, "a") != nil || ns.Get(0, "c") != nil {
 		t.Error("Get lookup wrong")
 	}
-	if err := ns.Validate(); err != nil {
-		t.Errorf("Validate: %v", err)
-	}
-}
-
-func TestNodeSetValidateMismatchedMetrics(t *testing.T) {
-	ns := NewNodeSet()
-	ns.Put(mkSeries(t, "a", 0, []float64{1}))
-	ns.Put(mkSeries(t, "b", 1, []float64{1}))
-	if err := ns.Validate(); err == nil {
-		t.Error("nodes with different metric sets should fail validation")
-	}
 }
 
 func TestNodeSetPutReplaces(t *testing.T) {
@@ -308,20 +225,5 @@ func TestNodeSetPutReplaces(t *testing.T) {
 	}
 	if ns.NumSeries() != 1 {
 		t.Errorf("NumSeries = %d after replace", ns.NumSeries())
-	}
-}
-
-func TestFilterMetrics(t *testing.T) {
-	ns := NewNodeSet()
-	ns.Put(mkSeries(t, "a", 0, []float64{1}))
-	ns.Put(mkSeries(t, "b", 0, []float64{1}))
-	ns.Put(mkSeries(t, "c", 0, []float64{1}))
-	f := ns.FilterMetrics([]string{"a", "c", "zzz"})
-	if got := f.Metrics(); len(got) != 2 || got[0] != "a" || got[1] != "c" {
-		t.Errorf("FilterMetrics = %v", got)
-	}
-	// Shared series: the filter is a view.
-	if f.Get(0, "a") != ns.Get(0, "a") {
-		t.Error("filtered series should be shared, not copied")
 	}
 }

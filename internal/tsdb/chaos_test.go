@@ -305,7 +305,7 @@ func TestChaosStoreFaults(t *testing.T) {
 		}
 		st.Close() // poisoned/read-only close skips flushing, like a crash
 
-		re, err := Open(dir) // clean FS: recovery itself is not under fault here
+		re, err := OpenOptions(dir, Options{}) // clean FS: recovery itself is not under fault here
 		if err != nil {
 			t.Fatalf("CHAOS_SEED=%d round %d: reopen: %v", seed, round, err)
 		}
@@ -406,7 +406,7 @@ func TestChaosRecoveryTorture(t *testing.T) {
 
 		// Second, clean reopen: the tortured recovery must have left a
 		// state a normal recovery fully accepts.
-		re2, err := Open(dir)
+		re2, err := OpenOptions(dir, Options{})
 		if err != nil {
 			t.Fatalf("CHAOS_SEED=%d round %d: clean reopen after torture: %v", seed, round, err)
 		}
@@ -457,7 +457,7 @@ func TestChaosCrashBoundary(t *testing.T) {
 		fs.Crash()
 		st.Close()
 
-		re, err := Open(dir)
+		re, err := OpenOptions(dir, Options{})
 		if err != nil {
 			t.Fatalf("CHAOS_SEED=%d round %d: reopen after crash: %v", seed, round, err)
 		}

@@ -20,7 +20,7 @@ import (
 // and closes it, returning the recorded live state for comparison.
 func buildStore(t *testing.T, dir string, n int) LiveJob {
 	t.Helper()
-	st, err := Open(dir)
+	st, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,14 +87,14 @@ func TestCrashMidWALAppendTruncatedTail(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(refDir, walName), data[:last], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Open(refDir)
+	ref, err := OpenOptions(refDir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantLive := ref.Live()
 	ref.Close()
 
-	st, err := Open(dir)
+	st, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatalf("recovery failed: %v", err)
 	}
@@ -127,7 +127,7 @@ func TestCrashMidWALAppendTruncatedTail(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := Open(dir)
+	st2, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestCrashCorruptWALRecord(t *testing.T) {
 	if err := os.WriteFile(walPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open(dir)
+	st, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatalf("recovery failed: %v", err)
 	}
@@ -191,7 +191,7 @@ func TestCrashMidSegmentFlush(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, segPrefix+"12345678.tmp"), []byte(segMagicHead+"partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open(dir)
+	st, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatalf("recovery failed: %v", err)
 	}
@@ -214,7 +214,7 @@ func TestCrashMidSegmentFlush(t *testing.T) {
 // *.corrupt rather than crashing the store or serving bad data.
 func TestCrashTornSegmentQuarantined(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(dir)
+	st, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestCrashTornSegmentQuarantined(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir2, segName(0)), data[:len(data)/2], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		st2, err := Open(dir2)
+		st2, err := OpenOptions(dir2, Options{})
 		if err != nil {
 			t.Fatalf("open with torn segment: %v", err)
 		}
@@ -265,7 +265,7 @@ func TestCrashTornSegmentQuarantined(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir2, segName(0)), rotted, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		st2, err := Open(dir2)
+		st2, err := OpenOptions(dir2, Options{})
 		if err != nil {
 			t.Fatalf("open with rotted segment: %v", err)
 		}
@@ -282,7 +282,7 @@ func TestCrashTornSegmentQuarantined(t *testing.T) {
 // once and no live ghost remains.
 func TestCrashBetweenFlushAndCompaction(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(dir)
+	st, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestCrashBetweenFlushAndCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2, err := Open(dir)
+	st2, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatalf("recovery failed: %v", err)
 	}

@@ -49,6 +49,7 @@
 //
 // The engine (efd/monitor, OpenStore/AttachStore) wires this store
 // behind ingest, recovery and the stored-execution queries; cmd/efdd
-// enables it with -data-dir; internal/ldms bulk-converts execution
-// CSVs into segments via Store.IngestExecution.
+// enables it with -data-dir. Ingest is the only write path: every
+// stored execution arrived through Register, AppendRuns and Finish,
+// so every segment was first covered by the WAL.
 package tsdb

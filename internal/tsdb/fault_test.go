@@ -135,7 +135,7 @@ func TestFaultWALPoisoning(t *testing.T) {
 			}
 			st.Close() // unhealthy close: crash semantics, error expected
 
-			re, err := Open(dir)
+			re, err := OpenOptions(dir, Options{})
 			if err != nil {
 				t.Fatalf("reopen after poisoning: %v", err)
 			}
@@ -233,7 +233,7 @@ func TestFaultFlushENOSPCReadOnly(t *testing.T) {
 	}
 	fs.Reset() // space frees
 	st.Close() // read-only close: error expected, WAL holds the batch
-	re, err := Open(dir)
+	re, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatalf("reopen after disk-full: %v", err)
 	}
@@ -359,7 +359,7 @@ func TestFaultCrashAtEveryOp(t *testing.T) {
 				st.Close()
 			}
 
-			re, err := Open(dir)
+			re, err := OpenOptions(dir, Options{})
 			if err != nil {
 				t.Fatalf("reopen after crash at op %d: %v", n, err)
 			}
@@ -400,7 +400,7 @@ func TestFaultCrashAtEveryOp(t *testing.T) {
 // ErrLocked through the seam.
 func TestFaultLockConflict(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(dir)
+	st, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func TestFaultLockConflict(t *testing.T) {
 	if st.lock == nil {
 		t.Skip("no directory locking on this platform")
 	}
-	if _, err := Open(dir); !errors.Is(err, ErrLocked) {
+	if _, err := OpenOptions(dir, Options{}); !errors.Is(err, ErrLocked) {
 		t.Fatalf("second open = %v, want ErrLocked", err)
 	}
 }
@@ -427,7 +427,7 @@ func TestFaultQuarantineFiles(t *testing.T) {
 	if err := os.Truncate(walPath, int64(len(data))-5); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open(dir)
+	st, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

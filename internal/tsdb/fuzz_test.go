@@ -19,7 +19,7 @@ import (
 // validWALBytes builds a small real WAL for the seed corpus.
 func validWALBytes(tb testing.TB) []byte {
 	dir := tb.TempDir()
-	st, err := Open(dir)
+	st, err := OpenOptions(dir, Options{})
 	if err != nil {
 		tb.Fatal(err)
 	}

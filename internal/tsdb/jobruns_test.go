@@ -71,7 +71,7 @@ func TestAppendRunsChunksAndReplays(t *testing.T) {
 	walRunChunk = 5
 	defer func() { walRunChunk = old }()
 	dir := t.TempDir()
-	st, err := Open(dir)
+	st, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestAppendRunsChunksAndReplays(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		st2, err := Open(dir)
+		st2, err := OpenOptions(dir, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

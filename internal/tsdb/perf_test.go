@@ -24,9 +24,7 @@ func flushOneExec(t testing.TB, dir string, seriesCount, n int) *Store {
 		}
 		ns.Put(telemetry.NewSeriesFromColumns("m", si, nil, vals))
 	}
-	if err := st.IngestExecution("exec", "", ns); err != nil {
-		t.Fatal(err)
-	}
+	storeExecution(t, st, "exec", "", ns)
 	return st
 }
 

@@ -75,7 +75,7 @@ type segFooter struct {
 // segment is one opened (mapped) segment file.
 type segment struct {
 	path   string
-	m      *Mapping
+	m      *vfs.Mapping
 	footer segFooter
 }
 

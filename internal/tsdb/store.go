@@ -271,15 +271,13 @@ func isDiskFull(err error) bool {
 	return errors.Is(err, ErrDiskFull) || vfs.IsDiskFull(err)
 }
 
-// Open opens (or creates) a store in dir with default options,
-// replaying the WAL and mapping every valid segment. Torn WAL tails
-// and invalid segment files are quarantined, never silently dropped.
-func Open(dir string) (*Store, error) { return OpenOptions(dir, Options{}) }
-
-// OpenOptions is Open with explicit options. Recovery I/O is
-// fault-tolerant: transient failures retry with bounded backoff
-// (Options.RecoverRetries/RecoverBackoff), torn or rotted artifacts
-// are quarantined precisely, and Open errors only when recovery is
+// OpenOptions opens (or creates) a store in dir, replaying the WAL and
+// mapping every valid segment; zero Options select the defaults. Torn
+// WAL tails and invalid segment files are quarantined, never silently
+// dropped. Recovery I/O is fault-tolerant: transient failures retry
+// with bounded backoff (Options.RecoverRetries/RecoverBackoff), torn or
+// rotted artifacts are quarantined precisely, and it errors only when
+// recovery is
 // truly impossible — the WAL unreadable past the retry budget, the
 // directory unlockable, or the disk refusing the quarantine itself.
 func OpenOptions(dir string, opt Options) (*Store, error) {
@@ -785,39 +783,6 @@ func (s *Store) Drop(job string) error {
 	return nil
 }
 
-// IngestExecution stores a complete execution's telemetry directly as
-// a segment — the bulk path used by the CSV converter. It bypasses the
-// WAL (the data is already on disk in source form) and is durable when
-// it returns.
-func (s *Store) IngestExecution(job, label string, ns *telemetry.NodeSet) error {
-	if job == "" {
-		return errors.New("tsdb: empty job ID")
-	}
-	nodes := ns.Nodes()
-	if len(nodes) == 0 {
-		return errors.New("tsdb: execution has no telemetry")
-	}
-	jm := newJobMem(job, nodes[len(nodes)-1]+1)
-	for _, node := range nodes {
-		for _, metric := range ns.Metrics() {
-			if series := ns.Get(node, metric); series != nil {
-				jm.appendRun(metric, node, series.AppendOffsets(nil), series.ValuesView())
-			}
-		}
-	}
-	s.mu.Lock()
-	if err := s.refuseLocked(); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	jm.finished, jm.seq, jm.label = true, s.nextSeq, label
-	s.nextSeq++
-	s.pending = append(s.pending, jm)
-	s.pendBytes += jm.bytes()
-	s.mu.Unlock()
-	return s.Flush()
-}
-
 // Flush writes every pending finished execution into a new immutable
 // segment, maps it, and compacts the WAL down to the still-live jobs.
 // Concurrent callers serialize; appends to live jobs proceed while the
@@ -933,7 +898,7 @@ func (s *Store) Flush() error {
 
 // walRunChunk bounds the samples per job-runs record — both the live
 // ingest path (Store.AppendRuns) and the compactor split longer
-// appends with it, keeping every frame far below walMaxRecord. A
+// appends with it, keeping every frame far below wire.MaxRecord. A
 // variable so tests can force multi-record series.
 var walRunChunk = 1 << 20
 
@@ -963,7 +928,7 @@ func (s *Store) compactWALLocked() error {
 			return err
 		}
 		// Chunked: one giant record for a long-lived job could exceed
-		// the replayer's walMaxRecord frame bound (or even the uint32
+		// the replayer's wire.MaxRecord frame bound (or even the uint32
 		// frame length) and read as torn on the next restart. Replaying
 		// several consecutive records rebuilds the identical memtable
 		// state. The series go in groups of at most walRunChunk samples

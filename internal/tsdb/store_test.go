@@ -13,6 +13,37 @@ import (
 	"repro/internal/telemetry"
 )
 
+// storeExecution lands ns as one finished, flushed execution through
+// the production write path: Register, AppendRuns, Finish with the
+// label, Flush.
+func storeExecution(t testing.TB, st *Store, job, label string, ns *telemetry.NodeSet) {
+	t.Helper()
+	nodes := ns.Nodes()
+	if err := st.Register(job, nodes[len(nodes)-1]+1); err != nil {
+		t.Fatal(err)
+	}
+	var runs []*telemetry.Series
+	for _, node := range nodes {
+		for _, m := range ns.Metrics() {
+			if s := ns.Get(node, m); s != nil {
+				runs = append(runs, s)
+			}
+		}
+	}
+	err := st.AppendRuns(job, len(runs), func(i int) (string, int, []time.Duration, []float64) {
+		return runs[i].Metric, runs[i].Node, runs[i].AppendOffsets(nil), runs[i].ValuesView()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Finish(job, label); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // feedJob pushes n grid samples of two metrics on two nodes into a
 // registered job, in runs of 25, committing after each batch.
 func feedJob(t *testing.T, st *Store, job string, n int, seed int64) {
@@ -48,18 +79,18 @@ func feedJob(t *testing.T, st *Store, job string, n int, seed int64) {
 // flock must refuse the second open and release on Close.
 func TestDirLockExcludesSecondOpen(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(dir)
+	st, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir); err == nil {
+	if _, err := OpenOptions(dir, Options{}); err == nil {
 		st.Close()
 		t.Fatal("second Open of a locked dir succeeded")
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := Open(dir)
+	st2, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatalf("reopen after Close: %v", err)
 	}
@@ -70,7 +101,7 @@ func TestDirLockExcludesSecondOpen(t *testing.T) {
 // reopened store presents exactly the committed live state.
 func TestWALReplayRestoresLiveJobs(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(dir)
+	st, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +127,7 @@ func TestWALReplayRestoresLiveJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2, err := Open(dir)
+	st2, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +166,7 @@ func TestWALReplayRestoresLiveJobs(t *testing.T) {
 // too; the sealed window mean is checked directly.
 func TestFlushAndStoredQueriesMatchMemory(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(dir)
+	st, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +238,7 @@ func TestFlushAndStoredQueriesMatchMemory(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := Open(dir)
+	st2, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +268,7 @@ func TestFlushAndStoredQueriesMatchMemory(t *testing.T) {
 // round-trips, sorted at flush.
 func TestOffGridOffsetsRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(dir)
+	st, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +325,7 @@ func TestHistFooterSegmentOpens(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, segName(0)), histFooterSegment(t), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open(dir)
+	st, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,11 +369,12 @@ func TestHistFooterSegmentOpens(t *testing.T) {
 	}
 }
 
-// TestIngestExecutionAndReuseOfIDs covers the bulk segment path and ID
-// reuse: the same job ID stored twice resolves to the latest sequence.
+// TestIngestExecutionAndReuseOfIDs covers storing whole executions and
+// ID reuse: the same job ID stored twice resolves to the latest
+// sequence.
 func TestIngestExecutionAndReuseOfIDs(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(dir)
+	st, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,12 +388,8 @@ func TestIngestExecutionAndReuseOfIDs(t *testing.T) {
 		ns.Put(s)
 		return ns
 	}
-	if err := st.IngestExecution("dup", "first", build(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.IngestExecution("dup", "second", build(2)); err != nil {
-		t.Fatal(err)
-	}
+	storeExecution(t, st, "dup", "first", build(1))
+	storeExecution(t, st, "dup", "second", build(2))
 	execs := st.Executions()
 	if len(execs) != 2 {
 		t.Fatalf("executions: %+v", execs)
@@ -384,7 +412,7 @@ func TestIngestExecutionAndReuseOfIDs(t *testing.T) {
 // live incarnation's samples nor deletes it at the finish record.
 func TestCompactionOrdersReusedIDs(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(dir)
+	st, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +442,7 @@ func TestCompactionOrdersReusedIDs(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := Open(dir)
+	st2, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +465,7 @@ func TestCompactionOrdersReusedIDs(t *testing.T) {
 // both incarnations and must replay them in finish order.
 func TestCompactionOrdersReusedIDsPreFlush(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(dir)
+	st, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +505,7 @@ func TestCompactionOrdersReusedIDsPreFlush(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := Open(dir)
+	st2, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +529,7 @@ func TestCompactionChunksLongSeries(t *testing.T) {
 	defer func() { walRunChunk = old }()
 
 	dir := t.TempDir()
-	st, err := Open(dir)
+	st, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +553,7 @@ func TestCompactionChunksLongSeries(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := Open(dir)
+	st2, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +595,7 @@ func TestAutoFlushThreshold(t *testing.T) {
 // WAL.
 func TestWALCompactionPreservesPending(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(dir)
+	st, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,7 +618,7 @@ func TestWALCompactionPreservesPending(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2, err := Open(dir)
+	st2, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

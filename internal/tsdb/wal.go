@@ -29,7 +29,6 @@ import (
 const (
 	walName        = "wal.log"
 	walQuarantine  = "wal.quarantine"
-	walMaxRecord   = wire.MaxRecord
 	frameHeaderLen = wire.FrameHeaderLen
 )
 

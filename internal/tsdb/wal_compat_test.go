@@ -99,7 +99,7 @@ func TestWALTypeRunReplays(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, walName), walTypeRunLog(t), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open(dir)
+	st, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,14 +87,14 @@ type Fault struct {
 // NewFault wraps inner with an empty fault plan. seed drives every
 // random choice (torn-write lengths), so a failing test reproduces
 // from its logged seed.
-func NewFault(inner FS, seed int64) *Fault {
+func NewFault(inner FS, seed int64) *Fault { //efdvet:ignore deadcode test support: tsdb, efd/monitor, server and vfs fault and chaos tests
 	return &Fault{inner: inner, rng: rand.New(rand.NewSource(seed))}
 }
 
 // AddRule appends one rule to the plan and returns the Fault for
 // chaining. Rules are matched in insertion order; the first active
 // match fires.
-func (f *Fault) AddRule(r Rule) *Fault {
+func (f *Fault) AddRule(r Rule) *Fault { //efdvet:ignore deadcode test support: tsdb, efd/monitor, server and vfs fault and chaos tests
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.rules = append(f.rules, &activeRule{Rule: r})
@@ -104,28 +104,28 @@ func (f *Fault) AddRule(r Rule) *Fault {
 // CrashAt schedules a crash when the running operation counter reaches
 // n (1-based): that operation and every later one fail with
 // ErrCrashed.
-func (f *Fault) CrashAt(n int64) {
+func (f *Fault) CrashAt(n int64) { //efdvet:ignore deadcode test support: vfs_test and tsdb fault_test
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.crashAt = n
 }
 
 // Crash kills the filesystem immediately.
-func (f *Fault) Crash() {
+func (f *Fault) Crash() { //efdvet:ignore deadcode test support: tsdb chaos_test
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.crashed = true
 }
 
 // Crashed reports whether the filesystem has crashed.
-func (f *Fault) Crashed() bool {
+func (f *Fault) Crashed() bool { //efdvet:ignore deadcode test support: vfs_test and tsdb fault_test
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.crashed
 }
 
 // Ops reports the number of operations seen so far.
-func (f *Fault) Ops() int64 {
+func (f *Fault) Ops() int64 { //efdvet:ignore deadcode test support: tsdb fault_test
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.ops
@@ -135,30 +135,23 @@ func (f *Fault) Ops() int64 {
 // torn writes/reads, and delays). Chaos harnesses diff it across a
 // round to prove the round actually injected faults instead of
 // silently running clean.
-func (f *Fault) Fired() int64 {
+func (f *Fault) Fired() int64 { //efdvet:ignore deadcode test support: tsdb chaos_test and efd/monitor explore_test
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.fired
 }
 
 // SetFree overrides what Free reports, so a test can simulate a
-// filling disk without filling one. ClearFree restores passthrough.
-func (f *Fault) SetFree(n uint64) {
+// filling disk without filling one. Reset restores passthrough.
+func (f *Fault) SetFree(n uint64) { //efdvet:ignore deadcode test support: tsdb, efd/monitor and server disk-full tests
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.freeSet, f.free = true, n
 }
 
-// ClearFree restores Free to the inner filesystem's answer.
-func (f *Fault) ClearFree() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.freeSet = false
-}
-
 // Reset heals the filesystem: the fault plan, any crash, and any
 // SetFree override are cleared (the operation counter keeps running).
-func (f *Fault) Reset() {
+func (f *Fault) Reset() { //efdvet:ignore deadcode test support: tsdb, efd/monitor, server and vfs fault tests
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.rules = nil

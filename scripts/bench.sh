@@ -8,8 +8,10 @@
 # (BenchmarkPipelineEndToEnd, BenchmarkWindowMean{Wide,Narrow},
 # BenchmarkLDMSIngest{,StdCSV}, BenchmarkSeriesSort) and the PR 4
 # durable-store benchmarks (BenchmarkTSDBWALAppend, BenchmarkTSDBCommit
-# — the only one timing real fsyncs — BenchmarkTSDBSegmentFlush,
-# BenchmarkTSDBMmapRead) and the PR 5 client-SDK ingest-encoding pair
+# — the only one timing real fsyncs — BenchmarkTSDBSegmentFlush, which
+# lands each execution through the store's WAL path untimed and times
+# only the flush, and BenchmarkTSDBMmapRead) and the PR 5 client-SDK
+# ingest-encoding pair
 # (BenchmarkClientIngestJSON vs BenchmarkClientIngestBinary: the same
 # columnar batch end-to-end through a live HTTP server as row-form
 # JSON versus application/x-efd-runs wire frames; the binary side must
