@@ -138,13 +138,35 @@ func TestDeadCode(t *testing.T) {
 	}
 }
 
-// TestDeadCodeNeedsMain: a load without a package main has no roots
-// to judge from, so the rule stays silent on a library fixture rather
-// than reporting every function in it.
-func TestDeadCodeNeedsMain(t *testing.T) {
-	_, diags := analysistest.Diagnostics(t, fixture("callgraph"), "fixture/callgraph", analysis.DeadCode)
-	if len(diags) != 0 {
-		t.Fatalf("deadcode fired on a load without package main: %v", diags)
+// TestDeadCodeNeedsWholeModule: the rule judges only a load of the
+// whole module. Leaving out mid, the only caller of leaf.Used, drops
+// the edge into Used, so that load must stay silent rather than report
+// a live function. (A whole module with no package main is silent too;
+// the efdvet driver tests pin that.)
+func TestDeadCodeNeedsWholeModule(t *testing.T) {
+	loader, err := analysis.NewLoader(fixture("deadcodepartial"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lint := func(patterns ...string) []string {
+		pkgs, err := loader.Load(patterns...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mod := analysis.NewModule(pkgs)
+		var msgs []string
+		for _, pkg := range pkgs {
+			for _, d := range mod.Run(pkg, []*analysis.Analyzer{analysis.DeadCode}) {
+				msgs = append(msgs, d.Message)
+			}
+		}
+		return msgs
+	}
+	if got := lint("./..."); len(got) != 1 || !strings.HasPrefix(got[0], "Orphan is dead") {
+		t.Fatalf("whole module: want only leaf.Orphan, got %q", got)
+	}
+	if got := lint(".", "./leaf"); len(got) != 0 {
+		t.Fatalf("load without mid: want silence, got %q", got)
 	}
 }
 

@@ -24,8 +24,12 @@ import (
 //
 // Test files are not loaded, so a function only tests call is dead;
 // test support that must stay carries a suppression naming its tests.
-// A load with no package main has no roots to judge from (linting one
-// library package, say), so the rule stays silent there.
+// The verdict needs a load of the whole module (every package ./...
+// expands to) that includes a package main. A partial load lacks the
+// edges out of the packages it leaves out, so it would report a
+// function only those call; a module with no package main has no
+// binary to judge from. On any other load the rule stays silent, and
+// its suppressions in the loaded packages read as stale.
 var DeadCode = &Analyzer{
 	Name: "deadcode",
 	Doc:  "every function is reachable from a main, an init, a package-level declaration, the pinned public API or a method the standard library calls",
@@ -47,7 +51,7 @@ func buildDeadDiags(pkgs []*Package, g *CallGraph) []ownedDiag {
 	for _, pkg := range pkgs {
 		hasMain = hasMain || pkg.Types.Name() == "main"
 	}
-	if !hasMain {
+	if !hasMain || !coversModule(pkgs) {
 		return nil
 	}
 	live := make(map[*types.Func]bool)
@@ -94,6 +98,26 @@ func buildDeadDiags(pkgs []*Package, g *CallGraph) []ownedDiag {
 		}
 	}
 	return out
+}
+
+// coversModule reports whether pkgs hold every package of their
+// module, as ./... expands it.
+func coversModule(pkgs []*Package) bool {
+	ctxt := staticContext()
+	dirs, err := packageDirs(&ctxt, pkgs[0].ModDir)
+	if err != nil {
+		return false
+	}
+	loaded := make(map[string]bool, len(pkgs))
+	for _, pkg := range pkgs {
+		loaded[pkg.Dir] = true
+	}
+	for _, dir := range dirs {
+		if !loaded[dir] {
+			return false
+		}
+	}
+	return true
 }
 
 // isDeadCodeRoot reports whether fi is reachable by definition: an

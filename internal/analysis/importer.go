@@ -41,17 +41,23 @@ func newSrcImporter(fset *token.FileSet, modPath, modDir string) *srcImporter {
 		fset:    fset,
 		modPath: modPath,
 		modDir:  modDir,
-		ctxt:    build.Default,
+		ctxt:    staticContext(),
 		targets: make(map[string]bool),
 		built:   make(map[string]*Package),
 		pkgs:    make(map[string]*types.Package),
 	}
-	// cgo sources cannot be typechecked without running cgo; with it
-	// disabled go/build selects the pure-Go variants (net's Go
-	// resolver, etc.), which is exactly what a static pass wants.
-	im.ctxt.CgoEnabled = false
 	im.conf = &types.Config{Importer: im}
 	return im
+}
+
+// staticContext is the build context of every load. cgo sources
+// cannot be typechecked without running cgo; with it disabled
+// go/build selects the pure-Go variants (net's Go resolver, etc.),
+// which is exactly what a static pass wants.
+func staticContext() build.Context {
+	ctxt := build.Default
+	ctxt.CgoEnabled = false
+	return ctxt
 }
 
 // dirFor resolves an import path to its source directory.

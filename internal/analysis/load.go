@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/token"
 	"go/types"
 	"os"
@@ -157,9 +158,7 @@ func (l *Loader) importPath(dir string) string {
 }
 
 // expand resolves one pattern to package directories (directories
-// containing at least one buildable non-test .go file). testdata,
-// hidden, and underscore-prefixed directories are skipped, matching
-// the go tool's pattern rules.
+// containing at least one buildable non-test .go file).
 func (l *Loader) expand(pat string) ([]string, error) {
 	recursive := false
 	if rest, ok := strings.CutSuffix(pat, "/..."); ok {
@@ -178,13 +177,27 @@ func (l *Loader) expand(pat string) ([]string, error) {
 		return nil, fmt.Errorf("%s: not a directory", pat)
 	}
 	if !recursive {
-		if !l.hasGoFiles(root) {
+		if !hasGoFiles(&l.imp.ctxt, root) {
 			return nil, fmt.Errorf("%s: no buildable Go files", pat)
 		}
 		return []string{root}, nil
 	}
+	dirs, err := packageDirs(&l.imp.ctxt, root)
+	if err != nil {
+		return nil, err
+	}
+	if len(dirs) == 0 {
+		return nil, fmt.Errorf("%s: no buildable Go files", pat)
+	}
+	return dirs, nil
+}
+
+// packageDirs lists the package directories under root. testdata,
+// hidden, and underscore-prefixed directories are skipped, matching
+// the go tool's pattern rules.
+func packageDirs(ctxt *build.Context, root string) ([]string, error) {
 	var dirs []string
-	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -195,23 +208,17 @@ func (l *Loader) expand(pat string) ([]string, error) {
 		if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
 		}
-		if l.hasGoFiles(path) {
+		if hasGoFiles(ctxt, path) {
 			dirs = append(dirs, path)
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	if len(dirs) == 0 {
-		return nil, fmt.Errorf("%s: no buildable Go files", pat)
-	}
-	return dirs, nil
+	return dirs, err
 }
 
 // hasGoFiles reports whether dir holds at least one buildable
 // (constraint-matching, non-test) Go file.
-func (l *Loader) hasGoFiles(dir string) bool {
-	bp, err := l.imp.ctxt.ImportDir(dir, 0)
+func hasGoFiles(ctxt *build.Context, dir string) bool {
+	bp, err := ctxt.ImportDir(dir, 0)
 	return err == nil && len(bp.GoFiles) > 0
 }

@@ -175,8 +175,14 @@ func TestRowSumsEqualSupport(t *testing.T) {
 			rows[p.Truth]++
 		}
 		r, _ := Evaluate(pairs)
+		support := make(map[string]int)
 		for _, c := range r.Classes {
-			if c.Support != rows[c.Class] {
+			support[c.Class] = c.Support
+		}
+		// Every class of the matrix, truth or prediction: a report
+		// that left out a truth class fails here.
+		for _, p := range pairs {
+			if rows[p.Truth] != support[p.Truth] || rows[p.Pred] != support[p.Pred] {
 				return false
 			}
 		}
