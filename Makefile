@@ -18,7 +18,10 @@
 #                    every parser that consumes bytes a crash, a
 #                    rotted disk or the network may have produced;
 #                    plus the rounded-key kernel against its reference
-#                    composition, over arbitrary float64 bits and depths
+#                    composition, over arbitrary float64 bits and depths,
+#                    and the live window mean (core.Stream) against the
+#                    stored one (Series.WindowMean), over fuzzed values,
+#                    arrival orders and run splits
 #   make chaos-short - seeded fault-injection chaos pass (CHAOSTIME
 #                    wall-clock per test, default 2s) over the tsdb
 #                    store and the monitor engine, with a fresh seed
@@ -107,6 +110,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadNodeCSV$$' -fuzztime $(FUZZTIME) ./internal/ldms
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryDecode$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendRoundedKey$$' -fuzztime $(FUZZTIME) ./internal/stats
+	$(GO) test -run '^$$' -fuzz '^FuzzStreamMatchesSeries$$' -fuzztime $(FUZZTIME) ./internal/core
 
 # -count=1 defeats the test cache: each chaos run draws a fresh seed
 # from the clock, so successive runs explore different schedules. A

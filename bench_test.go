@@ -593,7 +593,7 @@ func BenchmarkServerThroughputSerialized(b *testing.B) {
 	runServerThroughput(b, s.handler(), 64)
 }
 
-// --- PR 3: columnar telemetry + prefix-sum windows + byte ingest ----
+// --- columnar telemetry, window scans and byte ingest ----------------
 
 // benchNodeCSV renders the shared ingest fixture: one node of a
 // ten-minute execution with a 50-metric set at 1 Hz, each value a
@@ -653,8 +653,8 @@ func BenchmarkLDMSIngestStdCSV(b *testing.B) {
 	}
 }
 
-// benchWideSeries is a sealed 10-hour 1 Hz series shared by the
-// window-cost benchmarks.
+// benchWideSeries is a 10-hour 1 Hz series for the window-cost
+// benchmark.
 var (
 	benchWideOnce   sync.Once
 	benchWideSeries *telemetry.Series
@@ -666,29 +666,14 @@ func wideSeries() *telemetry.Series {
 		for i := 0; i < 36_000; i++ {
 			s.Append(time.Duration(i)*time.Second, 1e6+float64(i%97))
 		}
-		s.Seal()
 		benchWideSeries = s
 	})
 	return benchWideSeries
 }
 
-// BenchmarkWindowMeanWide queries a ~36000-sample window on a sealed
-// series. Compare with BenchmarkWindowMeanNarrow: the two must cost
-// the same (prefix-sum subtraction), where the pre-columnar scan
-// differed by the 600x window-length ratio.
-func BenchmarkWindowMeanWide(b *testing.B) {
-	s := wideSeries()
-	w := telemetry.Window{Start: 60 * time.Second, End: 35_900 * time.Second}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.WindowMean(w); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWindowMeanNarrow is the 60-sample companion of
-// BenchmarkWindowMeanWide.
+// BenchmarkWindowMeanNarrow answers the paper's window on a long
+// series: a bound computation and a 60-sample double-double scan,
+// independent of the series length.
 func BenchmarkWindowMeanNarrow(b *testing.B) {
 	s := wideSeries()
 	w := telemetry.PaperWindow
@@ -837,8 +822,8 @@ func BenchmarkTSDBSegmentFlush(b *testing.B) {
 }
 
 // BenchmarkTSDBMmapRead measures materializing a stored execution from
-// its mmap'd segment (zero value-column copies), sealing it, and
-// answering one window mean per series.
+// its mmap'd segment (zero value-column copies) and answering one
+// window mean per series.
 func BenchmarkTSDBMmapRead(b *testing.B) {
 	st := tsdbBenchStore(b)
 	tsdbBenchFinish(b, st, "e", tsdbBenchNodeSet(4, 4096))
@@ -864,7 +849,7 @@ func BenchmarkTSDBMmapRead(b *testing.B) {
 
 // BenchmarkPipelineEndToEnd runs the full data plane: simulate and
 // ingest a small seeded grid (cluster sampling -> columnar series),
-// summarize it through the sealed prefix sums, and fit an EFD with
+// summarize it (one scan per series and window), and fit an EFD with
 // cross-validated depth selection — the gendataset -> Summarize -> Fit
 // pipeline every experiment starts with.
 func BenchmarkPipelineEndToEnd(b *testing.B) {

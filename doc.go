@@ -18,11 +18,11 @@
 // The telemetry substrate underneath all of it is columnar
 // (internal/telemetry): series store separate offset and value
 // columns, regular 1 Hz series keep their offsets implicit in the
-// index, and Seal builds a double-double prefix sum of the values (Σx)
-// that answers any window's mean in O(1)/O(log n) regardless of window
-// length — Summarize and metric sweeps amortize to one pass per
-// series. The durable store's memtable holds the same
-// telemetry.Series.
+// index, and a window mean scans the window into one double-double sum,
+// rounded once and divided by the count (stats.WindowSum). The
+// streaming recognizer keeps the same sum per window, so a live job
+// and its stored telemetry produce the same keys. The durable store's
+// memtable holds the same telemetry.Series.
 // LDMS CSV ingest is byte-oriented (bufio line walking, in-place field
 // splits, zero-copy float parsing, bulk columnar series construction),
 // with multi-node files parsed concurrently on the internal/par pools,

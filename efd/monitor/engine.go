@@ -277,8 +277,8 @@ var maxOffsetS = float64(math.MaxInt64) / float64(time.Second)
 
 // ValidateSamples rejects non-finite offsets/values and offsets whose
 // Duration conversion would overflow, before anything is fed — a NaN
-// value would otherwise permanently poison the job's Welford
-// accumulators. The returned error wraps ErrInvalid.
+// value would otherwise leave its window without a mean for good. The
+// returned error wraps ErrInvalid.
 func ValidateSamples(jobID string, samples []Sample) error {
 	for i, smp := range samples {
 		// >=/<=: maxOffsetS is float64(MaxInt64)/1e9 and float64
@@ -743,8 +743,11 @@ func (jb *Job) ingest(verr error, feed func() (int, bool, error)) (int, error) {
 }
 
 // Result answers with the job's current recognition state, provisional
-// until State.Complete; even then it can differ from offline recognition
-// of the same telemetry at rounding ties (ROADMAP.md, open item 1).
+// until State.Complete. Once complete, a job whose samples arrived in
+// time order within each window answers exactly as RecognizeStored and
+// offline recognition of the same telemetry do; for integer telemetry
+// whose absolute window sums stay below 2^53 the arrival order does not
+// matter (core.Stream).
 func (jb *Job) Result() (State, error) {
 	jb.j.mu.Lock()
 	if jb.j.done {

@@ -19,7 +19,7 @@ const HotPathMarker = "//efd:hotpath"
 // far beyond any real chain in the tree.
 var HotPathMaxDepth = 20
 
-// HotPath keeps the recognition, wire-codec, and sealed-window paths
+// HotPath keeps the recognition, wire-codec, and window-mean paths
 // allocation-free (the PR 1/3 contract): no fmt calls, no
 // time.Now/Since, no non-constant string concatenation, no map
 // allocation, no slog, and of the internal/obs kit only the

@@ -379,7 +379,7 @@ func oracleDataset(t testing.TB) *dataset.Dataset {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := dataset.DefaultWindows()[0].Key()
+	first := dataset.DefaultWindows()[0]
 	perm := rand.New(rand.NewSource(3)).Perm(ds.Len())
 	out := &dataset.Dataset{Windows: ds.Windows}
 	for i, e := range ds.Executions {
@@ -387,9 +387,9 @@ func oracleDataset(t testing.TB) *dataset.Dataset {
 		c.ID = perm[i]
 		switch {
 		case c.ID < 6:
-			c.Stats = dropWindows(e.Stats, func(string) bool { return true })
+			c.Stats = dropWindows(e.Stats, func(telemetry.Window) bool { return true })
 		case c.ID%7 == 0:
-			c.Stats = dropWindows(e.Stats, func(k string) bool { return k == first })
+			c.Stats = dropWindows(e.Stats, func(w telemetry.Window) bool { return w == first })
 		}
 		out.Executions = append(out.Executions, &c)
 	}
@@ -398,18 +398,18 @@ func oracleDataset(t testing.TB) *dataset.Dataset {
 
 // dropWindows copies per-node summaries without the windows drop
 // selects.
-func dropWindows(stats map[string][]dataset.NodeMetricStats, drop func(key string) bool) map[string][]dataset.NodeMetricStats {
+func dropWindows(stats map[string][]dataset.NodeMetricStats, drop func(telemetry.Window) bool) map[string][]dataset.NodeMetricStats {
 	out := make(map[string][]dataset.NodeMetricStats, len(stats))
 	for metric, per := range stats {
 		cp := make([]dataset.NodeMetricStats, len(per))
 		for node, nms := range per {
-			means := make(map[string]float64)
-			for k, v := range nms.WindowMeans {
-				if !drop(k) {
-					means[k] = v
+			var means []dataset.WindowMean
+			for _, m := range nms.Means {
+				if !drop(m.Window) {
+					means = append(means, m)
 				}
 			}
-			cp[node] = dataset.NodeMetricStats{Full: nms.Full, WindowMeans: means}
+			cp[node] = dataset.NodeMetricStats{Full: nms.Full, Means: means}
 		}
 		out[metric] = cp
 	}

@@ -8,11 +8,12 @@ import (
 )
 
 // Stream recognizes an execution online, as its telemetry arrives. It
-// accumulates window means incrementally (Welford accumulators, no
-// sample buffering) and can answer as soon as the latest-ending
-// configured window has closed — two minutes into the execution for the
-// paper's configuration. This is the low-latency deployment mode that
-// motivates the EFD over whole-execution ML pipelines.
+// accumulates one stats.WindowSum per (metric, node, window), the sum
+// Series.WindowMean scans, with no sample buffering, and can answer as
+// soon as the latest-ending configured window has closed — two minutes
+// into the execution for the paper's configuration. This is the
+// low-latency deployment mode that motivates the EFD over
+// whole-execution ML pipelines.
 //
 // Accumulators are keyed by the Window value itself (not its string
 // form), so Feed performs no formatting and, once every configured
@@ -23,7 +24,7 @@ import (
 type Stream struct {
 	dict  *Dictionary
 	nodes int
-	acc   map[streamKey]*stats.Online
+	acc   map[streamKey]*stats.WindowSum
 	// rec is the stream's reused recognizer, so repeated polling of
 	// Recognize allocates nothing once warmed.
 	rec *Recognizer
@@ -45,7 +46,7 @@ func NewStream(d *Dictionary, nodes int) *Stream {
 	s := &Stream{
 		dict:  d,
 		nodes: nodes,
-		acc:   make(map[streamKey]*stats.Online),
+		acc:   make(map[streamKey]*stats.WindowSum),
 		rec:   d.NewRecognizer(),
 	}
 	for _, w := range d.cfg.Windows {
@@ -85,7 +86,7 @@ func (s *Stream) Feed(metric string, node int, offset time.Duration, value float
 		k := streamKey{metric: metric, node: node, window: w}
 		acc, ok := s.acc[k]
 		if !ok {
-			acc = &stats.Online{}
+			acc = &stats.WindowSum{}
 			s.acc[k] = acc
 		}
 		acc.Add(value)
@@ -121,7 +122,7 @@ func (s *Stream) FeedRun(metric string, node int, offsets []time.Duration, value
 		return
 	}
 	for _, w := range s.dict.cfg.Windows {
-		var acc *stats.Online
+		var acc *stats.WindowSum
 		for i, off := range offsets {
 			if !w.Contains(off) {
 				continue
@@ -130,7 +131,7 @@ func (s *Stream) FeedRun(metric string, node int, offsets []time.Duration, value
 				k := streamKey{metric: metric, node: node, window: w}
 				acc = s.acc[k]
 				if acc == nil {
-					acc = &stats.Online{}
+					acc = &stats.WindowSum{}
 					s.acc[k] = acc
 				}
 			}
@@ -143,13 +144,14 @@ func (s *Stream) FeedRun(metric string, node int, offsets []time.Duration, value
 // telemetry at or beyond the latest window end has been observed.
 func (s *Stream) Complete() bool { return s.seen >= s.horizon }
 
-// WindowMean implements WindowSource over the accumulated stream.
+// WindowMean implements WindowSource over the accumulated stream. A
+// window whose sum is not finite has no mean, as in Series.WindowMean.
 func (s *Stream) WindowMean(metric string, node int, w telemetry.Window) (float64, bool) {
 	acc, ok := s.acc[streamKey{metric: metric, node: node, window: w}]
-	if !ok || acc.Count() == 0 {
+	if !ok {
 		return 0, false
 	}
-	return acc.Mean(), true
+	return acc.Mean()
 }
 
 // NodeCount implements WindowSource.
@@ -157,15 +159,14 @@ func (s *Stream) NodeCount() int { return s.nodes }
 
 // Recognize answers with the current accumulated state. Calling it
 // before Complete() returns a provisional answer based on partial
-// windows; once Complete(), every configured window has closed and the
-// answer recognizes the means accumulated so far. Those are Welford
-// running means, which match offline recognition's exact window means
-// only to within rounding: where an exact mean sits on a rounding tie
-// (integer-valued telemetry hits ties often) the key, and so the
-// answer, can differ from offline recognition of the same telemetry
-// (ROADMAP.md, open item 1). The Result borrows the stream's reused
-// recognizer scratch and is valid until the next Recognize call on this
-// stream.
+// windows. Once Complete(), every configured window has closed, and a
+// stream fed each window's samples in time order answers exactly as
+// offline recognition of the same telemetry does: its window means
+// carry the bits Series.WindowMean returns. Integer telemetry whose
+// absolute window sums stay below 2^53 (such as LDMS counters) gets
+// that answer in any arrival order. The Result borrows the stream's
+// reused recognizer scratch and is valid until the next Recognize call
+// on this stream.
 func (s *Stream) Recognize() Result {
 	return s.rec.Recognize(s)
 }

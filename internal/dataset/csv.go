@@ -53,7 +53,7 @@ func (d *Dataset) SaveCSV(w io.Writer) error {
 					g(nms.Full.P5), g(nms.Full.P25), g(nms.Full.P50), g(nms.Full.P75), g(nms.Full.P95),
 				}
 				for _, win := range d.Windows {
-					if v, ok := nms.WindowMeans[win.String()]; ok {
+					if v, ok := nms.mean(win); ok {
 						rec = append(rec, g(v))
 					} else {
 						rec = append(rec, "")
@@ -156,7 +156,7 @@ func LoadCSV(r io.Reader) (*Dataset, error) {
 		s.Mean, s.StdDev, s.Min, s.Max = fs[0], fs[1], fs[2], fs[3]
 		s.Skewness, s.Kurtosis = fs[4], fs[5]
 		s.P5, s.P25, s.P50, s.P75, s.P95 = fs[6], fs[7], fs[8], fs[9], fs[10]
-		nms := NodeMetricStats{Full: s, WindowMeans: make(map[string]float64, len(windows))}
+		nms := NodeMetricStats{Full: s, Means: make([]WindowMean, 0, len(windows))}
 		for wi, win := range windows {
 			cell := rec[fixed+wi]
 			if cell == "" {
@@ -166,9 +166,8 @@ func LoadCSV(r io.Reader) (*Dataset, error) {
 			if err != nil {
 				return nil, bad("mean"+win.String(), err)
 			}
-			nms.WindowMeans[win.String()] = v
+			nms.Means = append(nms.Means, WindowMean{Window: win, Mean: v})
 		}
-		nms.indexWindows()
 		per[node] = nms
 	}
 

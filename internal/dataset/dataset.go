@@ -25,37 +25,27 @@ type NodeMetricStats struct {
 	// Full is the summary over the entire execution (what Taxonomist
 	// consumes).
 	Full stats.Summary
-	// WindowMeans maps a window key (Window.Key()) to the mean of
-	// the samples in that window. Windows the series does not cover
-	// are absent (what the EFD consumes). This is the canonical,
-	// serialized form; the recognition hot path reads byWindow instead.
-	WindowMeans map[string]float64
-	// byWindow indexes WindowMeans by the Window value itself, as two
-	// parallel slices: configurations carry a handful of windows, so a
-	// linear scan beats both map hashing and string formatting on the
-	// recognition hot path (WindowMean is probed once per fingerprint
-	// key). Built by indexWindows (Summarize and the CSV loader call
-	// it); when empty, WindowMean falls back to the string-keyed map.
-	winKeys  []telemetry.Window
-	winMeans []float64
+	// Means are the window means (what the EFD consumes), in the
+	// dataset's window order. A window the series does not cover, or
+	// whose sum is not finite, is absent. Configurations carry a
+	// handful of windows, so Execution.WindowMean scans this slice.
+	Means []WindowMean
 }
 
-// indexWindows (re)builds the Window-keyed view of WindowMeans. It is
-// called at construction time; executions assembled by hand work
-// without it through the string-keyed fallback.
-func (nms *NodeMetricStats) indexWindows() {
-	nms.winKeys, nms.winMeans = nil, nil
-	if nms.WindowMeans == nil {
-		return
-	}
-	nms.winKeys = make([]telemetry.Window, 0, len(nms.WindowMeans))
-	nms.winMeans = make([]float64, 0, len(nms.WindowMeans))
-	for ks, v := range nms.WindowMeans {
-		if w, err := telemetry.ParseWindow(ks); err == nil {
-			nms.winKeys = append(nms.winKeys, w)
-			nms.winMeans = append(nms.winMeans, v)
+// WindowMean is the mean of the samples in one window.
+type WindowMean struct {
+	Window telemetry.Window
+	Mean   float64
+}
+
+// mean returns the stored mean over the window, if present.
+func (nms *NodeMetricStats) mean(w telemetry.Window) (float64, bool) {
+	for _, m := range nms.Means {
+		if m.Window == w {
+			return m.Mean, true
 		}
 	}
+	return 0, false
 }
 
 // Execution is one labelled run: the unit of recognition.
@@ -73,24 +63,13 @@ type Execution struct {
 }
 
 // WindowMean returns the stored mean of metric on node over the window,
-// if present. Executions built by Summarize or the CSV loader answer
-// through a Window-indexed map (no string formatting, no allocation);
-// hand-assembled executions fall back to the WindowMeans string keys.
+// if present. It allocates nothing.
 func (e *Execution) WindowMean(metric string, node int, w telemetry.Window) (float64, bool) {
 	per, ok := e.Stats[metric]
 	if !ok || node < 0 || node >= len(per) {
 		return 0, false
 	}
-	if keys := per[node].winKeys; keys != nil {
-		for i, k := range keys {
-			if k == w {
-				return per[node].winMeans[i], true
-			}
-		}
-		return 0, false
-	}
-	v, ok := per[node].WindowMeans[w.Key()]
-	return v, ok
+	return per[node].mean(w)
 }
 
 // Metrics returns the sorted metric names present in the execution.
@@ -127,12 +106,10 @@ func DefaultWindows() []telemetry.Window {
 }
 
 // Summarize converts raw telemetry into an Execution record with the
-// given label and windows. It seals the telemetry first (building the
-// per-series prefix sums), so extracting any number of window means
-// costs one pass over each series plus O(1) per window, instead of one
-// scan per (window, series) pair.
+// given label and windows. It sorts any series flagged unsorted first,
+// then scans each window of each series once (Series.WindowMean).
 func Summarize(id int, label apps.Label, ns *telemetry.NodeSet, windows []telemetry.Window) *Execution {
-	ns.Seal()
+	ns.Sort()
 	nodes := ns.Nodes()
 	e := &Execution{
 		ID:       id,
@@ -140,12 +117,6 @@ func Summarize(id int, label apps.Label, ns *telemetry.NodeSet, windows []teleme
 		NumNodes: len(nodes),
 		Duration: ns.Duration(),
 		Stats:    make(map[string][]NodeMetricStats),
-	}
-	// Window key strings are computed once per Summarize call, not per
-	// (metric, node, window) probe.
-	winKeys := make([]string, len(windows))
-	for i, w := range windows {
-		winKeys[i] = w.Key()
 	}
 	for _, metric := range ns.Metrics() {
 		per := make([]NodeMetricStats, len(nodes))
@@ -155,16 +126,12 @@ func Summarize(id int, label apps.Label, ns *telemetry.NodeSet, windows []teleme
 				continue
 			}
 			nms := NodeMetricStats{
-				Full:        stats.Describe(s.ValuesView()),
-				WindowMeans: make(map[string]float64, len(windows)),
-				winKeys:     make([]telemetry.Window, 0, len(windows)),
-				winMeans:    make([]float64, 0, len(windows)),
+				Full:  stats.Describe(s.ValuesView()),
+				Means: make([]WindowMean, 0, len(windows)),
 			}
-			for wi, w := range windows {
+			for _, w := range windows {
 				if mean, err := s.WindowMean(w); err == nil {
-					nms.WindowMeans[winKeys[wi]] = mean
-					nms.winKeys = append(nms.winKeys, w)
-					nms.winMeans = append(nms.winMeans, mean)
+					nms.Means = append(nms.Means, WindowMean{Window: w, Mean: mean})
 				}
 			}
 			per[i] = nms

@@ -1,7 +1,9 @@
 package dataset
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -313,6 +315,71 @@ func TestSummarizeFromNodeSet(t *testing.T) {
 	}
 	if early <= mean {
 		t.Errorf("init transient should raise the early mean: early=%v steady=%v", early, mean)
+	}
+}
+
+// TestSummarizeSortsUnsorted pins that Summarize sorts series ingested
+// out of time order before it reads their windows: a shuffled NodeSet
+// summarizes exactly as the same samples appended in order.
+func TestSummarizeSortsUnsorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	sorted, shuffled := telemetry.NewNodeSet(), telemetry.NewNodeSet()
+	for node := 0; node < 2; node++ {
+		a, b := telemetry.NewSeries("m", node, 0), telemetry.NewSeries("m", node, 0)
+		vals := make([]float64, 200)
+		for i := range vals {
+			vals[i] = 1000 + rng.NormFloat64()
+			a.Append(time.Duration(i)*time.Second, vals[i])
+		}
+		for _, i := range rng.Perm(len(vals)) {
+			b.Append(time.Duration(i)*time.Second, vals[i])
+		}
+		sorted.Put(a)
+		shuffled.Put(b)
+	}
+	label := apps.Label{App: "ft", Input: apps.InputX}
+	want := Summarize(1, label, sorted, DefaultWindows())
+	got := Summarize(1, label, shuffled, DefaultWindows())
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Summarize of the shuffled set = %+v, want %+v", got.Stats, want.Stats)
+	}
+	if len(got.Stats["m"][0].Means) != len(DefaultWindows()) {
+		t.Errorf("means %v, want one per default window", got.Stats["m"][0].Means)
+	}
+}
+
+// TestSummarizeSkipsNonFiniteWindow pins that a window whose sum
+// overflows has no mean: Summarize leaves it out, as it leaves out a
+// window the series does not cover, and the CSV round trip keeps it
+// absent instead of storing NaN.
+func TestSummarizeSkipsNonFiniteWindow(t *testing.T) {
+	s := telemetry.NewSeries("m", 0, 180)
+	for i := 0; i < 180; i++ {
+		v := 1.0
+		if telemetry.PaperWindow.Contains(time.Duration(i) * time.Second) {
+			v = 1.5e307
+		}
+		s.Append(time.Duration(i)*time.Second, v)
+	}
+	ns := telemetry.NewNodeSet()
+	ns.Put(s)
+	e := Summarize(0, apps.Label{App: "ft", Input: apps.InputX}, ns, DefaultWindows())
+	var buf bytes.Buffer
+	if err := (&Dataset{Windows: DefaultWindows(), Executions: []*Execution{e}}).SaveCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadCSV(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ex := range []*Execution{e, loaded.Executions[0]} {
+		for _, w := range DefaultWindows() {
+			mean, ok := ex.WindowMean("m", 0, w)
+			finite := w.End <= telemetry.PaperWindow.Start || w.Start >= telemetry.PaperWindow.End
+			if ok != finite || (ok && mean != 1) {
+				t.Errorf("window %v: mean %v, %v; want present=%v", w, mean, ok, finite)
+			}
+		}
 	}
 }
 

@@ -165,9 +165,8 @@ func trimEOL(b []byte) []byte {
 // ReadNodeCSV parses a per-node CSV written by WriteNodeCSV back into
 // series for the given node, returned inside a fresh NodeSet. The
 // parse is a single byte-oriented pass: no per-row field slices, no
-// per-cell strings. Series are sorted (when rows arrived out of order)
-// and sealed before return, so the telemetry is immediately queryable
-// at prefix-sum cost.
+// per-cell strings. Series are sorted before return when rows arrived
+// out of order, so the telemetry is immediately queryable.
 func ReadNodeCSV(r io.Reader, node int) (*telemetry.NodeSet, error) {
 	lr := &lineReader{br: bufio.NewReaderSize(r, 1<<16)}
 	header, err := lr.next()
@@ -242,12 +241,9 @@ func ReadNodeCSV(r io.Reader, node int) (*telemetry.NodeSet, error) {
 	}
 	ns := telemetry.NewNodeSet()
 	for i, m := range metrics {
-		s := telemetry.NewSeriesFromColumns(m, node, offs, cols[i*rows:(i+1)*rows:(i+1)*rows])
-		// CSV rows are not guaranteed time-ordered; Seal restores order
-		// if needed and builds the prefix sums in the same pass.
-		s.Seal()
-		ns.Put(s)
+		ns.Put(telemetry.NewSeriesFromColumns(m, node, offs, cols[i*rows:(i+1)*rows:(i+1)*rows]))
 	}
+	ns.Sort() // CSV rows are not guaranteed time-ordered
 	return ns, nil
 }
 
@@ -325,9 +321,9 @@ func ReadNodeCSVStd(r io.Reader, node int) (*telemetry.NodeSet, error) { //efdve
 	}
 	ns := telemetry.NewNodeSet()
 	for _, s := range series {
-		s.Seal()
 		ns.Put(s)
 	}
+	ns.Sort()
 	return ns, nil
 }
 

@@ -40,6 +40,33 @@ func TestDDAccumulatorRecoversLostBits(t *testing.T) {
 	}
 }
 
+// TestWindowSumMean pins the one window-mean rule: the double-double
+// sum rounded once, then divided by the count; and no mean for an empty
+// window or for a sum that is not finite.
+func TestWindowSumMean(t *testing.T) {
+	var w WindowSum
+	if m, ok := w.Mean(); ok {
+		t.Errorf("empty window has mean %v", m)
+	}
+	for _, x := range []float64{1e16, 1, 1, 1, -1e16} {
+		w.Add(x)
+	}
+	if m, ok := w.Mean(); !ok || m != 3.0/5 {
+		t.Errorf("Mean = %v, %v; want %v", m, ok, 3.0/5)
+	}
+	var over, nan WindowSum
+	for i := 0; i < 60; i++ {
+		over.Add(1.5e307) // each sample finite, the sum is not
+		nan.Add(1)
+	}
+	nan.Add(math.NaN())
+	for name, acc := range map[string]*WindowSum{"overflow": &over, "nan": &nan} {
+		if m, ok := acc.Mean(); ok {
+			t.Errorf("%s: Mean = %v, want no mean", name, m)
+		}
+	}
+}
+
 // TestMomentsLargeBaseline is the numerical-stability check for the
 // slice statistics: values ~1e9 apart from zero with unit-scale
 // structure. A naive Σx²−n·mean² at float64 loses all ~17 digits; the

@@ -6,7 +6,8 @@ import (
 )
 
 // NodeSet holds the telemetry of one execution: for every participating
-// node, a set of metric series. It is the unit the recognizer consumes.
+// node, a set of metric series. It is the unit the recognizer consumes;
+// after ingest out of time order, Sort it before querying windows.
 type NodeSet struct {
 	// series is indexed by node, then by metric name.
 	series map[int]map[string]*Series
@@ -63,15 +64,15 @@ func (ns *NodeSet) Metrics() []string {
 	return out
 }
 
-// Seal seals every series in the set (sorting where needed and
-// building the prefix sums), so subsequent window queries cost
-// O(1)/O(log n) regardless of window length. Like Series.Seal it
-// requires exclusive access: seal once after ingest, then share for
-// concurrent reads.
-func (ns *NodeSet) Seal() {
+// Sort sorts every series flagged unsorted (see Series.Sort), so each
+// answers window queries. Like Series.Sort it requires exclusive
+// access: sort once after ingest, then share for concurrent reads.
+func (ns *NodeSet) Sort() {
 	for _, m := range ns.series {
 		for _, s := range m {
-			s.Seal()
+			if !s.Sorted() {
+				s.Sort()
+			}
 		}
 	}
 }

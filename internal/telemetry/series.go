@@ -19,19 +19,15 @@
 // runs with AppendRun and reading the columns back through ValuesView
 // and OffsetsView, so the grid rule lives in this package alone.
 //
-// # The sealed lifecycle
+// # Window means
 //
-// A Series is mutable during ingest (Append, AppendRun, Sort) and can
-// answer window queries at any time by scanning the window. Calling
-// Seal freezes the current contents and builds a per-series prefix sum
-// of the values (~106-bit double-doubles), after which WindowMean
-// answers any window in O(1)/O(log n) regardless of window length —
-// probing many windows over one series, as Summarize and metric sweeps
-// do, amortizes to a single pass. Sealing
-// costs one pass and 16 bytes per sample; mutating the series again
-// simply drops the seal. Sealed and unsealed answers agree to the last
-// bit except in astronomically unlikely half-ulp ties (both paths
-// round the same correctly-rounded window sums).
+// A Series is mutable during ingest (Append, AppendRun, Sort) and
+// answers window queries at any time by scanning the window into one
+// stats.WindowSum: the samples in time order, summed in double-double
+// precision, rounded once and divided by the count. The streaming
+// recognizer (core.Stream) keeps the same sum per window, so a stream
+// fed a window's samples in time order reports the bits WindowMean
+// reports on the stored series.
 package telemetry
 
 import (
@@ -82,10 +78,6 @@ type Series struct {
 	// unsorted records that an Append delivered an offset below the
 	// then-last sample, so the samples need a Sort before windowing.
 	unsorted bool
-	// pre is the sealed prefix-sum column: pre[i] is the double-double
-	// sum of vals[:i], so a window sum is one subtraction. nil until
-	// Seal; dropped by any mutation.
-	pre []stats.DD
 }
 
 // NewSeries returns an empty series for the given metric and node with
@@ -136,9 +128,7 @@ func NewSeriesFromColumns(metric string, node int, offs []time.Duration, vals []
 // in order (the monitoring path). Samples arriving on the 1 Hz grid
 // append only to the value column. Out-of-order appends are accepted
 // and flagged; windowing fails with ErrUnsortedSeries until Sort runs.
-// Appending to a sealed series drops the seal.
 func (s *Series) Append(offset time.Duration, value float64) {
-	s.pre = nil
 	n := len(s.vals)
 	if s.offs == nil {
 		if offset == time.Duration(n)*DefaultPeriod {
@@ -166,7 +156,6 @@ func (s *Series) AppendRun(offs []time.Duration, vals []float64) {
 	if len(vals) == 0 {
 		return
 	}
-	s.pre = nil
 	if s.offs == nil {
 		n, k := len(s.vals), 0
 		for k < len(offs) && offs[k] == time.Duration(n+k)*DefaultPeriod {
@@ -205,9 +194,8 @@ func (s *Series) materializeOffsets() {
 // Sort orders the samples by offset and clears the out-of-order flag.
 // Ties keep their relative order. If the sorted offsets land exactly
 // on the 1 Hz grid, the offset column is dropped again and the series
-// returns to the implicit-grid fast path. Sorting drops any seal.
+// returns to the implicit-grid fast path.
 func (s *Series) Sort() {
-	s.pre = nil
 	if s.offs == nil { // implicit grid is sorted by construction
 		s.unsorted = false
 		return
@@ -242,28 +230,6 @@ func (s *Series) compactGrid() {
 // Sorted reports whether every Append so far arrived in offset order
 // (or a Sort ran since the last out-of-order one).
 func (s *Series) Sorted() bool { return !s.unsorted }
-
-// Seal freezes the series for querying: it sorts if needed and builds
-// the prefix sums that make WindowMean independent of window length.
-// Sealing is idempotent and costs one pass over the samples plus 16
-// bytes per sample; any later Append, AppendRun or Sort drops the
-// seal. A series must not be sealed concurrently with reads (seal
-// once, then share).
-func (s *Series) Seal() {
-	if s.unsorted {
-		s.Sort()
-	}
-	if s.pre != nil {
-		return
-	}
-	pre := make([]stats.DD, len(s.vals)+1)
-	var acc stats.DD
-	for i, x := range s.vals {
-		acc.Add(x)
-		pre[i+1] = acc
-	}
-	s.pre = pre
-}
 
 // Len reports the number of samples.
 func (s *Series) Len() int { return len(s.vals) }
@@ -392,6 +358,11 @@ var ErrShortSeries = errors.New("telemetry: series does not cover window")
 // windows.
 var ErrUnsortedSeries = errors.New("telemetry: series has out-of-order samples; call Sort first")
 
+// ErrNonFiniteMean is returned by WindowMean when the window's sum is
+// not finite: it overflowed float64, or a sample was NaN or infinite.
+// Such a window has no mean, like a window the series does not cover.
+var ErrNonFiniteMean = errors.New("telemetry: window sum is not finite")
+
 // errInvalidWindow is the cold formatting helper for window's invalid
 // bound rejection, kept out of the //efd:hotpath body; //efd:coldpath
 // stops the transitive hotpath rule at this reviewed boundary.
@@ -438,12 +409,9 @@ func (s *Series) window(w Window) (lo, hi int, err error) {
 	return lo, hi, nil
 }
 
-// WindowMean returns the arithmetic mean of the samples in the window.
-// On a sealed series it is a prefix-sum subtraction — O(1) on the
-// implicit grid, O(log n) with explicit offsets, independent of window
-// length either way. Unsealed series are scanned without materializing
-// a slice; both paths accumulate in double-double precision and round
-// the same correctly-rounded window sum.
+// WindowMean returns the arithmetic mean of the samples in the window:
+// their stats.WindowSum, scanned in time order without materializing a
+// slice. It fails with ErrNonFiniteMean when that sum is not finite.
 //
 //efd:hotpath
 func (s *Series) WindowMean(w Window) (float64, error) {
@@ -451,13 +419,13 @@ func (s *Series) WindowMean(w Window) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if p := s.pre; p != nil {
-		sum := p[hi].Sub(p[lo])
-		return sum.Value() / float64(hi-lo), nil
-	}
-	var sum stats.DD
+	var sum stats.WindowSum
 	for _, x := range s.vals[lo:hi] {
 		sum.Add(x)
 	}
-	return sum.Value() / float64(hi-lo), nil
+	mean, ok := sum.Mean()
+	if !ok {
+		return 0, ErrNonFiniteMean
+	}
+	return mean, nil
 }

@@ -174,6 +174,21 @@ func TestWindowMeanMatchesManual(t *testing.T) {
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("WindowMean = %v, want %v", got, want)
 	}
+
+	// Jittered (off-grid) offsets materialize the offset column; the
+	// binary-searched bounds must keep the window half-open.
+	jit := NewSeries("m", 0, 0)
+	sum, n := 0, 0
+	for i := 0; i < 200; i++ {
+		off := sec(i) + time.Duration(rng.Intn(1000))*time.Millisecond
+		jit.Append(off, float64(i))
+		if w.Contains(off) {
+			sum, n = sum+i, n+1
+		}
+	}
+	if got, err := jit.WindowMean(w); err != nil || got != float64(sum)/float64(n) {
+		t.Errorf("jittered WindowMean = %v, %v; want %v", got, err, float64(sum)/float64(n))
+	}
 }
 
 func TestWindowMeanPartialCoverage(t *testing.T) {
@@ -191,39 +206,27 @@ func TestWindowMeanPartialCoverage(t *testing.T) {
 	if got != 7 {
 		t.Errorf("WindowMean = %v", got)
 	}
-}
-
-func TestNodeSet(t *testing.T) {
-	ns := NewNodeSet()
-	ns.Put(mkSeries(t, "a", 0, []float64{1}))
-	ns.Put(mkSeries(t, "b", 0, []float64{1, 2}))
-	ns.Put(mkSeries(t, "a", 1, []float64{1}))
-	ns.Put(mkSeries(t, "b", 1, []float64{1}))
-	if got := ns.Nodes(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Errorf("Nodes = %v", got)
-	}
-	if got := ns.Metrics(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Errorf("Metrics = %v", got)
-	}
-	if ns.NumSeries() != 4 {
-		t.Errorf("NumSeries = %d", ns.NumSeries())
-	}
-	if ns.Duration() != sec(1) {
-		t.Errorf("Duration = %v", ns.Duration())
-	}
-	if ns.Get(0, "a") == nil || ns.Get(2, "a") != nil || ns.Get(0, "c") != nil {
-		t.Error("Get lookup wrong")
+	// A later append is in the next answer: 31 sevens and one 14.
+	s.AppendRun([]time.Duration{sec(91)}, []float64{14})
+	if got, err := s.WindowMean(PaperWindow); err != nil || got != 231.0/32 {
+		t.Errorf("WindowMean after AppendRun = %v, %v; want %v", got, err, 231.0/32)
 	}
 }
 
-func TestNodeSetPutReplaces(t *testing.T) {
-	ns := NewNodeSet()
-	ns.Put(mkSeries(t, "a", 0, []float64{1}))
-	ns.Put(mkSeries(t, "a", 0, []float64{5, 6}))
-	if got := ns.Get(0, "a").Len(); got != 2 {
-		t.Errorf("replacement series length = %d", got)
+// TestWindowMeanNonFiniteSum pins that a window whose sum overflows has
+// no mean: 60 finite samples of 1.5e307 sum past MaxFloat64, and their
+// mean must not come back as NaN.
+func TestWindowMeanNonFiniteSum(t *testing.T) {
+	vals := make([]float64, 180)
+	for i := range vals {
+		vals[i] = 1.5e307
 	}
-	if ns.NumSeries() != 1 {
-		t.Errorf("NumSeries = %d after replace", ns.NumSeries())
+	s := mkSeries(t, "m", 0, vals)
+	if got, err := s.WindowMean(PaperWindow); !errors.Is(err, ErrNonFiniteMean) {
+		t.Errorf("WindowMean = %v, %v; want ErrNonFiniteMean", got, err)
+	}
+	// One sample of the same size is a mean.
+	if got, err := s.WindowMean(Window{Start: sec(60), End: sec(61)}); err != nil || got != 1.5e307 {
+		t.Errorf("one-sample window: %v, %v", got, err)
 	}
 }

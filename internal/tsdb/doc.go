@@ -4,7 +4,7 @@
 // queryable at memory-mapped cost, and lets recognition re-run over
 // historical jobs after the dictionary learns new labels.
 //
-// # Lifecycle: WAL → memtable → segment → mmap → Seal
+// # Lifecycle: WAL → memtable → segment → mmap
 //
 // Every acknowledged mutation is first appended to a write-ahead log
 // as a CRC-framed record (wal.go); sample runs arrive as columnar
@@ -25,11 +25,10 @@
 // compacted down to the still-live jobs, bounding replay work.
 //
 // Reads memory-map segments and hand the mapped value columns to
-// telemetry.NewSeriesFromColumns without copying a byte; Seal then
-// builds its prefix sums over the mapped data, so stored executions
-// answer window means bit-identically to the in-memory series they
-// were flushed from — and datasets far larger than RAM stay
-// queryable, paged in on demand.
+// telemetry.NewSeriesFromColumns without copying a byte; window means
+// scan the mapped data, so stored executions answer them
+// bit-identically to the in-memory series they were flushed from — and
+// datasets far larger than RAM stay queryable, paged in on demand.
 //
 // # Durability guarantees
 //

@@ -62,9 +62,9 @@ func TestMmapReadZeroValueCopies(t *testing.T) {
 }
 
 // TestMmapMaterializeAllocsFlat pins that materializing a stored
-// execution without sealing performs a constant number of allocations
-// regardless of sample count — the structural cost (NodeSet, Series
-// headers) only, never the columns.
+// execution, the path ExecutionSeries takes, performs a constant number
+// of allocations regardless of sample count — the structural cost
+// (NodeSet, Series headers) only, never the columns.
 func TestMmapMaterializeAllocsFlat(t *testing.T) {
 	small := flushOneExec(t, t.TempDir(), 2, 64)
 	defer small.Close()
@@ -74,7 +74,7 @@ func TestMmapMaterializeAllocsFlat(t *testing.T) {
 		g := st.segs[0]
 		e := &g.footer.Execs[0]
 		return testing.AllocsPerRun(50, func() {
-			if ns := g.nodeSet(e, false); ns.NumSeries() != 2 {
+			if ns := g.nodeSet(e); ns.NumSeries() != 2 {
 				t.Fatal("bad materialization")
 			}
 		})

@@ -261,12 +261,11 @@ func (g *segment) durView(off int64, count int) []time.Duration {
 
 // nodeSet materializes one stored execution as a telemetry NodeSet.
 // Value columns are handed to the series as views into the mapping —
-// zero copies — and, when seal is set, each series is sealed so window
-// queries over the mapped data match the in-memory series bit for bit
-// (sealing reads the mapping but builds its prefix sums in fresh
-// memory; the mapped columns are never written). The NodeSet is valid
-// for the lifetime of the store that owns the mapping.
-func (g *segment) nodeSet(e *segExec, seal bool) *telemetry.NodeSet {
+// zero copies, and the mapped columns are never written — so window
+// queries scan the mapped data and match the in-memory series bit for
+// bit. The NodeSet is valid for the lifetime of the store that owns
+// the mapping.
+func (g *segment) nodeSet(e *segExec) *telemetry.NodeSet {
 	ns := telemetry.NewNodeSet()
 	for si := range e.Series {
 		ss := &e.Series[si]
@@ -284,9 +283,6 @@ func (g *segment) nodeSet(e *segExec, seal bool) *telemetry.NodeSet {
 			s = telemetry.NewSeriesFromColumns(ss.Metric, ss.Node,
 				append([]time.Duration(nil), offs...), append([]float64(nil), vals...))
 			s.Sort()
-		}
-		if seal {
-			s.Seal()
 		}
 		ns.Put(s)
 	}

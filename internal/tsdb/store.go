@@ -1149,32 +1149,34 @@ func (s *Store) Executions() []ExecInfo {
 }
 
 // materializeMem copies a memtable job into a NodeSet (memtable
-// columns keep mutating under ingest, so live reads get a snapshot),
-// sealing on request.
-func materializeMem(j *jobMem, seal bool) *telemetry.NodeSet {
+// columns keep mutating under ingest, so live reads get a snapshot).
+func materializeMem(j *jobMem) *telemetry.NodeSet {
 	ns := telemetry.NewNodeSet()
 	for _, ms := range j.series {
 		// NewSeriesFromColumns copies the explicit offset column.
-		series := telemetry.NewSeriesFromColumns(ms.Metric, ms.Node, ms.OffsetsView(), ms.Values())
-		if seal {
-			series.Seal()
-		}
-		ns.Put(series)
+		ns.Put(telemetry.NewSeriesFromColumns(ms.Metric, ms.Node, ms.OffsetsView(), ms.Values()))
 	}
 	return ns
 }
 
 // ExecutionSeries materializes the stored execution with the given ID
-// (the highest-sequence one, should the ID have been reused). Segment
-// executions are served as zero-copy views over the mapping, sealed
-// for O(1) window queries; pending ones are copied out of the
-// memtable. The NodeSet must be treated as read-only and does not
-// survive Close.
+// (the highest-sequence one, should the ID have been reused), sorted
+// for window queries. Segment executions are served as zero-copy views
+// over the mapping; pending ones are copied out of the memtable and
+// sorted outside the store lock. The NodeSet must be treated as
+// read-only and does not survive Close.
 func (s *Store) ExecutionSeries(job string) (*telemetry.NodeSet, error) {
-	return s.executionSeries(job, true)
+	ns, err := s.executionSeries(job)
+	if err != nil {
+		return nil, err
+	}
+	ns.Sort()
+	return ns, nil
 }
 
-func (s *Store) executionSeries(job string, seal bool) (*telemetry.NodeSet, error) {
+// executionSeries resolves a stored execution without sorting: pending
+// ones keep their arrival order.
+func (s *Store) executionSeries(job string) (*telemetry.NodeSet, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var bestSeg *segment
@@ -1192,29 +1194,29 @@ func (s *Store) executionSeries(job string, seal bool) (*telemetry.NodeSet, erro
 	}
 	switch {
 	case bestPend != nil && (bestExec == nil || bestPend.seq > bestExec.Seq):
-		return materializeMem(bestPend, seal), nil
+		return materializeMem(bestPend), nil
 	case bestExec != nil:
 		s.opt.Inst.MmapReads.Add(1)
-		return bestSeg.nodeSet(bestExec, seal), nil
+		return bestSeg.nodeSet(bestExec), nil
 	}
 	return nil, fmt.Errorf("%w: %q", ErrUnknownExecution, job)
 }
 
 // Series resolves a job ID to its telemetry: a snapshot of the live
 // memtable state, or the stored execution when the job has finished.
-// live reports which source answered. The series come unsealed — this
-// is the raw-dump path (the server's series endpoint); callers that
-// will run window queries should use ExecutionSeries or Seal
-// themselves, paying the prefix-sum pass only when it buys something.
+// live reports which source answered. This is the raw-dump path (the
+// server's series endpoint): live and pending series keep their
+// arrival order, so callers that will run window queries should use
+// ExecutionSeries or Sort the NodeSet themselves.
 func (s *Store) Series(job string) (ns *telemetry.NodeSet, live bool, err error) {
 	s.mu.Lock()
 	if j := s.live[job]; j != nil {
-		ns = materializeMem(j, false)
+		ns = materializeMem(j)
 		s.mu.Unlock()
 		return ns, true, nil
 	}
 	s.mu.Unlock()
-	ns, err = s.executionSeries(job, false)
+	ns, err = s.executionSeries(job)
 	return ns, false, err
 }
 

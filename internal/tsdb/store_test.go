@@ -163,7 +163,7 @@ func TestWALReplayRestoresLiveJobs(t *testing.T) {
 // a segment, and pins the acceptance property: the memory-mapped
 // columns equal the in-memory series column for column (value bit
 // patterns and offsets), so every statistic derived from them matches
-// too; the sealed window mean is checked directly.
+// too; the window mean is checked directly.
 func TestFlushAndStoredQueriesMatchMemory(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenOptions(dir, Options{})
@@ -181,7 +181,7 @@ func TestFlushAndStoredQueriesMatchMemory(t *testing.T) {
 	if err != nil || !live {
 		t.Fatalf("live series: %v (live=%v)", err, live)
 	}
-	ref.Seal()
+	ref.Sort()
 
 	if err := st.Finish("job-x", "lammps_X"); err != nil {
 		t.Fatal(err)

@@ -5,7 +5,7 @@
 # The raw `go test -bench` text is kept alongside as BENCH_<rev>.txt,
 # which is the input format benchstat consumes (see `make
 # bench-compare`). The suite includes the PR 3 data-plane benchmarks
-# (BenchmarkPipelineEndToEnd, BenchmarkWindowMean{Wide,Narrow},
+# (BenchmarkPipelineEndToEnd, BenchmarkWindowMeanNarrow,
 # BenchmarkLDMSIngest{,StdCSV}, BenchmarkSeriesSort) and the PR 4
 # durable-store benchmarks (BenchmarkTSDBWALAppend, BenchmarkTSDBCommit
 # — the only one timing real fsyncs — BenchmarkTSDBSegmentFlush, which
