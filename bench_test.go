@@ -627,7 +627,7 @@ func benchNodeCSV(b *testing.B) []byte {
 
 // BenchmarkLDMSIngest measures the byte-oriented CSV ingest path:
 // bufio line walking, in-place field splitting, zero-copy float
-// parsing, columnar series construction, and sealing.
+// parsing, and columnar series construction.
 func BenchmarkLDMSIngest(b *testing.B) {
 	data := benchNodeCSV(b)
 	b.SetBytes(int64(len(data)))

@@ -743,11 +743,11 @@ func (jb *Job) ingest(verr error, feed func() (int, bool, error)) (int, error) {
 }
 
 // Result answers with the job's current recognition state, provisional
-// until State.Complete. Once complete, a job whose samples arrived in
-// time order within each window answers exactly as RecognizeStored and
-// offline recognition of the same telemetry do; for integer telemetry
-// whose absolute window sums stay below 2^53 the arrival order does not
-// matter (core.Stream).
+// until State.Complete. Its window means carry the bits RecognizeStored
+// and offline recognition compute from the same telemetry when each
+// window's samples arrived in time order, and in any arrival order for
+// integer telemetry whose absolute window sums stay below 2^53
+// (core.Stream).
 func (jb *Job) Result() (State, error) {
 	jb.j.mu.Lock()
 	if jb.j.done {
