@@ -20,9 +20,9 @@
 // columns, regular 1 Hz series keep their offsets implicit in the
 // index, and a window mean scans the window into one double-double sum,
 // rounded once and divided by the count (stats.WindowSum). The
-// streaming recognizer keeps the same sum per window, so a live job
-// and its stored telemetry produce the same keys. The durable store's
-// memtable holds the same telemetry.Series.
+// streaming recognizer keeps the same sum per window, so a live job fed
+// in time order and its stored telemetry produce the same keys. The
+// durable store's memtable holds the same telemetry.Series.
 // LDMS CSV ingest is byte-oriented (bufio line walking, in-place field
 // splits, zero-copy float parsing, bulk columnar series construction),
 // with multi-node files parsed concurrently on the internal/par pools,
