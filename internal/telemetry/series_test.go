@@ -230,3 +230,38 @@ func TestWindowMeanNonFiniteSum(t *testing.T) {
 		t.Errorf("one-sample window: %v, %v", got, err)
 	}
 }
+
+func TestNodeSet(t *testing.T) {
+	ns := NewNodeSet()
+	ns.Put(mkSeries(t, "a", 0, []float64{1}))
+	ns.Put(mkSeries(t, "b", 0, []float64{1, 2}))
+	ns.Put(mkSeries(t, "a", 1, []float64{1}))
+	ns.Put(mkSeries(t, "b", 1, []float64{1}))
+	if got := ns.Nodes(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Errorf("Nodes = %v", got)
+	}
+	if got := ns.Metrics(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Errorf("Metrics = %v", got)
+	}
+	if ns.NumSeries() != 4 {
+		t.Errorf("NumSeries = %d", ns.NumSeries())
+	}
+	if ns.Duration() != sec(1) {
+		t.Errorf("Duration = %v", ns.Duration())
+	}
+	if ns.Get(0, "a") == nil || ns.Get(2, "a") != nil || ns.Get(0, "c") != nil {
+		t.Error("Get lookup wrong")
+	}
+}
+
+func TestNodeSetPutReplaces(t *testing.T) {
+	ns := NewNodeSet()
+	ns.Put(mkSeries(t, "a", 0, []float64{1}))
+	ns.Put(mkSeries(t, "a", 0, []float64{5, 6}))
+	if got := ns.Get(0, "a").Len(); got != 2 {
+		t.Errorf("replacement series length = %d", got)
+	}
+	if ns.NumSeries() != 1 {
+		t.Errorf("NumSeries = %d after replace", ns.NumSeries())
+	}
+}
