@@ -21,7 +21,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/dataset"
@@ -33,7 +35,7 @@ func main() {
 	var (
 		table      = flag.Int("table", 0, "reproduce a paper table (1-4)")
 		figure     = flag.Int("figure", 0, "reproduce a paper figure (1-2)")
-		ablation   = flag.String("ablation", "", "run an ablation: depth|interval|voting|combo|growth|latency")
+		ablation   = flag.String("ablation", "", "run an ablation: "+strings.Join(ablations, "|"))
 		all        = flag.Bool("all", false, "reproduce everything")
 		quick      = flag.Bool("quick", false, "smaller dataset and forest for a fast pass")
 		taxo       = flag.Bool("taxonomist", true, "include the Taxonomist baseline in Figure 2")
@@ -42,6 +44,11 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := checkRequest(*table, *figure, *ablation); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if !*all && *table == 0 && *figure == 0 && *ablation == "" {
 		flag.Usage()
 		os.Exit(2)
@@ -84,11 +91,30 @@ func main() {
 	if *ablation != "" {
 		runAblation(h, *ablation)
 	} else if *all {
-		for _, a := range []string{"depth", "interval", "voting", "combo", "growth", "latency"} {
+		for _, a := range ablations {
 			runAblation(h, a)
 		}
 	}
 	fmt.Fprintf(os.Stderr, "total %v\n", time.Since(start).Round(time.Millisecond))
+}
+
+// ablations are the -ablation names, in the order -all runs them.
+var ablations = []string{"depth", "interval", "voting", "combo", "growth", "latency"}
+
+// checkRequest rejects a -table, -figure or -ablation value the command
+// cannot render, before it spends seconds generating the dataset. 0 and
+// "" request nothing.
+func checkRequest(table, figure int, ablation string) error {
+	if table < 0 || table > 4 {
+		return fmt.Errorf("no table %d: the tables are 1-4", table)
+	}
+	if figure < 0 || figure > 2 {
+		return fmt.Errorf("no figure %d: the figures are 1-2", figure)
+	}
+	if ablation != "" && !slices.Contains(ablations, ablation) {
+		return fmt.Errorf("no ablation %q: the ablations are %s", ablation, strings.Join(ablations, "|"))
+	}
+	return nil
 }
 
 func generate(quick bool, seed int64) *dataset.Dataset {

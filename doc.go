@@ -9,11 +9,12 @@
 // the internal/core package comment), and training scores its
 // cross-validation grid from one key index per candidate rounding
 // depth, on a worker pool over depths, with byte-identical results at
-// any worker count. The HTTP monitoring service (internal/server,
-// cmd/efdd) shards its job table and serves concurrent ingest and
-// recognition against a shared dictionary (core.SharedDictionary:
-// parallel readers, exclusive online learning) with graceful shutdown
-// and dictionary re-save.
+// any worker count. An evaluation protocol renders those indexes once
+// per call and fits every outer fold from them (core.Trainer). The
+// HTTP monitoring service (internal/server, cmd/efdd) shards its job
+// table and serves concurrent ingest and recognition against a shared
+// dictionary (core.SharedDictionary: parallel readers, exclusive
+// online learning) with graceful shutdown and dictionary re-save.
 //
 // The telemetry substrate underneath all of it is columnar
 // (internal/telemetry): series store separate offset and value

@@ -33,17 +33,21 @@
 // indexed by interned app ID. On a warmed dictionary,
 // Recognizer.Recognize performs zero allocations per execution;
 // Dictionary.Recognize is the convenience form that allocates a fresh
-// scratch so its Result is independently owned. Training (Fit) extracts
-// raw window means once per execution. Its depth×fold cross-validation
-// grid builds no dictionary per cell: each candidate depth renders every
-// execution's keys once into one key index, which numbers the distinct
-// keys and records the applications and folds that produced each, and
-// scores every fold from it. Neither the numbering nor the producer
-// order needs a string per key or a comparison sort. A worker pool runs
-// over the depths, with deterministic assembly; the final dictionary
-// learns the keys the chosen depth's index already holds, so no key is
-// rendered twice. Rendering a key is one decimal conversion
-// (stats.AppendRoundedKey).
+// scratch so its Result is independently owned. Training (a Trainer)
+// extracts raw window means once per execution of a dataset, and each
+// candidate depth renders every execution's keys once into one key
+// index, which numbers the distinct keys. A Fit of any subset of that
+// dataset restricts each index to the subset's executions; its
+// depth×fold cross-validation grid builds no dictionary per cell, but
+// records per key the applications and folds that produced it and
+// scores every fold from the restricted index. Neither the numbering
+// nor the producer order needs a string per key or a comparison sort.
+// A worker pool runs over the depths, with deterministic assembly; the
+// final dictionary learns the keys the chosen depth's index already
+// holds. So the outer folds of an evaluation, each a Fit of a subset
+// of one dataset, render each key once, and Fit, a Trainer fitting its
+// whole training set, renders no key twice. Rendering a key is one
+// decimal conversion (stats.AppendRoundedKey).
 package core
 
 import (

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/maphash"
 	"math/bits"
@@ -44,11 +45,13 @@ type FitConfig struct {
 	// Seed drives the internal fold shuffling.
 	Seed int64
 	// Workers bounds the worker pool over candidate depths (each
-	// depth builds one key index and scores every fold from it) and
-	// over the one-time extraction of raw window means: 0 means
-	// GOMAXPROCS, 1 runs sequentially. The selected depth, the report,
-	// and the resulting dictionary are byte-identical at every worker
-	// count — parallelism only changes wall-clock time.
+	// depth renders one key index over the dataset, and each Fit
+	// scores every inner fold from that index restricted to its
+	// training set) and over the one-time extraction of raw window
+	// means: 0 means GOMAXPROCS, 1 runs sequentially. The selected
+	// depth, the report, and the resulting dictionary are
+	// byte-identical at every worker count — parallelism only changes
+	// wall-clock time.
 	Workers int
 }
 
@@ -190,65 +193,157 @@ func (d *Dictionary) learnRaw(re rawExec, label apps.Label, ks *keySet) {
 // building the final dictionary at the chosen depth over all training
 // executions.
 //
-// Each execution's raw window means are extracted once per Fit. The
-// cross-validation builds one key index per candidate depth from them
-// and scores every fold from that index, on a worker pool over depths
-// (FitConfig.Workers); the final dictionary learns the keys the chosen
-// depth's index already rendered, so each key is rendered once per
-// depth. The report, the scores and the dictionary equal those of one
-// Dictionary and Recognizer per (depth, fold) cell, and are
-// byte-identical at every worker count.
+// Fit is a Trainer over the training set fitting all of it. Each
+// execution's raw window means are extracted once. Each candidate depth
+// renders every execution's keys once into a key index, on a worker
+// pool over depths (FitConfig.Workers); the cross-validation scores
+// every fold from those indexes, and the final dictionary learns the
+// keys the chosen depth's index already holds, so no key is rendered
+// twice. A training set too small to cross-validate renders its
+// fallback depth alone. The report, the scores and the dictionary equal
+// those of one Dictionary and Recognizer per (depth, fold) cell, and
+// are byte-identical at every worker count. To fit several subsets of
+// one dataset, build one Trainer and call its Fit for each.
 func Fit(train *dataset.Dataset, cfg FitConfig) (*Dictionary, FitReport, error) {
 	if train.Len() == 0 {
-		return nil, FitReport{}, fmt.Errorf("core: empty training set")
+		return nil, FitReport{}, errEmptyTrain
 	}
 	depths, err := candidateDepths(cfg.Depths)
 	if err != nil {
 		return nil, FitReport{}, err
 	}
-	folds := cfg.InnerFolds
-	if folds <= 0 {
-		folds = 5
-	}
-	// Clamp the fold count to the smallest class size so stratified
-	// folding stays possible on small training sets.
-	minClass := train.Len()
-	counts := make(map[string]int)
-	for _, e := range train.Executions {
-		counts[e.Label.String()]++
-	}
-	for _, c := range counts {
-		if c < minClass {
-			minClass = c
-		}
-	}
-	if folds > minClass {
-		folds = minClass
-	}
-
-	report := FitReport{DepthScores: make(map[int]float64), Folds: folds}
+	folds := innerFolds(train, cfg)
 	if folds < 2 {
-		// Too small to cross-validate: fall back to the median
-		// candidate depth.
-		report.Folds = 0
-		depths = []int{depths[len(depths)/2]}
+		// fit takes the median candidate without scoring, so no other
+		// depth needs rendering.
+		depths = depths[len(depths)/2:][:1]
 	}
-	dicts, err := depthDictionaries(cfg, depths)
+	t, err := newTrainer(train, cfg, depths)
 	if err != nil {
 		return nil, FitReport{}, err
 	}
-	raws := extractAll(train, cfg)
-	best := 0
+	return t.fit(train, nil, folds)
+}
+
+var errEmptyTrain = errors.New("core: empty training set")
+
+// Trainer fits any subset of one dataset from a single rendering of the
+// dataset's keys, with the result Fit gives for that subset alone.
+// NewTrainer extracts every execution's raw window means once and
+// renders them into one key index per candidate depth. Fit restricts
+// each index to the subset's executions, cross-validates the depth over
+// the subset's own inner folds and learns a fresh dictionary from the
+// chosen depth's restricted index, rendering no key. So the outer folds
+// of an evaluation, which fit overlapping subsets of one dataset, render
+// each execution's keys once instead of once per fold.
+//
+// A Trainer is read-only once built: any number of goroutines may call
+// Fit at once.
+type Trainer struct {
+	ds     *dataset.Dataset
+	cfg    FitConfig
+	depths []int
+	// dicts[i] renders keys at depths[i]; it learns nothing.
+	dicts []*Dictionary
+	// index[i] holds the keys of every execution of ds at depths[i].
+	index []*keyIndex
+	// order lists the rows of ds by ascending execution ID: the order
+	// in which a Fit of all of ds learns, and the one rowsOf searches.
+	order []int
+}
+
+// NewTrainer extracts and renders every execution of ds at each
+// candidate depth of cfg, on the worker pool of cfg.Workers. cfg means
+// what it means for Fit and holds for every Fit of the trainer.
+func NewTrainer(ds *dataset.Dataset, cfg FitConfig) (*Trainer, error) {
+	depths, err := candidateDepths(cfg.Depths)
+	if err != nil {
+		return nil, err
+	}
+	return newTrainer(ds, cfg, depths)
+}
+
+// newTrainer is NewTrainer over the given candidate depths.
+func newTrainer(ds *dataset.Dataset, cfg FitConfig, depths []int) (*Trainer, error) {
+	dicts, err := depthDictionaries(cfg, depths)
+	if err != nil {
+		return nil, err
+	}
+	raws := extractAll(ds, cfg)
+	t := &Trainer{ds: ds, cfg: cfg, depths: depths, dicts: dicts, index: make([]*keyIndex, len(dicts)), order: idOrder(ds)}
+	par.Chunks(len(dicts), cfg.Workers, 1, func(lo, hi int) {
+		var sc gridScratch
+		for di := lo; di < hi; di++ {
+			t.index[di] = newKeyIndex(dicts[di], raws, &sc)
+		}
+	})
+	return t, nil
+}
+
+// Fit returns what Fit(train, cfg) returns, for the trainer's cfg: the
+// same report and a dictionary that saves to the same bytes. Every
+// execution of train must be one of the trainer's dataset's, the same
+// *dataset.Execution (Subset, Filter and their kin share them); any
+// other is an error.
+func (t *Trainer) Fit(train *dataset.Dataset) (*Dictionary, FitReport, error) {
+	if train.Len() == 0 {
+		return nil, FitReport{}, errEmptyTrain
+	}
+	rows, err := t.rowsOf(train)
+	if err != nil {
+		return nil, FitReport{}, err
+	}
+	return t.fit(train, rows, innerFolds(train, t.cfg))
+}
+
+// rowsOf returns the row in the trainer's dataset of each execution of
+// train, or nil when train is that dataset.
+func (t *Trainer) rowsOf(train *dataset.Dataset) ([]int32, error) {
+	if train == t.ds {
+		return nil, nil
+	}
+	execs := t.ds.Executions
+	rows := make([]int32, train.Len())
+	for j, e := range train.Executions {
+		k := sort.Search(len(t.order), func(k int) bool { return execs[t.order[k]].ID >= e.ID })
+		for k < len(t.order) && execs[t.order[k]] != e && execs[t.order[k]].ID == e.ID {
+			k++
+		}
+		if k == len(t.order) || execs[t.order[k]] != e {
+			return nil, fmt.Errorf("core: training execution %d is not in the trainer's dataset", e.ID)
+		}
+		rows[j] = int32(t.order[k])
+	}
+	return rows, nil
+}
+
+// fit fits train, whose executions sit at rows of the trainer's dataset
+// (nil: train is that dataset), cross-validating over folds inner
+// folds; below 2 it takes the median candidate depth unscored.
+func (t *Trainer) fit(train *dataset.Dataset, rows []int32, folds int) (*Dictionary, FitReport, error) {
+	order := t.order
+	if rows != nil {
+		order = idOrder(train)
+	}
+	report := FitReport{DepthScores: make(map[int]float64), Folds: folds}
+	var best int
 	var ix *keyIndex
-	if report.Folds > 0 {
-		kf, err := train.KFold(folds, cfg.Seed)
+	if folds < 2 {
+		report.Folds = 0
+		best = len(t.depths) / 2
+		ix = t.index[best].restrict(rows)
+	} else {
+		kf, err := train.KFold(folds, t.cfg.Seed)
 		if err != nil {
 			return nil, FitReport{}, err
 		}
-		scores, index := crossValidate(train, raws, dicts, kf, cfg.Workers)
+		index := make([]*keyIndex, len(t.index))
+		for di, full := range t.index {
+			index[di] = full.restrict(rows)
+		}
 		bestScore := -1.0
-		for di, score := range scores {
-			report.DepthScores[depths[di]] = score
+		for di, score := range crossValidate(train, index, order, kf, t.cfg.Workers) {
+			report.DepthScores[t.depths[di]] = score
 			// Strict improvement keeps the tie-break at the earlier
 			// candidate: the smaller (more pruned, more general) depth
 			// when the candidates ascend.
@@ -257,14 +352,16 @@ func Fit(train *dataset.Dataset, cfg FitConfig) (*Dictionary, FitReport, error) 
 			}
 		}
 		ix = index[best]
-	} else {
-		ix = newKeyIndex(dicts[0], raws, new(gridScratch))
 	}
-	report.BestDepth = depths[best]
-	// The chosen depth's dictionary only rendered keys, so it is still
-	// empty: learn every execution into it from the keys ix holds.
-	d := dicts[best]
-	for _, i := range idOrder(train) {
+	report.BestDepth = t.depths[best]
+	// The trainer's dictionaries only render keys and may serve other
+	// Fits at once: learn into a fresh one, in ID order, from the keys
+	// ix already holds.
+	d, err := NewDictionary(t.dicts[best].cfg)
+	if err != nil {
+		return nil, FitReport{}, err
+	}
+	for _, i := range order {
 		label := train.Executions[i].Label
 		for _, k := range ix.id[ix.off[i]:ix.off[i+1]] {
 			ref := ix.keys[k]
@@ -274,13 +371,32 @@ func Fit(train *dataset.Dataset, cfg FitConfig) (*Dictionary, FitReport, error) 
 	return d, report, nil
 }
 
+// innerFolds is the inner fold count of a Fit on train: cfg.InnerFolds
+// (default 5) clamped to the smallest class, so stratified folding
+// stays possible on small training sets.
+func innerFolds(train *dataset.Dataset, cfg FitConfig) int {
+	folds := cfg.InnerFolds
+	if folds <= 0 {
+		folds = 5
+	}
+	counts := make(map[apps.Label]int)
+	for _, e := range train.Executions {
+		counts[e.Label]++
+	}
+	for _, c := range counts {
+		folds = min(folds, c)
+	}
+	return folds
+}
+
 // CrossValidate scores fixed rounding depths by k-fold
 // cross-validation over ds: each depth's score is the macro F1 of every
 // execution recognized by what the other folds learned at that depth,
 // the score Fit reports in FitReport.DepthScores. The folds are
 // ds.KFold(cfg.InnerFolds, cfg.Seed), taken as given (no default fold
 // count, no clamping); cfg.Depths and cfg.Workers mean what they mean
-// for Fit.
+// for Fit. It renders and scores through a Trainer's code: one key
+// index per depth over ds, scored by the grid Fit scores with.
 func CrossValidate(ds *dataset.Dataset, cfg FitConfig) (map[int]float64, error) {
 	depths, err := candidateDepths(cfg.Depths)
 	if err != nil {
@@ -290,13 +406,12 @@ func CrossValidate(ds *dataset.Dataset, cfg FitConfig) (map[int]float64, error) 
 	if err != nil {
 		return nil, err
 	}
-	dicts, err := depthDictionaries(cfg, depths)
+	t, err := newTrainer(ds, cfg, depths)
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[int]float64, len(depths))
-	scores, _ := crossValidate(ds, extractAll(ds, cfg), dicts, kf, cfg.Workers)
-	for di, score := range scores {
+	for di, score := range crossValidate(ds, t.index, t.order, kf, cfg.Workers) {
 		out[depths[di]] = score
 	}
 	return out, nil
@@ -349,19 +464,20 @@ func idOrder(ds *dataset.Dataset) []int {
 	return idx
 }
 
-// crossValidate scores each depth of dicts (empty dictionaries, one per
-// candidate depth) by leave-fold-out recognition: every execution of
-// folds[f].Test is recognized against the executions outside fold f,
-// and a depth's score is the macro F1 of the pairs pooled in fold
-// order. folds must partition ds the way dataset.KFold does: each
-// execution is in exactly one fold's Test and every other fold's Train.
-// raws holds the extraction of every execution of ds.
+// crossValidate scores each depth's key index by leave-fold-out
+// recognition over ds: every execution of folds[f].Test is recognized
+// against the executions outside fold f, and a depth's score is the
+// macro F1 of the pairs pooled in fold order. folds must partition ds
+// the way dataset.KFold does: each execution is in exactly one fold's
+// Test and every other fold's Train. index[i] holds the keys of every
+// execution of ds at one depth, and order lists ds's executions by
+// ascending ID.
 //
 // The scores are those of one Dictionary per (depth, fold) cell,
 // learned in ID order and queried through a Recognizer, but no cell
-// dictionary is built. Each depth renders every execution's keys once
-// into a keyIndex (keysFromRaw, so key identity is the Dictionary's),
-// and records per key the distinct (application, fold) pairs of the
+// dictionary is built. Each index holds every execution's keys once
+// (keysFromRaw, so key identity is the Dictionary's), and the grid
+// records per key the distinct (application, fold) pairs of the
 // executions that produced it. A cell then votes the way its
 // dictionary's Recognizer would:
 //   - each key of a test execution gives one vote to every distinct
@@ -373,24 +489,22 @@ func idOrder(ds *dataset.Dataset) []int {
 //     is Unknown.
 //
 // Depths run on a pool of workers goroutines, each scoring a span of
-// depths through one gridScratch; scores[i] and index[i] belong to
-// dicts[i].
-func crossValidate(ds *dataset.Dataset, raws []rawExec, dicts []*Dictionary, folds []dataset.Fold, workers int) (scores []float64, index []*keyIndex) {
-	g := newCVGrid(ds, raws, folds)
-	scores = make([]float64, len(dicts))
-	index = make([]*keyIndex, len(dicts))
-	par.Chunks(len(dicts), workers, 1, func(lo, hi int) {
+// depths through one gridScratch; scores[i] belongs to index[i].
+func crossValidate(ds *dataset.Dataset, index []*keyIndex, order []int, folds []dataset.Fold, workers int) []float64 {
+	g := newCVGrid(ds, index[0], order, folds)
+	scores := make([]float64, len(index))
+	par.Chunks(len(index), workers, 1, func(lo, hi int) {
 		var sc gridScratch
 		for di := lo; di < hi; di++ {
-			index[di] = newKeyIndex(dicts[di], raws, &sc)
 			scores[di] = g.score(index[di], &sc)
 		}
 	})
-	return scores, index
+	return scores
 }
 
-// gridScratch holds the buffers one depth of the grid needs only while
-// it is built and scored, for reuse by the next depth.
+// gridScratch holds the buffers one depth's key index needs only while
+// it is built (ks, slots), or the grid only while it scores a depth
+// (the rest), for reuse by the next depth.
 type gridScratch struct {
 	ks         keySet
 	slots      []int32
@@ -400,11 +514,12 @@ type gridScratch struct {
 	votes      []int32
 }
 
-// keyIndex holds one depth's keys of every execution of a training
-// set, numbered so that two keys share an ID exactly when the
-// Dictionary would store them under one entry. Execution i's keys have
-// the IDs id[off[i]:off[i+1]], in extraction order; keys[k] holds key
-// k's bucket and the span of its bytes in buf.
+// keyIndex holds one depth's keys of every execution of a dataset,
+// numbered so that two keys share an ID exactly when the Dictionary
+// would store them under one entry. Execution i's keys have the IDs
+// id[off[i]:off[i+1]], in extraction order; keys[k] holds key k's
+// bucket and the span of its bytes in buf. A Trainer keeps one per
+// depth and Fit restricts it to a training set's executions.
 type keyIndex struct {
 	off  []int32
 	id   []int32
@@ -453,6 +568,25 @@ func newKeyIndex(d *Dictionary, raws []rawExec, sc *gridScratch) *keyIndex {
 	return ix
 }
 
+// restrict returns ix narrowed to the executions at rows, in that
+// order: execution j of the result has the keys of execution rows[j].
+// The key table is ix's, shared, so a key may have no execution left.
+// nil rows returns ix itself.
+func (ix *keyIndex) restrict(rows []int32) *keyIndex {
+	if rows == nil {
+		return ix
+	}
+	r := &keyIndex{off: make([]int32, len(rows)+1), keys: ix.keys, buf: ix.buf}
+	for j, i := range rows {
+		r.off[j+1] = r.off[j] + ix.off[i+1] - ix.off[i]
+	}
+	r.id = make([]int32, 0, r.off[len(rows)])
+	for _, i := range rows {
+		r.id = append(r.id, ix.id[ix.off[i]:ix.off[i+1]]...)
+	}
+	return r
+}
+
 // cvGrid is the depth-independent part of the cross-validation: which
 // fold tests each execution, its application, and each fold's
 // tie-break order. Depths share it read-only.
@@ -475,7 +609,10 @@ type cvGrid struct {
 // sorted by application, then fold.
 type producer struct{ app, fold int32 }
 
-func newCVGrid(ds *dataset.Dataset, raws []rawExec, folds []dataset.Fold) *cvGrid {
+// newCVGrid builds the grid of folds over ds. ix is any depth's index
+// of ds (they agree on which executions have keys), and order lists
+// ds's executions by ascending ID.
+func newCVGrid(ds *dataset.Dataset, ix *keyIndex, order []int, folds []dataset.Fold) *cvGrid {
 	n := ds.Len()
 	g := &cvGrid{
 		folds: folds,
@@ -512,7 +649,6 @@ func newCVGrid(ds *dataset.Dataset, raws []rawExec, folds []dataset.Fold) *cvGri
 		g.byAppFold[next[c]] = int32(i)
 		next[c]++
 	}
-	order := idOrder(ds)
 	g.rank = make([][]int32, len(folds))
 	for f := range folds {
 		rank := make([]int32, len(g.apps))
@@ -523,7 +659,7 @@ func newCVGrid(ds *dataset.Dataset, raws []rawExec, folds []dataset.Fold) *cvGri
 		for _, i := range order {
 			// An execution without keys adds nothing to the
 			// dictionary, so it does not intern its application.
-			if g.fold[i] == int32(f) || len(raws[i].fps) == 0 || rank[g.app[i]] >= 0 {
+			if g.fold[i] == int32(f) || ix.off[i] == ix.off[i+1] || rank[g.app[i]] >= 0 {
 				continue
 			}
 			rank[g.app[i]] = next

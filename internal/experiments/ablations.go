@@ -23,8 +23,13 @@ func (h *Harness) DepthAblation(depths []int) (map[int]float64, error) {
 // IntervalAblation evaluates the normal-fold protocol with the
 // fingerprint window moved across the execution, justifying the paper's
 // [60:120] choice: the initialization phase (first minute) is turbulent
-// and makes poor fingerprints.
+// and makes poor fingerprints. Each window fits its folds from one
+// core.Trainer.
 func (h *Harness) IntervalAblation(windows []telemetry.Window) (map[string]float64, error) {
+	return h.intervalAblation(windows, trainer)
+}
+
+func (h *Harness) intervalAblation(windows []telemetry.Window, fitFor fitterFor) (map[string]float64, error) {
 	if windows == nil {
 		windows = h.DS.Windows
 	}
@@ -34,11 +39,15 @@ func (h *Harness) IntervalAblation(windows []telemetry.Window) (map[string]float
 	}
 	out := make(map[string]float64, len(windows))
 	for _, w := range windows {
-		fit := h.Fit
-		fit.Windows = []telemetry.Window{w}
+		cfg := h.Fit
+		cfg.Windows = []telemetry.Window{w}
+		fit, err := fitFor(h.DS, cfg)
+		if err != nil {
+			return nil, err
+		}
 		var pairs []eval.Pair
 		for _, f := range folds {
-			d, _, err := core.Fit(h.DS.Subset(f.Train), fit)
+			d, _, err := fit.Fit(h.DS.Subset(f.Train))
 			if err != nil {
 				return nil, err
 			}
@@ -68,15 +77,23 @@ func (s singleNodeSource) NodeCount() int { return s.src.NodeCount() }
 // VotingAblation contrasts recognition through all involved nodes (the
 // EFD's design, §5 "it stands to reason that we recognize an
 // application through all involved nodes") against recognition from a
-// single node's fingerprints.
+// single node's fingerprints. The folds fit from one core.Trainer.
 func (h *Harness) VotingAblation() (allNodes, singleNode float64, err error) {
+	return h.votingAblation(trainer)
+}
+
+func (h *Harness) votingAblation(fitFor fitterFor) (allNodes, singleNode float64, err error) {
 	folds, err := h.DS.KFold(h.Folds, h.Seed)
+	if err != nil {
+		return 0, 0, err
+	}
+	fit, err := fitFor(h.DS, h.Fit)
 	if err != nil {
 		return 0, 0, err
 	}
 	var full, single []eval.Pair
 	for _, f := range folds {
-		d, _, err := core.Fit(h.DS.Subset(f.Train), h.Fit)
+		d, _, err := fit.Fit(h.DS.Subset(f.Train))
 		if err != nil {
 			return 0, 0, err
 		}

@@ -19,7 +19,10 @@ import (
 	"repro/internal/taxonomist"
 )
 
-// Harness runs the evaluation protocols over one dataset. Outer folds
+// Harness runs the evaluation protocols over one dataset. Each protocol
+// call builds one core.Trainer per fingerprint configuration, which
+// renders every execution's keys once, and fits every outer fold from
+// it; the trainer is dropped when the call returns. Outer folds
 // evaluate concurrently on a bounded worker pool; per-fold results are
 // assembled in fold order, so every protocol score is byte-identical to
 // a sequential run.
@@ -83,11 +86,28 @@ func (s Score) String() string {
 	return fmt.Sprintf("%-14s EFD=%.3f", s.Protocol, s.EFD)
 }
 
-// efdPairs fits a dictionary on train and classifies test, mapping the
-// truth of executions whose application is in unknownApps to "unknown"
-// (they should NOT be recognized).
-func (h *Harness) efdPairs(train, test *dataset.Dataset, unknownApps map[string]bool) ([]eval.Pair, error) {
-	d, _, err := core.Fit(train, h.Fit)
+// fitter fits a dictionary on a training subset of the dataset it was
+// built for.
+type fitter interface {
+	Fit(train *dataset.Dataset) (*core.Dictionary, core.FitReport, error)
+}
+
+// fitterFor builds the fitter a protocol call fits its folds from: one
+// per fingerprint configuration, over the harness dataset.
+type fitterFor func(ds *dataset.Dataset, cfg core.FitConfig) (fitter, error)
+
+// trainer is the fitterFor of every protocol: a core.Trainer renders
+// each execution's keys once, and every fold's Fit scores from that
+// rendering. It lives for one protocol call.
+func trainer(ds *dataset.Dataset, cfg core.FitConfig) (fitter, error) {
+	return core.NewTrainer(ds, cfg)
+}
+
+// efdPairs fits a dictionary on train through f and classifies test,
+// mapping the truth of executions whose application is in unknownApps
+// to "unknown" (they should NOT be recognized).
+func (h *Harness) efdPairs(f fitter, train, test *dataset.Dataset, unknownApps map[string]bool) ([]eval.Pair, error) {
+	d, _, err := f.Fit(train)
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +169,9 @@ func (fp *foldPairs) concat(other foldPairs) {
 // subsets, running folds concurrently on the harness worker pool, and
 // returns the concatenation of the per-fold results in fold order —
 // exactly the sequence a sequential loop with appends would have
-// produced. The first error (by fold index) wins.
+// produced. The first error (by fold index) wins. The subsets share the
+// harness dataset's executions, so concurrent folds can fit from the
+// protocol call's one trainer.
 func (h *Harness) foldRun(fn func(train, test *dataset.Dataset) (foldPairs, error)) (foldPairs, error) {
 	folds, err := h.DS.KFold(h.Folds, h.Seed)
 	if err != nil {
@@ -170,14 +192,16 @@ func (h *Harness) foldRun(fn func(train, test *dataset.Dataset) (foldPairs, erro
 	return merged, nil
 }
 
-// meanOf averages the values of a per-dimension score map.
+// meanOf averages the values of a per-dimension score map, summed in
+// key order: floating-point addition is not associative, so a sum in
+// map iteration order could differ in the last bits between calls.
 func meanOf(m map[string]float64) float64 {
 	if len(m) == 0 {
 		return 0
 	}
 	s := 0.0
-	for _, v := range m {
-		s += v
+	for _, k := range sortedKeys(m) {
+		s += m[k]
 	}
 	return s / float64(len(m))
 }

@@ -8,11 +8,11 @@ import (
 	"repro/internal/par"
 )
 
-// protocolFold evaluates one fold for a protocol: EFD pairs always,
-// baseline pairs when configured.
-func (h *Harness) protocolFold(train, test *dataset.Dataset, unknownApps map[string]bool) (foldPairs, error) {
+// protocolFold evaluates one fold for a protocol: EFD pairs, fitted
+// through f, always; baseline pairs when configured.
+func (h *Harness) protocolFold(f fitter, train, test *dataset.Dataset, unknownApps map[string]bool) (foldPairs, error) {
 	var fp foldPairs
-	p, err := h.efdPairs(train, test, unknownApps)
+	p, err := h.efdPairs(f, train, test, unknownApps)
 	if err != nil {
 		return fp, err
 	}
@@ -29,10 +29,16 @@ func (h *Harness) protocolFold(train, test *dataset.Dataset, unknownApps map[str
 // NormalFold runs protocol 1: 5-fold cross-validation on the full
 // dataset — every application and input size appears in both learning
 // and testing.
-func (h *Harness) NormalFold() (Score, error) {
+func (h *Harness) NormalFold() (Score, error) { return h.normalFold(trainer) }
+
+func (h *Harness) normalFold(fitFor fitterFor) (Score, error) {
 	s := Score{Protocol: "normal fold"}
+	f, err := fitFor(h.DS, h.Fit)
+	if err != nil {
+		return s, err
+	}
 	merged, err := h.foldRun(func(train, test *dataset.Dataset) (foldPairs, error) {
-		return h.protocolFold(train, test, nil)
+		return h.protocolFold(f, train, test, nil)
 	})
 	if err != nil {
 		return s, err
@@ -55,12 +61,18 @@ func (h *Harness) NormalFold() (Score, error) {
 // returning ft_X for an ft_Y execution), so the protocol measures
 // whether fingerprints generalize across input sizes. Results are
 // averaged over the removed inputs.
-func (h *Harness) SoftInput() (Score, error) {
+func (h *Harness) SoftInput() (Score, error) { return h.softInput(trainer) }
+
+func (h *Harness) softInput(fitFor fitterFor) (Score, error) {
 	s := Score{Protocol: "soft input", PerDimension: make(map[string]float64)}
+	f, err := fitFor(h.DS, h.Fit)
+	if err != nil {
+		return s, err
+	}
 	var allEFD, allTaxo []eval.Pair
 	for _, in := range h.removableInputs() {
 		merged, err := h.foldRun(func(train, test *dataset.Dataset) (foldPairs, error) {
-			return h.protocolFold(train.WithoutInput(in), test, nil)
+			return h.protocolFold(f, train.WithoutInput(in), test, nil)
 		})
 		if err != nil {
 			return s, err
@@ -70,7 +82,6 @@ func (h *Harness) SoftInput() (Score, error) {
 		allTaxo = append(allTaxo, merged.taxo...)
 	}
 	s.EFD = meanOf(s.PerDimension)
-	var err error
 	s.Report, err = eval.Evaluate(allEFD)
 	if err != nil {
 		return s, err
@@ -87,13 +98,19 @@ func (h *Harness) SoftInput() (Score, error) {
 // the same. The removed application's executions should find no match —
 // predicting "unknown" for them is the correct outcome. Results are
 // averaged over the removed applications.
-func (h *Harness) SoftUnknown() (Score, error) {
+func (h *Harness) SoftUnknown() (Score, error) { return h.softUnknown(trainer) }
+
+func (h *Harness) softUnknown(fitFor fitterFor) (Score, error) {
 	s := Score{Protocol: "soft unknown", PerDimension: make(map[string]float64)}
+	f, err := fitFor(h.DS, h.Fit)
+	if err != nil {
+		return s, err
+	}
 	var allEFD, allTaxo []eval.Pair
 	for _, app := range h.DS.Apps() {
 		unknown := map[string]bool{app: true}
 		merged, err := h.foldRun(func(train, test *dataset.Dataset) (foldPairs, error) {
-			return h.protocolFold(train.WithoutApp(app), test, unknown)
+			return h.protocolFold(f, train.WithoutApp(app), test, unknown)
 		})
 		if err != nil {
 			return s, err
@@ -103,7 +120,6 @@ func (h *Harness) SoftUnknown() (Score, error) {
 		allTaxo = append(allTaxo, merged.taxo...)
 	}
 	s.EFD = meanOf(s.PerDimension)
-	var err error
 	s.Report, err = eval.Evaluate(allEFD)
 	if err != nil {
 		return s, err
@@ -119,8 +135,14 @@ func (h *Harness) SoftUnknown() (Score, error) {
 // but one, and the testing set contains exclusively the held-out input
 // size. The Taxonomist paper did not conduct this experiment. Results
 // are averaged over the held-out inputs.
-func (h *Harness) HardInput() (Score, error) {
+func (h *Harness) HardInput() (Score, error) { return h.hardInput(trainer) }
+
+func (h *Harness) hardInput(fitFor fitterFor) (Score, error) {
 	s := Score{Protocol: "hard input", PerDimension: make(map[string]float64)}
+	f, err := fitFor(h.DS, h.Fit)
+	if err != nil {
+		return s, err
+	}
 	inputs := h.removableInputs()
 	dims := make([][]eval.Pair, len(inputs))
 	errs := make([]error, len(inputs))
@@ -132,7 +154,7 @@ func (h *Harness) HardInput() (Score, error) {
 			errs[i] = fmt.Errorf("experiments: hard input %s yields an empty split", in)
 			return
 		}
-		dims[i], errs[i] = h.efdPairs(train, test, nil)
+		dims[i], errs[i] = h.efdPairs(f, train, test, nil)
 	})
 	var all []eval.Pair
 	for i, in := range inputs {
@@ -143,7 +165,6 @@ func (h *Harness) HardInput() (Score, error) {
 		all = append(all, dims[i]...)
 	}
 	s.EFD = meanOf(s.PerDimension)
-	var err error
 	s.Report, err = eval.Evaluate(all)
 	return s, err
 }
@@ -154,8 +175,14 @@ func (h *Harness) HardInput() (Score, error) {
 // "unknown" — is the correct outcome for every test execution. The
 // Taxonomist paper did not conduct this experiment. Results are
 // averaged over the held-out applications.
-func (h *Harness) HardUnknown() (Score, error) {
+func (h *Harness) HardUnknown() (Score, error) { return h.hardUnknown(trainer) }
+
+func (h *Harness) hardUnknown(fitFor fitterFor) (Score, error) {
 	s := Score{Protocol: "hard unknown", PerDimension: make(map[string]float64)}
+	f, err := fitFor(h.DS, h.Fit)
+	if err != nil {
+		return s, err
+	}
 	appNames := h.DS.Apps()
 	dims := make([][]eval.Pair, len(appNames))
 	errs := make([]error, len(appNames))
@@ -167,7 +194,7 @@ func (h *Harness) HardUnknown() (Score, error) {
 			errs[i] = fmt.Errorf("experiments: hard unknown %s yields an empty split", app)
 			return
 		}
-		dims[i], errs[i] = h.efdPairs(train, test, map[string]bool{app: true})
+		dims[i], errs[i] = h.efdPairs(f, train, test, map[string]bool{app: true})
 	})
 	var all []eval.Pair
 	for i, app := range appNames {
@@ -178,7 +205,6 @@ func (h *Harness) HardUnknown() (Score, error) {
 		all = append(all, dims[i]...)
 	}
 	s.EFD = meanOf(s.PerDimension)
-	var err error
 	s.Report, err = eval.Evaluate(all)
 	return s, err
 }

@@ -21,9 +21,14 @@ type MetricScore struct {
 
 // MetricSweep evaluates every listed metric individually under the
 // normal-fold protocol, reproducing Table 3. Metrics are evaluated
-// concurrently; rows come back sorted by descending F-score, ties by
-// name, the order the paper lists them in.
+// concurrently, each fitting its folds from one core.Trainer; rows come
+// back sorted by descending F-score, ties by name, the order the paper
+// lists them in.
 func (h *Harness) MetricSweep(metrics []string) ([]MetricScore, error) {
+	return h.metricSweep(metrics, trainer)
+}
+
+func (h *Harness) metricSweep(metrics []string, fitFor fitterFor) ([]MetricScore, error) {
 	if metrics == nil {
 		metrics = h.DS.Metrics()
 	}
@@ -35,12 +40,17 @@ func (h *Harness) MetricSweep(metrics []string) ([]MetricScore, error) {
 	errs := make([]error, len(metrics))
 	par.For(len(metrics), h.Workers, func(i int) {
 		metric := metrics[i]
-		fit := h.Fit
-		fit.Metrics = []string{metric}
+		cfg := h.Fit
+		cfg.Metrics = []string{metric}
+		fit, err := fitFor(h.DS, cfg)
+		if err != nil {
+			errs[i] = err
+			return
+		}
 		var pairs []eval.Pair
 		depthVotes := make(map[int]int)
 		for _, f := range folds {
-			d, rep, err := core.Fit(h.DS.Subset(f.Train), fit)
+			d, rep, err := fit.Fit(h.DS.Subset(f.Train))
 			if err != nil {
 				errs[i] = err
 				return
