@@ -9,10 +9,9 @@ import (
 	"repro/internal/dataset"
 )
 
-// perFoldFit is the fold loop the protocols ran before core.Trainer:
-// every outer fold fits its training set alone, core.Fit(train, cfg),
-// rendering that set's keys again. The oracle holds the shared
-// rendering to it.
+// perFoldFit is the reference fold loop: every outer fold fits its
+// training set alone, core.Fit(train, cfg), rendering that set's keys
+// again. The oracle holds the shared rendering to it.
 type perFoldFit core.FitConfig
 
 func (cfg perFoldFit) Fit(train *dataset.Dataset) (*core.Dictionary, core.FitReport, error) {
