@@ -39,15 +39,21 @@
 // index, which numbers the distinct keys. A Fit of any subset of that
 // dataset restricts each index to the subset's executions; its
 // depth×fold cross-validation grid builds no dictionary per cell, but
-// records per key the applications and folds that produced it and
-// scores every fold from the restricted index. Neither the numbering
-// nor the producer order needs a string per key or a comparison sort.
-// A worker pool runs over the depths, with deterministic assembly; the
-// final dictionary learns the keys the chosen depth's index already
-// holds. So the outer folds of an evaluation, each a Fit of a subset
-// of one dataset, render each key once, and Fit, a Trainer fitting its
-// whole training set, renders no key twice. Rendering a key is one
-// decimal conversion (stats.AppendRoundedKey).
+// records per key one producer per application, holding the lowest and
+// highest fold of the executions that produced it, scores every fold
+// from the restricted index, and counts the outcomes per application
+// in integers, each class's F1 from eval.ClassScores. Neither the
+// numbering nor the producer order needs a string per key or a
+// comparison sort. A worker pool runs over the depths, with
+// deterministic assembly; Fit's final dictionary learns the keys the
+// chosen depth's index already holds. Trainer.Classify chooses the
+// depth the same way, then recognizes a test set of the same dataset
+// through one grid at that depth, in which the training set only
+// produces keys and the test set is the one fold tested. So the outer
+// folds of an evaluation render each key once and build no Dictionary
+// or Recognizer, and Fit, a Trainer fitting its whole training set,
+// renders no key twice. Rendering a key is one decimal conversion
+// (stats.AppendRoundedKey).
 package core
 
 import (

@@ -203,7 +203,9 @@ func (d *Dictionary) learnRaw(re rawExec, label apps.Label, ks *keySet) {
 // fallback depth alone. The report, the scores and the dictionary equal
 // those of one Dictionary and Recognizer per (depth, fold) cell, and
 // are byte-identical at every worker count. To fit several subsets of
-// one dataset, build one Trainer and call its Fit for each.
+// one dataset, build one Trainer and call its Fit for each; to
+// recognize a test set with what a subset would learn, call its
+// Classify, which builds no dictionary.
 func Fit(train *dataset.Dataset, cfg FitConfig) (*Dictionary, FitReport, error) {
 	if train.Len() == 0 {
 		return nil, FitReport{}, errEmptyTrain
@@ -233,12 +235,16 @@ var errEmptyTrain = errors.New("core: empty training set")
 // renders them into one key index per candidate depth. Fit restricts
 // each index to the subset's executions, cross-validates the depth over
 // the subset's own inner folds and learns a fresh dictionary from the
-// chosen depth's restricted index, rendering no key. So the outer folds
-// of an evaluation, which fit overlapping subsets of one dataset, render
-// each execution's keys once instead of once per fold.
+// chosen depth's restricted index, rendering no key. Classify chooses
+// the depth the same way, then recognizes a test set of the same
+// dataset through the cross-validation grid, against the keys the
+// subset produces, building no dictionary. So the outer folds of an
+// evaluation, which train on overlapping subsets of one dataset, render
+// each execution's keys once instead of once per fold, and recognize
+// their test sets with no Dictionary or Recognizer.
 //
 // A Trainer is read-only once built: any number of goroutines may call
-// Fit at once.
+// Fit and Classify at once.
 type Trainer struct {
 	ds     *dataset.Dataset
 	cfg    FitConfig
@@ -250,6 +256,8 @@ type Trainer struct {
 	// order lists the rows of ds by ascending execution ID: the order
 	// in which a Fit of all of ds learns, and the one rowsOf searches.
 	order []int
+	// apps numbers the applications of ds for the grids.
+	apps appIndex
 }
 
 // NewTrainer extracts and renders every execution of ds at each
@@ -270,7 +278,10 @@ func newTrainer(ds *dataset.Dataset, cfg FitConfig, depths []int) (*Trainer, err
 		return nil, err
 	}
 	raws := extractAll(ds, cfg)
-	t := &Trainer{ds: ds, cfg: cfg, depths: depths, dicts: dicts, index: make([]*keyIndex, len(dicts)), order: idOrder(ds)}
+	t := &Trainer{
+		ds: ds, cfg: cfg, depths: depths, dicts: dicts, index: make([]*keyIndex, len(dicts)),
+		order: idOrder(ds), apps: newAppIndex(ds),
+	}
 	par.Chunks(len(dicts), cfg.Workers, 1, func(lo, hi int) {
 		var sc gridScratch
 		for di := lo; di < hi; di++ {
@@ -289,86 +300,169 @@ func (t *Trainer) Fit(train *dataset.Dataset) (*Dictionary, FitReport, error) {
 	if train.Len() == 0 {
 		return nil, FitReport{}, errEmptyTrain
 	}
-	rows, err := t.rowsOf(train)
+	rows, err := t.rowsOf(train, "training")
 	if err != nil {
 		return nil, FitReport{}, err
 	}
 	return t.fit(train, rows, innerFolds(train, t.cfg))
 }
 
-// rowsOf returns the row in the trainer's dataset of each execution of
-// train, or nil when train is that dataset.
-func (t *Trainer) rowsOf(train *dataset.Dataset) ([]int32, error) {
-	if train == t.ds {
-		return nil, nil
+// Classify returns the pairs ClassifyWorkers(d, test, w) returns, at
+// any w, for the dictionary d of t.Fit(train), and that Fit's report,
+// without building d. It chooses the depth as Fit does, then recognizes
+// test through one grid at that depth over the executions of train
+// followed by those of test: test is the grid's only fold, and train's
+// executions, which no fold tests, only produce keys. So each test
+// execution gets the votes d's Recognizer would give it. An execution
+// in both sets produces as a training execution and is recognized as a
+// test one, against keys that include its own, as d would recognize
+// it. The executions of both sets must be the trainer's dataset's, as
+// for Fit; any other is an error.
+func (t *Trainer) Classify(train, test *dataset.Dataset) ([]eval.Pair, FitReport, error) {
+	if train.Len() == 0 {
+		return nil, FitReport{}, errEmptyTrain
 	}
+	rows, err := t.rowsOf(train, "training")
+	if err != nil {
+		return nil, FitReport{}, err
+	}
+	testRows, err := t.rowsOf(test, "test")
+	if err != nil {
+		return nil, FitReport{}, err
+	}
+	c, err := t.selectDepth(train, rows, innerFolds(train, t.cfg))
+	if err != nil {
+		return nil, FitReport{}, err
+	}
+	n := train.Len()
+	all := append(append(make([]int32, 0, n+test.Len()), rows...), testRows...)
+	tested := dataset.Fold{Test: make([]int, test.Len())}
+	for j := range tested.Test {
+		tested.Test[j] = n + j
+	}
+	ix := t.index[c.best].restrict(all)
+	// c.order lists train's executions, the first n rows of the grid.
+	g := newCVGrid(t.appsOf(all), &t.apps, ix, c.order, []dataset.Fold{tested})
+	var sc gridScratch
+	g.produce(ix, &sc)
+	pairs := make([]eval.Pair, test.Len())
+	for j, e := range test.Executions {
+		pred := Unknown
+		if a := g.predict(ix, &sc, 0, n+j); a >= 0 {
+			pred = t.apps.names[a]
+		}
+		pairs[j] = eval.Pair{Truth: e.Label.App, Pred: pred}
+	}
+	return pairs, c.report, nil
+}
+
+// rowsOf returns the row in the trainer's dataset of each execution of
+// set. role names the set in the error for an execution the trainer's
+// dataset does not hold.
+func (t *Trainer) rowsOf(set *dataset.Dataset, role string) ([]int32, error) {
 	execs := t.ds.Executions
-	rows := make([]int32, train.Len())
-	for j, e := range train.Executions {
+	rows := make([]int32, set.Len())
+	for j, e := range set.Executions {
 		k := sort.Search(len(t.order), func(k int) bool { return execs[t.order[k]].ID >= e.ID })
 		for k < len(t.order) && execs[t.order[k]] != e && execs[t.order[k]].ID == e.ID {
 			k++
 		}
 		if k == len(t.order) || execs[t.order[k]] != e {
-			return nil, fmt.Errorf("core: training execution %d is not in the trainer's dataset", e.ID)
+			return nil, fmt.Errorf("core: %s execution %d is not in the trainer's dataset", role, e.ID)
 		}
 		rows[j] = int32(t.order[k])
 	}
 	return rows, nil
 }
 
-// fit fits train, whose executions sit at rows of the trainer's dataset
-// (nil: train is that dataset), cross-validating over folds inner
-// folds; below 2 it takes the median candidate depth unscored.
-func (t *Trainer) fit(train *dataset.Dataset, rows []int32, folds int) (*Dictionary, FitReport, error) {
-	order := t.order
-	if rows != nil {
-		order = idOrder(train)
+// appsOf returns the application ID of the execution at each of rows
+// of the trainer's dataset (nil: every execution).
+func (t *Trainer) appsOf(rows []int32) []int32 {
+	if rows == nil {
+		return t.apps.of
 	}
-	report := FitReport{DepthScores: make(map[int]float64), Folds: folds}
-	var best int
-	var ix *keyIndex
+	app := make([]int32, len(rows))
+	for j, i := range rows {
+		app[j] = t.apps.of[i]
+	}
+	return app
+}
+
+// depthChoice is the rounding depth a Fit chooses for one training set.
+type depthChoice struct {
+	report FitReport
+	// best is the chosen depth's position in Trainer.depths, and ix
+	// its key index restricted to the training set.
+	best int
+	ix   *keyIndex
+	// order lists the training set's executions by ascending ID: the
+	// order in which its dictionary learns them.
+	order []int
+}
+
+// selectDepth chooses the depth of a Fit of train, whose executions sit
+// at rows of the trainer's dataset (nil: train is that dataset), by
+// cross-validating over folds inner folds; below 2 it takes the median
+// candidate depth unscored. Fit and Classify both choose through it.
+func (t *Trainer) selectDepth(train *dataset.Dataset, rows []int32, folds int) (depthChoice, error) {
+	c := depthChoice{report: FitReport{DepthScores: make(map[int]float64), Folds: folds}, order: t.order}
+	if rows != nil {
+		c.order = idOrder(train)
+	}
 	if folds < 2 {
-		report.Folds = 0
-		best = len(t.depths) / 2
-		ix = t.index[best].restrict(rows)
+		c.report.Folds = 0
+		c.best = len(t.depths) / 2
+		c.ix = t.index[c.best].restrict(rows)
 	} else {
 		kf, err := train.KFold(folds, t.cfg.Seed)
 		if err != nil {
-			return nil, FitReport{}, err
+			return depthChoice{}, err
 		}
 		index := make([]*keyIndex, len(t.index))
 		for di, full := range t.index {
 			index[di] = full.restrict(rows)
 		}
+		g := newCVGrid(t.appsOf(rows), &t.apps, index[0], c.order, kf)
 		bestScore := -1.0
-		for di, score := range crossValidate(train, index, order, kf, t.cfg.Workers) {
-			report.DepthScores[t.depths[di]] = score
+		for di, score := range crossValidate(g, index, t.cfg.Workers) {
+			c.report.DepthScores[t.depths[di]] = score
 			// Strict improvement keeps the tie-break at the earlier
 			// candidate: the smaller (more pruned, more general) depth
 			// when the candidates ascend.
 			if score > bestScore {
-				bestScore, best = score, di
+				bestScore, c.best = score, di
 			}
 		}
-		ix = index[best]
+		c.ix = index[c.best]
 	}
-	report.BestDepth = t.depths[best]
-	// The trainer's dictionaries only render keys and may serve other
-	// Fits at once: learn into a fresh one, in ID order, from the keys
-	// ix already holds.
-	d, err := NewDictionary(t.dicts[best].cfg)
+	c.report.BestDepth = t.depths[c.best]
+	return c, nil
+}
+
+// fit fits train, whose executions sit at rows of the trainer's dataset
+// (nil: train is that dataset), cross-validating over folds inner
+// folds; below 2 it takes the median candidate depth unscored.
+func (t *Trainer) fit(train *dataset.Dataset, rows []int32, folds int) (*Dictionary, FitReport, error) {
+	c, err := t.selectDepth(train, rows, folds)
 	if err != nil {
 		return nil, FitReport{}, err
 	}
-	for _, i := range order {
+	// The trainer's dictionaries only render keys and may serve other
+	// Fits at once: learn into a fresh one, in ID order, from the keys
+	// the chosen index already holds.
+	d, err := NewDictionary(t.dicts[c.best].cfg)
+	if err != nil {
+		return nil, FitReport{}, err
+	}
+	ix := c.ix
+	for _, i := range c.order {
 		label := train.Executions[i].Label
 		for _, k := range ix.id[ix.off[i]:ix.off[i+1]] {
 			ref := ix.keys[k]
 			d.addKeyBytes(ref.bk, ix.buf[ref.off:ref.end], label, 1)
 		}
 	}
-	return d, report, nil
+	return d, c.report, nil
 }
 
 // innerFolds is the inner fold count of a Fit on train: cfg.InnerFolds
@@ -410,8 +504,9 @@ func CrossValidate(ds *dataset.Dataset, cfg FitConfig) (map[int]float64, error) 
 	if err != nil {
 		return nil, err
 	}
+	g := newCVGrid(t.apps.of, &t.apps, t.index[0], t.order, kf)
 	out := make(map[int]float64, len(depths))
-	for di, score := range crossValidate(ds, t.index, t.order, kf, cfg.Workers) {
+	for di, score := range crossValidate(g, t.index, cfg.Workers) {
 		out[depths[di]] = score
 	}
 	return out, nil
@@ -465,33 +560,21 @@ func idOrder(ds *dataset.Dataset) []int {
 }
 
 // crossValidate scores each depth's key index by leave-fold-out
-// recognition over ds: every execution of folds[f].Test is recognized
-// against the executions outside fold f, and a depth's score is the
-// macro F1 of the pairs pooled in fold order. folds must partition ds
-// the way dataset.KFold does: each execution is in exactly one fold's
-// Test and every other fold's Train. index[i] holds the keys of every
-// execution of ds at one depth, and order lists ds's executions by
-// ascending ID.
+// recognition over the rows of g: every row of g.folds[f].Test is
+// recognized against the rows outside fold f (cvGrid.predict), and a
+// depth's score is the macro F1 of those recognitions (cvGrid.score).
+// index[i] holds the keys of g's rows at one depth.
 //
 // The scores are those of one Dictionary per (depth, fold) cell,
 // learned in ID order and queried through a Recognizer, but no cell
 // dictionary is built. Each index holds every execution's keys once
 // (keysFromRaw, so key identity is the Dictionary's), and the grid
-// records per key the distinct (application, fold) pairs of the
-// executions that produced it. A cell then votes the way its
-// dictionary's Recognizer would:
-//   - each key of a test execution gives one vote to every distinct
-//     application that produced it outside the fold;
-//   - a tie goes to the application the cell's dictionary interned
-//     first: that of the first training execution, by ID, with at
-//     least one key;
-//   - an execution none of whose keys was produced outside the fold
-//     is Unknown.
+// records per key the applications that produced it and the folds that
+// test them, from which every fold's vote follows.
 //
 // Depths run on a pool of workers goroutines, each scoring a span of
 // depths through one gridScratch; scores[i] belongs to index[i].
-func crossValidate(ds *dataset.Dataset, index []*keyIndex, order []int, folds []dataset.Fold, workers int) []float64 {
-	g := newCVGrid(ds, index[0], order, folds)
+func crossValidate(g *cvGrid, index []*keyIndex, workers int) []float64 {
 	scores := make([]float64, len(index))
 	par.Chunks(len(index), workers, 1, func(lo, hi int) {
 		var sc gridScratch
@@ -503,15 +586,15 @@ func crossValidate(ds *dataset.Dataset, index []*keyIndex, order []int, folds []
 }
 
 // gridScratch holds the buffers one depth's key index needs only while
-// it is built (ks, slots), or the grid only while it scores a depth
-// (the rest), for reuse by the next depth.
+// it is built (ks, slots), or the grid only while it recognizes from a
+// depth (the rest), for reuse by the next depth.
 type gridScratch struct {
 	ks         keySet
 	slots      []int32
 	start, end []int32
 	prods      []producer
-	pairs      []eval.Pair
 	votes      []int32
+	counts     []classCounts
 }
 
 // keyIndex holds one depth's keys of every execution of a dataset,
@@ -519,7 +602,7 @@ type gridScratch struct {
 // would store them under one entry. Execution i's keys have the IDs
 // id[off[i]:off[i+1]], in extraction order; keys[k] holds key k's
 // bucket and the span of its bytes in buf. A Trainer keeps one per
-// depth and Fit restricts it to a training set's executions.
+// depth and restricts it to the executions a Fit or Classify reads.
 type keyIndex struct {
 	off  []int32
 	id   []int32
@@ -569,9 +652,9 @@ func newKeyIndex(d *Dictionary, raws []rawExec, sc *gridScratch) *keyIndex {
 }
 
 // restrict returns ix narrowed to the executions at rows, in that
-// order: execution j of the result has the keys of execution rows[j].
-// The key table is ix's, shared, so a key may have no execution left.
-// nil rows returns ix itself.
+// order: execution j of the result has the keys of execution rows[j],
+// and a row may repeat. The key table is ix's, shared, so a key may
+// have no execution left. nil rows returns ix itself.
 func (ix *keyIndex) restrict(rows []int32) *keyIndex {
 	if rows == nil {
 		return ix
@@ -587,71 +670,145 @@ func (ix *keyIndex) restrict(rows []int32) *keyIndex {
 	return r
 }
 
+// appIndex numbers the applications of a dataset's executions in order
+// of first appearance, so the grid counts votes and recognition
+// outcomes in dense arrays.
+type appIndex struct {
+	// of[i] is the ID of execution i's application; names[a] is the
+	// name of application a.
+	of    []int32
+	names []string
+	// byName lists the IDs in ascending name order: the order in which
+	// eval.Evaluate sums the classes of a macro F1.
+	byName []int32
+	// unknown is the ID of an application named Unknown, or -1. As in
+	// eval.Evaluate, which compares names, an Unknown prediction is
+	// then a prediction of that application.
+	unknown int32
+}
+
+// newAppIndex numbers the applications of ds.
+func newAppIndex(ds *dataset.Dataset) appIndex {
+	ai := appIndex{of: make([]int32, ds.Len()), unknown: -1}
+	ids := make(map[string]int32)
+	for i, e := range ds.Executions {
+		id, ok := ids[e.Label.App]
+		if !ok {
+			id = int32(len(ai.names))
+			ids[e.Label.App] = id
+			ai.names = append(ai.names, e.Label.App)
+		}
+		ai.of[i] = id
+	}
+	ai.byName = make([]int32, len(ai.names))
+	for a := range ai.byName {
+		ai.byName[a] = int32(a)
+	}
+	sort.Slice(ai.byName, func(x, y int) bool { return ai.names[ai.byName[x]] < ai.names[ai.byName[y]] })
+	if id, ok := ids[Unknown]; ok {
+		ai.unknown = id
+	}
+	return ai
+}
+
+// classCounts are one application's recognition outcomes: the counts
+// eval.Evaluate keeps per class.
+type classCounts struct{ tp, fp, fn, support int32 }
+
+// count records in counts, indexed by application ID, that an execution
+// of application truth was recognized as pred (-1: Unknown).
+func (ai *appIndex) count(counts []classCounts, truth, pred int32) {
+	if pred < 0 {
+		pred = ai.unknown
+	}
+	counts[truth].support++
+	if pred == truth {
+		counts[truth].tp++
+		return
+	}
+	counts[truth].fn++
+	if pred >= 0 {
+		counts[pred].fp++
+	}
+}
+
+// macroF1 is eval.F1Macro of the outcomes in counts: the mean, summed
+// in name order, of the eval.ClassScores F1 of every application with
+// support; 0 when none has any.
+func (ai *appIndex) macroF1(counts []classCounts) float64 {
+	sum, classes := 0.0, 0
+	for _, a := range ai.byName {
+		c := counts[a]
+		if c.support == 0 {
+			continue
+		}
+		_, _, f1 := eval.ClassScores(int(c.tp), int(c.fp), int(c.fn))
+		sum += f1
+		classes++
+	}
+	if classes == 0 {
+		return 0
+	}
+	return sum / float64(classes)
+}
+
 // cvGrid is the depth-independent part of the cross-validation: which
-// fold tests each execution, its application, and each fold's
+// fold tests each row of a key index, its application, and each fold's
 // tie-break order. Depths share it read-only.
 type cvGrid struct {
 	folds []dataset.Fold
-	fold  []int32 // the fold whose Test holds each execution
-	app   []int32 // each execution's application ID
-	apps  []string
-	// byAppFold lists the executions by (application, fold), stably:
-	// the first of the two counting passes that order each key's
-	// producers.
-	byAppFold []int32
+	// fold[i] is the fold whose Test holds row i, or len(folds) when
+	// none does: such a row only produces keys.
+	fold []int32
+	app  []int32 // each row's application ID in apps
+	apps *appIndex
+	// byApp lists the rows by application, stably: the order in which
+	// produce visits them, so that each key's producers of one
+	// application arrive together.
+	byApp []int32
 	// rank[f][a] is the order in which fold f's dictionary would
 	// intern application a; the Recognizer breaks ties in that order.
 	rank [][]int32
 }
 
-// producer records that an execution of application app, tested in
-// fold, produced a key; per depth each key's distinct producers are
-// sorted by application, then fold.
-type producer struct{ app, fold int32 }
+// producer records that rows of application app produced a key, and
+// the lowest and highest fold among those rows' folds (cvGrid.fold).
+// Every fold's dictionary but fold f holds the key for app unless
+// lo == hi == f.
+type producer struct{ app, lo, hi int32 }
 
-// newCVGrid builds the grid of folds over ds. ix is any depth's index
-// of ds (they agree on which executions have keys), and order lists
-// ds's executions by ascending ID.
-func newCVGrid(ds *dataset.Dataset, ix *keyIndex, order []int, folds []dataset.Fold) *cvGrid {
-	n := ds.Len()
-	g := &cvGrid{
-		folds: folds,
-		fold:  make([]int32, n),
-		app:   make([]int32, n),
+// newCVGrid builds the grid of folds over the rows of ix, any depth's
+// index (they agree on which rows have keys). app gives each row's
+// application ID in apps, and order lists every row a fold's
+// dictionary may learn, by ascending execution ID.
+func newCVGrid(app []int32, apps *appIndex, ix *keyIndex, order []int, folds []dataset.Fold) *cvGrid {
+	n := len(app)
+	nf := int32(len(folds))
+	g := &cvGrid{folds: folds, fold: make([]int32, n), app: app, apps: apps}
+	for i := range g.fold {
+		g.fold[i] = nf
 	}
 	for f, fold := range folds {
 		for _, i := range fold.Test {
 			g.fold[i] = int32(f)
 		}
 	}
-	appIDs := make(map[string]int32)
-	for i, e := range ds.Executions {
-		id, ok := appIDs[e.Label.App]
-		if !ok {
-			id = int32(len(g.apps))
-			appIDs[e.Label.App] = id
-			g.apps = append(g.apps, e.Label.App)
-		}
-		g.app[i] = id
+	// Counting sort by application.
+	next := make([]int32, len(apps.names)+1)
+	for _, a := range app {
+		next[a+1]++
 	}
-	// Counting sort by (application, fold).
-	nf := int32(len(folds))
-	next := make([]int32, int32(len(g.apps))*nf+1)
-	for i := range n {
-		next[g.app[i]*nf+g.fold[i]+1]++
+	for a := 1; a < len(next); a++ {
+		next[a] += next[a-1]
 	}
-	for c := 1; c < len(next); c++ {
-		next[c] += next[c-1]
-	}
-	g.byAppFold = make([]int32, n)
-	for i := range n {
-		c := g.app[i]*nf + g.fold[i]
-		g.byAppFold[next[c]] = int32(i)
-		next[c]++
+	g.byApp = make([]int32, n)
+	for i, a := range app {
+		g.byApp[next[a]] = int32(i)
+		next[a]++
 	}
 	g.rank = make([][]int32, len(folds))
 	for f := range folds {
-		rank := make([]int32, len(g.apps))
+		rank := make([]int32, len(apps.names))
 		for a := range rank {
 			rank[a] = -1
 		}
@@ -670,14 +827,13 @@ func newCVGrid(ds *dataset.Dataset, ix *keyIndex, order []int, folds []dataset.F
 	return g
 }
 
-// score returns the pooled macro F1 of every fold's test executions
-// recognized from ix.
-func (g *cvGrid) score(ix *keyIndex, sc *gridScratch) float64 {
-	// The producers of key k are prods[start[k]:end[k]]: distinct
-	// (application, fold) pairs, sorted by application, then fold. The
-	// second counting pass scatters the executions' keys, taken in
-	// (application, fold) order, to their key's slots; a pair equal to
-	// the key's last one is a duplicate and is dropped.
+// produce lists the producers of every key of ix in sc: those of key k
+// are prods[start[k]:end[k]], one per application, in application
+// order. A counting pass sizes each key's span by its references; the
+// rows, visited by application, then add a producer for the first row
+// of an application to produce a key and widen its fold range for
+// every later one.
+func (g *cvGrid) produce(ix *keyIndex, sc *gridScratch) {
 	n := len(ix.keys)
 	sc.start = grow(sc.start, n+1)
 	start := sc.start
@@ -690,47 +846,66 @@ func (g *cvGrid) score(ix *keyIndex, sc *gridScratch) float64 {
 	sc.end = append(sc.end[:0], start[:n]...)
 	sc.prods = grow(sc.prods, len(ix.id))
 	end, prods := sc.end, sc.prods
-	for _, i := range g.byAppFold {
-		p := producer{app: g.app[i], fold: g.fold[i]}
+	for _, i := range g.byApp {
+		a, f := g.app[i], g.fold[i]
 		for _, k := range ix.id[ix.off[i]:ix.off[i+1]] {
-			if e := end[k]; e == start[k] || prods[e-1] != p {
-				prods[e] = p
+			if e := end[k]; e > start[k] && prods[e-1].app == a {
+				p := &prods[e-1]
+				p.lo, p.hi = min(p.lo, f), max(p.hi, f)
+			} else {
+				prods[e] = producer{app: a, lo: f, hi: f}
 				end[k] = e + 1
 			}
 		}
 	}
+}
 
-	sc.votes = grow(sc.votes, len(g.apps))
-	pairs, votes := sc.pairs[:0], sc.votes
-	for f, fold := range g.folds {
-		rank := g.rank[f]
-		for _, i := range fold.Test {
-			clear(votes)
-			matched := false
-			for _, k := range ix.id[ix.off[i]:ix.off[i+1]] {
-				last := int32(-1)
-				for _, p := range prods[start[k]:end[k]] {
-					if p.fold != int32(f) && p.app != last {
-						votes[p.app]++
-						last, matched = p.app, true
-					}
-				}
+// predict returns the application ID fold f's dictionary recognizes
+// row i as, from the producers in sc, or -1 for Unknown. The fold's
+// dictionary learned every row outside fold f, and it votes the way
+// its Recognizer would:
+//   - each key of the row gives one vote to every application that
+//     produced it outside the fold;
+//   - a tie goes to the application the fold's dictionary interned
+//     first: that of the first row it learned, by ID, with at least
+//     one key;
+//   - a row none of whose keys was produced outside the fold is
+//     Unknown.
+func (g *cvGrid) predict(ix *keyIndex, sc *gridScratch, f int32, i int) int32 {
+	sc.votes = grow(sc.votes, len(g.apps.names))
+	votes, matched := sc.votes, false
+	for _, k := range ix.id[ix.off[i]:ix.off[i+1]] {
+		for _, p := range sc.prods[sc.start[k]:sc.end[k]] {
+			if p.lo != f || p.hi != f {
+				votes[p.app]++
+				matched = true
 			}
-			pred := Unknown
-			if matched {
-				top := -1
-				for a, v := range votes {
-					if v > 0 && (top < 0 || v > votes[top] || v == votes[top] && rank[a] < rank[top]) {
-						top = a
-					}
-				}
-				pred = g.apps[top]
-			}
-			pairs = append(pairs, eval.Pair{Truth: g.apps[g.app[i]], Pred: pred})
 		}
 	}
-	sc.pairs = pairs
-	return eval.F1Macro(pairs)
+	if !matched {
+		return -1
+	}
+	rank, top := g.rank[f], -1
+	for a, v := range votes {
+		if v > 0 && (top < 0 || v > votes[top] || v == votes[top] && rank[a] < rank[top]) {
+			top = a
+		}
+	}
+	return int32(top)
+}
+
+// score returns the pooled macro F1 of every fold's test rows
+// recognized from ix: eval.F1Macro of their pairs, from counts per
+// application.
+func (g *cvGrid) score(ix *keyIndex, sc *gridScratch) float64 {
+	g.produce(ix, sc)
+	sc.counts = grow(sc.counts, len(g.apps.names))
+	for f, fold := range g.folds {
+		for _, i := range fold.Test {
+			g.apps.count(sc.counts, g.app[i], g.predict(ix, sc, int32(f), i))
+		}
+	}
+	return g.apps.macroF1(sc.counts)
 }
 
 // build constructs a dictionary over the whole dataset at a fixed

@@ -2,13 +2,17 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/dataset"
+	"repro/internal/eval"
 )
 
 // TestTrainerFitMatchesFit holds a Trainer's Fit of a subset to Fit of
@@ -115,5 +119,227 @@ func TestTrainerFitRejectsForeignExecutions(t *testing.T) {
 	}
 	if _, _, err := tr.Fit(&dataset.Dataset{}); err == nil {
 		t.Error("Trainer.Fit of an empty training set succeeded")
+	}
+}
+
+// TestTrainerClassifyMatchesFit holds a Trainer's Classify to the
+// dictionary path: for each training set of TestTrainerFitMatchesFit
+// and each test set, the pairs must deeply equal those ClassifyWorkers
+// gives for Fit's dictionary, and the report Fit's. The test sets are
+// the complement of the training set, the training set itself, the
+// whole dataset, a set with keyless executions, and a set holding the
+// applications the training set lacks. A second dataset names one
+// application Unknown.
+func TestTrainerClassifyMatchesFit(t *testing.T) {
+	ds := oracleDataset(t)
+	renamed := &dataset.Dataset{Windows: ds.Windows}
+	for _, e := range ds.Executions {
+		c := *e
+		if c.Label.App == "mg" {
+			c.Label.App = Unknown
+		}
+		renamed.Executions = append(renamed.Executions, &c)
+	}
+	configs := []struct {
+		name string
+		set  func(*FitConfig)
+	}{
+		{"headline", func(*FitConfig) {}},
+		{"metrics", func(c *FitConfig) { c.Metrics = oracleMetrics }},
+		{"metrics joint", func(c *FitConfig) { c.Metrics, c.Joint = oracleMetrics[:2], true }},
+		{"unsorted depths", func(c *FitConfig) { c.Depths = []int{5, 2, 4, 1} }},
+	}
+	reached := make(map[string]bool)
+	for _, data := range []struct {
+		name string
+		ds   *dataset.Dataset
+	}{{"oracle", ds}, {"app named unknown", renamed}} {
+		for _, sub := range classifySubsets(t, data.ds) {
+			in := make(map[*dataset.Execution]bool)
+			trainApps := make(map[string]bool)
+			for _, e := range sub.train.Executions {
+				in[e], trainApps[e.Label.App] = true, true
+			}
+			tests := []struct {
+				name string
+				test *dataset.Dataset
+			}{
+				{"complement", data.ds.Filter(func(e *dataset.Execution) bool { return !in[e] })},
+				{"train", sub.train},
+				{"whole dataset", data.ds},
+				{"keyless", data.ds.Filter(func(e *dataset.Execution) bool { return e.ID < 6 || e.ID%5 == 0 })},
+				{"absent apps", data.ds.Filter(func(e *dataset.Execution) bool { return !trainApps[e.Label.App] || e.ID%4 == 0 })},
+			}
+			for _, c := range configs {
+				for _, workers := range []int{1, 8} {
+					cfg := DefaultFitConfig()
+					cfg.Seed = 3
+					cfg.Workers = workers
+					c.set(&cfg)
+					tr, err := NewTrainer(data.ds, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					d, wantRep, err := Fit(sub.train, cfg)
+					if err != nil {
+						t.Fatalf("%s %s workers %d %s: Fit: %v", data.name, c.name, workers, sub.name, err)
+					}
+					for _, tc := range tests {
+						at := fmt.Sprintf("%s %s workers %d train %s test %s", data.name, c.name, workers, sub.name, tc.name)
+						want := ClassifyWorkers(d, tc.test, workers)
+						got, rep, err := tr.Classify(sub.train, tc.test)
+						if err != nil {
+							t.Fatalf("%s: Classify: %v", at, err)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Errorf("%s: pairs differ from ClassifyWorkers of Fit's dictionary:\n got %v\nwant %v", at, got, want)
+						}
+						if !reflect.DeepEqual(rep, wantRep) {
+							t.Errorf("%s: report %+v, Fit %+v", at, rep, wantRep)
+						}
+						for _, p := range want {
+							reached["unknown prediction"] = reached["unknown prediction"] || p.Pred == Unknown
+							reached["absent app tested"] = reached["absent app tested"] || !trainApps[p.Truth]
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, r := range []string{"unknown prediction", "absent app tested"} {
+		if !reached[r] {
+			t.Errorf("no case reached %s", r)
+		}
+	}
+}
+
+// classifySubsets returns the training sets of TestTrainerFitMatchesFit
+// over ds.
+func classifySubsets(t *testing.T, ds *dataset.Dataset) []struct {
+	name  string
+	train *dataset.Dataset
+} {
+	folds, err := ds.KFold(5, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[apps.Label]bool)
+	return []struct {
+		name  string
+		train *dataset.Dataset
+	}{
+		{"outer fold", ds.Subset(folds[2].Train)},
+		{"without input", ds.Subset(folds[0].Train).WithoutInput(apps.InputY)},
+		{"without app", ds.WithoutApp("sp")},
+		{"whole dataset", ds},
+		{"one per label", ds.Filter(func(e *dataset.Execution) bool {
+			if seen[e.Label] {
+				return false
+			}
+			seen[e.Label] = true
+			return true
+		})},
+		{"keyless", ds.Filter(func(e *dataset.Execution) bool { return e.ID < 6 || e.ID%3 == 0 })},
+		{"reordered", ds.Subset(rand.New(rand.NewSource(5)).Perm(ds.Len())[:ds.Len()/2])},
+	}
+}
+
+// TestTrainerClassifyRejectsForeignExecutions checks that a test set
+// holding an execution outside the trainer's dataset is an error, also
+// when the outsider is a copy with the ID of an execution inside, and
+// that Classify with an empty training set is one.
+func TestTrainerClassifyRejectsForeignExecutions(t *testing.T) {
+	ds := smallDataset(t)
+	inside := ds.WithoutApp("ft")
+	tr, err := NewTrainer(inside, DefaultFitConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	copied := *inside.Executions[3]
+	for name, test := range map[string]*dataset.Dataset{
+		"other app": ds,
+		"copy":      {Windows: ds.Windows, Executions: append(inside.Executions[:3:3], &copied)},
+	} {
+		if _, _, err := tr.Classify(inside, test); err == nil || !strings.Contains(err.Error(), "test execution") {
+			t.Errorf("%s: Classify error = %v, want a test execution not in the trainer's dataset", name, err)
+		}
+	}
+	if _, _, err := tr.Classify(&dataset.Dataset{}, inside); err == nil {
+		t.Error("Classify with an empty training set succeeded")
+	}
+}
+
+// TestGridTallyIsF1Macro holds the grid's integer tally to eval over
+// random recognitions: appIndex.macroF1 of the counts must equal
+// eval.F1Macro of the same pairs bit for bit, and each class's counts
+// and eval.ClassScores F1 must equal those of Evaluate's report. The
+// draws cover Unknown predictions, an application named Unknown (whose
+// class Unknown predictions count for, as Evaluate compares names), a
+// class that is only predicted, and no recognitions at all.
+func TestGridTallyIsF1Macro(t *testing.T) {
+	reached := make(map[string]bool)
+	for seed := int64(0); seed < 500; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		names := []string{"ft", "mg", "sp", "bt", "miniAMR", "CoMD"}
+		if rng.Intn(2) == 0 {
+			names = append(names, Unknown)
+		}
+		rng.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
+		ds := &dataset.Dataset{}
+		for _, n := range names {
+			ds.Executions = append(ds.Executions, &dataset.Execution{Label: apps.Label{App: n}})
+		}
+		ai := newAppIndex(ds)
+		truths := 1 + rng.Intn(len(names)) // applications 0 to truths-1 are tested
+		counts := make([]classCounts, len(names))
+		var pairs []eval.Pair
+		for range rng.Intn(4) * rng.Intn(12) {
+			truth, pred := int32(rng.Intn(truths)), int32(rng.Intn(len(names)+2))-2
+			if pred == -2 {
+				pred = truth
+			}
+			ai.count(counts, truth, pred)
+			p := eval.Pair{Truth: ai.names[truth], Pred: Unknown}
+			if pred >= 0 {
+				p.Pred = ai.names[pred]
+			}
+			pairs = append(pairs, p)
+			reached["unknown prediction"] = reached["unknown prediction"] || pred < 0
+			reached["app named unknown"] = reached["app named unknown"] || ai.unknown >= 0 && pred < 0
+			reached["predicted only"] = reached["predicted only"] || pred >= int32(truths)
+		}
+		reached["no recognitions"] = reached["no recognitions"] || len(pairs) == 0
+		if got, want := ai.macroF1(counts), eval.F1Macro(pairs); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("seed %d: tally macro F1 %v, eval.F1Macro %v of %v", seed, got, want, pairs)
+		}
+		rep, err := eval.Evaluate(pairs)
+		if len(pairs) == 0 {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cs := range rep.Classes {
+			a := slices.Index(ai.names, cs.Class)
+			if a < 0 {
+				// Unknown with no application of that name: only
+				// predicted, so outside the macro.
+				if cs.Class != Unknown || cs.Support != 0 || cs.F1 != 0 {
+					t.Fatalf("seed %d: class %+v has no application", seed, cs)
+				}
+				continue
+			}
+			c := counts[a]
+			_, _, f1 := eval.ClassScores(int(c.tp), int(c.fp), int(c.fn))
+			if int(c.tp) != cs.TP || int(c.fp) != cs.FP || int(c.fn) != cs.FN || int(c.support) != cs.Support ||
+				math.Float64bits(f1) != math.Float64bits(cs.F1) {
+				t.Fatalf("seed %d: class %s counts %+v F1 %v, Evaluate %+v", seed, cs.Class, c, f1, cs)
+			}
+		}
+	}
+	for _, r := range []string{"unknown prediction", "app named unknown", "predicted only", "no recognitions"} {
+		if !reached[r] {
+			t.Errorf("no draw reached %s", r)
+		}
 	}
 }

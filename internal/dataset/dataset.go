@@ -287,6 +287,17 @@ func (d *Dataset) KFold(k int, seed int64) ([]Fold, error) {
 		}
 	}
 	folds := make([]Fold, k)
+	if len(assign) == 0 {
+		return folds, nil
+	}
+	// Count each fold's size first, so every slice is allocated once.
+	size := make([]int, k)
+	for _, f := range assign {
+		size[f]++
+	}
+	for f := range folds {
+		folds[f] = Fold{Train: make([]int, 0, len(assign)-size[f]), Test: make([]int, 0, size[f])}
+	}
 	for i, f := range assign {
 		for fold := range folds {
 			if fold == f {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -204,6 +205,35 @@ func TestKFoldStratified(t *testing.T) {
 	for i := 0; i < ds.Len(); i++ {
 		if seen[i] != 1 {
 			t.Errorf("execution %d tested %d times", i, seen[i])
+		}
+	}
+}
+
+// TestKFoldSlicesSizedOnce checks that each fold's Test and Train list
+// indexes in ascending order, cover the dataset together, and fill
+// their slices exactly: KFold counts the fold sizes before it
+// allocates, so no slice grows by append.
+func TestKFoldSlicesSizedOnce(t *testing.T) {
+	ds := genSmall(t)
+	folds, err := ds.KFold(3, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for fi, f := range folds {
+		for name, s := range map[string][]int{"Test": f.Test, "Train": f.Train} {
+			if cap(s) != len(s) {
+				t.Errorf("fold %d %s: capacity %d for %d indexes", fi, name, cap(s), len(s))
+			}
+			if !sort.IntsAreSorted(s) {
+				t.Errorf("fold %d %s is not in index order: %v", fi, name, s)
+			}
+		}
+		all := append(append([]int(nil), f.Test...), f.Train...)
+		sort.Ints(all)
+		for i, v := range all {
+			if v != i {
+				t.Fatalf("fold %d: Test and Train together hold %v, want every index once", fi, all)
+			}
 		}
 	}
 }

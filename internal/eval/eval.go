@@ -89,15 +89,7 @@ func Evaluate(pairs []Pair) (Report, error) {
 	for _, c := range classes {
 		v := byClass[c]
 		cs := ClassStats{Class: c, TP: v.tp, FP: v.fp, FN: v.fn, Support: v.support}
-		if v.tp+v.fp > 0 {
-			cs.Precision = float64(v.tp) / float64(v.tp+v.fp)
-		}
-		if v.tp+v.fn > 0 {
-			cs.Recall = float64(v.tp) / float64(v.tp+v.fn)
-		}
-		if cs.Precision+cs.Recall > 0 {
-			cs.F1 = 2 * cs.Precision * cs.Recall / (cs.Precision + cs.Recall)
-		}
+		cs.Precision, cs.Recall, cs.F1 = ClassScores(v.tp, v.fp, v.fn)
 		r.Classes = append(r.Classes, cs)
 		if cs.Support > 0 {
 			truthClasses++
@@ -114,6 +106,25 @@ func Evaluate(pairs []Pair) (Report, error) {
 	}
 	r.WeightedF1 = wSum / float64(len(pairs))
 	return r, nil
+}
+
+// ClassScores returns one class's precision, recall and F1 from its
+// true positives, false positives and false negatives; a ratio with a
+// zero denominator is 0. Evaluate scores every class through it, so a
+// caller that tallies the counts itself and averages the F1 of the
+// classes with support, in ascending name order, gets Evaluate's
+// MacroF1 bit for bit.
+func ClassScores(tp, fp, fn int) (precision, recall, f1 float64) {
+	if tp+fp > 0 {
+		precision = float64(tp) / float64(tp+fp)
+	}
+	if tp+fn > 0 {
+		recall = float64(tp) / float64(tp+fn)
+	}
+	if precision+recall > 0 {
+		f1 = 2 * precision * recall / (precision + recall)
+	}
+	return precision, recall, f1
 }
 
 // F1Macro is a convenience wrapper returning only the macro F1.

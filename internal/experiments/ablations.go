@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/apps"
@@ -23,8 +24,8 @@ func (h *Harness) DepthAblation(depths []int) (map[int]float64, error) {
 // IntervalAblation evaluates the normal-fold protocol with the
 // fingerprint window moved across the execution, justifying the paper's
 // [60:120] choice: the initialization phase (first minute) is turbulent
-// and makes poor fingerprints. Each window fits its folds from one
-// core.Trainer.
+// and makes poor fingerprints. Each window recognizes its folds through
+// one core.Trainer. nil windows scores every window of the dataset.
 func (h *Harness) IntervalAblation(windows []telemetry.Window) (map[string]float64, error) {
 	return h.intervalAblation(windows, trainer)
 }
@@ -47,11 +48,11 @@ func (h *Harness) intervalAblation(windows []telemetry.Window, fitFor fitterFor)
 		}
 		var pairs []eval.Pair
 		for _, f := range folds {
-			d, _, err := fit.Fit(h.DS.Subset(f.Train))
+			p, _, err := fit.Classify(h.DS.Subset(f.Train), h.DS.Subset(f.Test))
 			if err != nil {
 				return nil, err
 			}
-			pairs = append(pairs, core.ClassifyWorkers(d, h.DS.Subset(f.Test), h.Fit.Workers)...)
+			pairs = append(pairs, p...)
 		}
 		out[w.String()] = eval.F1Macro(pairs)
 	}
@@ -77,7 +78,9 @@ func (s singleNodeSource) NodeCount() int { return s.src.NodeCount() }
 // VotingAblation contrasts recognition through all involved nodes (the
 // EFD's design, §5 "it stands to reason that we recognize an
 // application through all involved nodes") against recognition from a
-// single node's fingerprints. The folds fit from one core.Trainer.
+// single node's fingerprints. The folds fit from one core.Trainer; each
+// builds its dictionary, because the single-node pass recognizes
+// sources the trainer has no keys for.
 func (h *Harness) VotingAblation() (allNodes, singleNode float64, err error) {
 	return h.votingAblation(trainer)
 }
@@ -218,7 +221,8 @@ func (h *Harness) DictionaryGrowth(depths []int) (map[int]core.Stats, error) {
 // LatencyAblation reports how early the EFD can answer: it shifts the
 // window end while keeping a 60-second width, measuring normal-fold F
 // as a function of "seconds into the execution" at which the answer is
-// available.
+// available. Windows the dataset did not summarize are left out; a
+// dataset that summarizes none of them is an error.
 func (h *Harness) LatencyAblation() (map[string]float64, error) {
 	windows := []telemetry.Window{
 		{Start: 0, End: 30 * time.Second},
@@ -237,6 +241,10 @@ func (h *Harness) LatencyAblation() (map[string]float64, error) {
 		if available[w.String()] {
 			usable = append(usable, w)
 		}
+	}
+	if usable == nil {
+		// IntervalAblation(nil) would score the dataset's own windows.
+		return nil, fmt.Errorf("experiments: latency ablation: the dataset summarizes none of the windows %v", windows)
 	}
 	return h.IntervalAblation(usable)
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/apps"
 	"repro/internal/core"
@@ -405,6 +406,25 @@ func TestLatencyAblation(t *testing.T) {
 		if v < 0 || v > 1 {
 			t.Errorf("latency %s = %v out of range", k, v)
 		}
+	}
+}
+
+// TestLatencyAblationNeedsItsWindows checks that a dataset summarizing
+// none of the latency windows is an error that names them, not the
+// scores of the windows it does summarize.
+func TestLatencyAblationNeedsItsWindows(t *testing.T) {
+	cfg := dataset.DefaultGenConfig()
+	cfg.Apps = []string{"ft", "mg"}
+	cfg.Repeats = 5
+	cfg.Cluster.Metrics = []string{apps.HeadlineMetric}
+	cfg.Windows = []telemetry.Window{{Start: 0, End: 120 * time.Second}}
+	ds, err := dataset.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scores, err := NewHarness(ds).LatencyAblation()
+	if err == nil || !strings.Contains(err.Error(), "[0:30] [0:60] [30:90] [60:120] [120:180]") {
+		t.Errorf("LatencyAblation = %v, %v; want an error naming the five latency windows", scores, err)
 	}
 }
 

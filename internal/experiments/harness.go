@@ -21,11 +21,13 @@ import (
 
 // Harness runs the evaluation protocols over one dataset. Each protocol
 // call builds one core.Trainer per fingerprint configuration, which
-// renders every execution's keys once, and fits every outer fold from
-// it; the trainer is dropped when the call returns. Outer folds
-// evaluate concurrently on a bounded worker pool; per-fold results are
-// assembled in fold order, so every protocol score is byte-identical to
-// a sequential run.
+// renders every execution's keys once. Every outer fold chooses its
+// depth from that rendering and recognizes its test set through the
+// trainer's grid (core.Trainer.Classify), with no per-fold Dictionary
+// or Recognizer; the trainer is dropped when the call returns. Outer
+// folds evaluate concurrently on a bounded worker pool; per-fold
+// results are assembled in fold order, so every protocol score is
+// byte-identical to a sequential run.
 type Harness struct {
 	// DS is the labelled dataset.
 	DS *dataset.Dataset
@@ -86,32 +88,36 @@ func (s Score) String() string {
 	return fmt.Sprintf("%-14s EFD=%.3f", s.Protocol, s.EFD)
 }
 
-// fitter fits a dictionary on a training subset of the dataset it was
-// built for.
+// fitter trains on subsets of the dataset it was built for: Fit learns
+// a training subset's dictionary, and Classify pairs each execution of
+// a test subset with what that dictionary recognizes it as, and returns
+// the Fit report.
 type fitter interface {
 	Fit(train *dataset.Dataset) (*core.Dictionary, core.FitReport, error)
+	Classify(train, test *dataset.Dataset) ([]eval.Pair, core.FitReport, error)
 }
 
-// fitterFor builds the fitter a protocol call fits its folds from: one
-// per fingerprint configuration, over the harness dataset.
+// fitterFor builds the fitter a protocol call trains its folds with:
+// one per fingerprint configuration, over the harness dataset.
 type fitterFor func(ds *dataset.Dataset, cfg core.FitConfig) (fitter, error)
 
 // trainer is the fitterFor of every protocol: a core.Trainer renders
-// each execution's keys once, and every fold's Fit scores from that
-// rendering. It lives for one protocol call.
+// each execution's keys once, and every fold chooses its depth and
+// recognizes its test set from that rendering, through the trainer's
+// grid. It lives for one protocol call.
 func trainer(ds *dataset.Dataset, cfg core.FitConfig) (fitter, error) {
 	return core.NewTrainer(ds, cfg)
 }
 
-// efdPairs fits a dictionary on train through f and classifies test,
-// mapping the truth of executions whose application is in unknownApps
-// to "unknown" (they should NOT be recognized).
-func (h *Harness) efdPairs(f fitter, train, test *dataset.Dataset, unknownApps map[string]bool) ([]eval.Pair, error) {
-	d, _, err := f.Fit(train)
+// efdPairs recognizes test with what train teaches, through f's
+// Classify, which builds no dictionary, mapping the truth of executions
+// whose application is in unknownApps to "unknown" (they should NOT be
+// recognized).
+func efdPairs(f fitter, train, test *dataset.Dataset, unknownApps map[string]bool) ([]eval.Pair, error) {
+	pairs, _, err := f.Classify(train, test)
 	if err != nil {
 		return nil, err
 	}
-	pairs := core.ClassifyWorkers(d, test, h.Fit.Workers)
 	for i, e := range test.Executions {
 		if unknownApps[e.Label.App] {
 			pairs[i].Truth = core.Unknown
@@ -170,7 +176,7 @@ func (fp *foldPairs) concat(other foldPairs) {
 // returns the concatenation of the per-fold results in fold order —
 // exactly the sequence a sequential loop with appends would have
 // produced. The first error (by fold index) wins. The subsets share the
-// harness dataset's executions, so concurrent folds can fit from the
+// harness dataset's executions, so concurrent folds can train from the
 // protocol call's one trainer.
 func (h *Harness) foldRun(fn func(train, test *dataset.Dataset) (foldPairs, error)) (foldPairs, error) {
 	folds, err := h.DS.KFold(h.Folds, h.Seed)

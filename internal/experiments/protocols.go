@@ -8,11 +8,11 @@ import (
 	"repro/internal/par"
 )
 
-// protocolFold evaluates one fold for a protocol: EFD pairs, fitted
+// protocolFold evaluates one fold for a protocol: EFD pairs, trained
 // through f, always; baseline pairs when configured.
 func (h *Harness) protocolFold(f fitter, train, test *dataset.Dataset, unknownApps map[string]bool) (foldPairs, error) {
 	var fp foldPairs
-	p, err := h.efdPairs(f, train, test, unknownApps)
+	p, err := efdPairs(f, train, test, unknownApps)
 	if err != nil {
 		return fp, err
 	}
@@ -154,7 +154,7 @@ func (h *Harness) hardInput(fitFor fitterFor) (Score, error) {
 			errs[i] = fmt.Errorf("experiments: hard input %s yields an empty split", in)
 			return
 		}
-		dims[i], errs[i] = h.efdPairs(f, train, test, nil)
+		dims[i], errs[i] = efdPairs(f, train, test, nil)
 	})
 	var all []eval.Pair
 	for i, in := range inputs {
@@ -194,7 +194,7 @@ func (h *Harness) hardUnknown(fitFor fitterFor) (Score, error) {
 			errs[i] = fmt.Errorf("experiments: hard unknown %s yields an empty split", app)
 			return
 		}
-		dims[i], errs[i] = h.efdPairs(f, train, test, map[string]bool{app: true})
+		dims[i], errs[i] = efdPairs(f, train, test, map[string]bool{app: true})
 	})
 	var all []eval.Pair
 	for i, app := range appNames {

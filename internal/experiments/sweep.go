@@ -21,9 +21,9 @@ type MetricScore struct {
 
 // MetricSweep evaluates every listed metric individually under the
 // normal-fold protocol, reproducing Table 3. Metrics are evaluated
-// concurrently, each fitting its folds from one core.Trainer; rows come
-// back sorted by descending F-score, ties by name, the order the paper
-// lists them in.
+// concurrently, each recognizing its folds through one core.Trainer;
+// rows come back sorted by descending F-score, ties by name, the order
+// the paper lists them in.
 func (h *Harness) MetricSweep(metrics []string) ([]MetricScore, error) {
 	return h.metricSweep(metrics, trainer)
 }
@@ -50,13 +50,13 @@ func (h *Harness) metricSweep(metrics []string, fitFor fitterFor) ([]MetricScore
 		var pairs []eval.Pair
 		depthVotes := make(map[int]int)
 		for _, f := range folds {
-			d, rep, err := fit.Fit(h.DS.Subset(f.Train))
+			p, rep, err := fit.Classify(h.DS.Subset(f.Train), h.DS.Subset(f.Test))
 			if err != nil {
 				errs[i] = err
 				return
 			}
 			depthVotes[rep.BestDepth]++
-			pairs = append(pairs, core.ClassifyWorkers(d, h.DS.Subset(f.Test), h.Fit.Workers)...)
+			pairs = append(pairs, p...)
 		}
 		best, bestVotes := 0, -1
 		for depth, v := range depthVotes {
