@@ -101,24 +101,32 @@ func TestTrainerFitMatchesFit(t *testing.T) {
 
 // TestTrainerFitRejectsForeignExecutions checks that a training set
 // holding an execution outside the trainer's dataset is an error, also
-// when the outsider is a copy with the ID of an execution inside.
+// when the outsider is a copy with the ID of an execution inside, and
+// so is such a test set for Classify.
 func TestTrainerFitRejectsForeignExecutions(t *testing.T) {
 	ds := smallDataset(t)
-	tr, err := NewTrainer(ds.WithoutApp("ft"), DefaultFitConfig())
+	inside := ds.WithoutApp("ft")
+	tr, err := NewTrainer(inside, DefaultFitConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	copied := *ds.WithoutApp("ft").Executions[3]
-	for name, train := range map[string]*dataset.Dataset{
+	for name, foreign := range map[string]*dataset.Dataset{
 		"other app": ds,
 		"copy":      {Windows: ds.Windows, Executions: append(ds.WithoutApp("ft").Executions[:3:3], &copied)},
 	} {
-		if _, _, err := tr.Fit(train); err == nil || !strings.Contains(err.Error(), "not in the trainer's dataset") {
+		if _, _, err := tr.Fit(foreign); err == nil || !strings.Contains(err.Error(), "not in the trainer's dataset") {
 			t.Errorf("%s: Trainer.Fit error = %v, want an execution not in the trainer's dataset", name, err)
+		}
+		if _, _, err := tr.Classify(inside, foreign); err == nil || !strings.Contains(err.Error(), "test execution") {
+			t.Errorf("%s: Trainer.Classify error = %v, want a test execution not in the trainer's dataset", name, err)
 		}
 	}
 	if _, _, err := tr.Fit(&dataset.Dataset{}); err == nil {
 		t.Error("Trainer.Fit of an empty training set succeeded")
+	}
+	if _, _, err := tr.Classify(&dataset.Dataset{}, inside); err == nil {
+		t.Error("Trainer.Classify with an empty training set succeeded")
 	}
 }
 
@@ -241,31 +249,6 @@ func classifySubsets(t *testing.T, ds *dataset.Dataset) []struct {
 		})},
 		{"keyless", ds.Filter(func(e *dataset.Execution) bool { return e.ID < 6 || e.ID%3 == 0 })},
 		{"reordered", ds.Subset(rand.New(rand.NewSource(5)).Perm(ds.Len())[:ds.Len()/2])},
-	}
-}
-
-// TestTrainerClassifyRejectsForeignExecutions checks that a test set
-// holding an execution outside the trainer's dataset is an error, also
-// when the outsider is a copy with the ID of an execution inside, and
-// that Classify with an empty training set is one.
-func TestTrainerClassifyRejectsForeignExecutions(t *testing.T) {
-	ds := smallDataset(t)
-	inside := ds.WithoutApp("ft")
-	tr, err := NewTrainer(inside, DefaultFitConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	copied := *inside.Executions[3]
-	for name, test := range map[string]*dataset.Dataset{
-		"other app": ds,
-		"copy":      {Windows: ds.Windows, Executions: append(inside.Executions[:3:3], &copied)},
-	} {
-		if _, _, err := tr.Classify(inside, test); err == nil || !strings.Contains(err.Error(), "test execution") {
-			t.Errorf("%s: Classify error = %v, want a test execution not in the trainer's dataset", name, err)
-		}
-	}
-	if _, _, err := tr.Classify(&dataset.Dataset{}, inside); err == nil {
-		t.Error("Classify with an empty training set succeeded")
 	}
 }
 

@@ -109,10 +109,10 @@ func trainer(ds *dataset.Dataset, cfg core.FitConfig) (fitter, error) {
 	return core.NewTrainer(ds, cfg)
 }
 
-// efdPairs recognizes test with what train teaches, through f's
-// Classify, which builds no dictionary, mapping the truth of executions
-// whose application is in unknownApps to "unknown" (they should NOT be
-// recognized).
+// efdPairs recognizes test with what train teaches, through
+// f.Classify (a core.Trainer's builds no dictionary), mapping the truth
+// of executions whose application is in unknownApps to "unknown" (they
+// should NOT be recognized).
 func efdPairs(f fitter, train, test *dataset.Dataset, unknownApps map[string]bool) ([]eval.Pair, error) {
 	pairs, _, err := f.Classify(train, test)
 	if err != nil {
