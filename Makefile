@@ -12,6 +12,13 @@
 #                    surface; formatting drift is a review smell)
 #   make test      - build + tests only (the original tier-1 command)
 #   make test-race - build + tests under -race
+#   make race-pool - the worker-pool concurrency pins (the protocol
+#                    oracle, parallel dataset generation and forest
+#                    training, batch prediction and par.Map's contract)
+#                    under -race at GOMAXPROCS=4 (also part of check): a
+#                    pool asked for 0 workers sizes itself to GOMAXPROCS,
+#                    so on a 1-CPU runner test-race runs every "parallel"
+#                    case on one goroutine and checks no concurrency
 #   make fuzz-short - bounded fuzz pass (FUZZTIME per target, default
 #                    10s) over the tsdb WAL/segment decoders, the LDMS
 #                    CSV reader and the binary ingest body decoder:
@@ -67,9 +74,9 @@ REV := $(shell git rev-parse --short HEAD 2>/dev/null || echo worktree)
 FUZZTIME ?= 10s
 CHAOSTIME ?= 2s
 
-.PHONY: check test test-race vet lint api-golden fmt-check bench bench-compare fuzz-short chaos-short obs-golden
+.PHONY: check test test-race race-pool vet lint api-golden fmt-check bench bench-compare fuzz-short chaos-short obs-golden
 
-check: test-race vet lint fmt-check chaos-short obs-golden
+check: test-race race-pool vet lint fmt-check chaos-short obs-golden
 
 # The Prometheus exposition is operator-facing API: scrapers parse it.
 # The golden pins it byte-for-byte (family ordering, label sorting,
@@ -88,6 +95,13 @@ test:
 
 test-race:
 	$(GO) build ./... && $(GO) test -race ./...
+
+# GOMAXPROCS=4 gives every pool that sizes itself from GOMAXPROCS four
+# workers, whatever the runner's CPU count.
+race-pool:
+	GOMAXPROCS=4 $(GO) test -race -count=1 \
+		-run '^(TestProtocolsMatchPerFoldOracle|TestGenerateParallelMatchesSequential|TestForestDeterministicAcrossParallelism|TestPredictBatchMatchesPredict|TestMapContract)$$' \
+		./internal/experiments ./internal/dataset ./internal/taxonomist ./internal/par
 
 vet:
 	$(GO) vet ./...

@@ -12,7 +12,7 @@
 // Quick start:
 //
 //	ds, _ := efd.GenerateDataset(efd.DefaultDatasetConfig())
-//	train, test := ds.Split(0.8, 1)
+//	train, test := efd.Split(ds, 0.8, 1)
 //	dict, report, _ := efd.Train(train, efd.DefaultTrainConfig())
 //	for _, exec := range test.Executions {
 //		res := dict.Recognize(efd.SourceOf(exec))
@@ -76,6 +76,7 @@ package efd
 
 import (
 	"io"
+	"math"
 	"math/rand"
 
 	"repro/internal/apps"
@@ -226,9 +227,17 @@ func MetricNames() []string { return apps.MetricNames() }
 
 // Split partitions a dataset into train and test subsets with
 // stratified sampling: approximately trainFrac of each label's
-// executions land in the training set. The seed makes the split
-// reproducible.
+// executions land in the training set. trainFrac is clamped to [0, 1]
+// and NaN counts as 0, so a fraction of 0 or less puts every execution
+// in the test set and one of 1 or more every execution in the training
+// set. The seed makes the split reproducible.
 func Split(ds *Dataset, trainFrac float64, seed int64) (train, test *Dataset) {
+	switch {
+	case math.IsNaN(trainFrac) || trainFrac < 0:
+		trainFrac = 0
+	case trainFrac > 1:
+		trainFrac = 1
+	}
 	byLabel := make(map[Label][]int)
 	for i, e := range ds.Executions {
 		byLabel[e.Label] = append(byLabel[e.Label], i)

@@ -1,6 +1,7 @@
 package efd
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/apps"
@@ -58,6 +59,30 @@ func TestSplitStratified(t *testing.T) {
 	for l, c := range perLabel {
 		if c != 3 { // half of 6 repeats
 			t.Errorf("label %v has %d training executions, want 3", l, c)
+		}
+	}
+}
+
+// TestSplitClampsFraction splits at fractions outside [0, 1] and at
+// NaN: each is clamped, never a slice bound out of range.
+func TestSplitClampsFraction(t *testing.T) {
+	ds := smallDS(t)
+	for _, tc := range []struct {
+		frac      float64
+		wantTrain int
+	}{
+		{-0.5, 0},
+		{math.Inf(-1), 0},
+		{math.NaN(), 0},
+		{0, 0},
+		{1, ds.Len()},
+		{1.5, ds.Len()},
+		{math.Inf(1), ds.Len()},
+	} {
+		train, test := Split(ds, tc.frac, 1)
+		if train.Len() != tc.wantTrain || test.Len() != ds.Len()-tc.wantTrain {
+			t.Errorf("Split(%v): %d train + %d test, want %d + %d",
+				tc.frac, train.Len(), test.Len(), tc.wantTrain, ds.Len()-tc.wantTrain)
 		}
 	}
 }

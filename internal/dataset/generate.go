@@ -3,11 +3,10 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"repro/internal/apps"
 	"repro/internal/cluster"
+	"repro/internal/par"
 	"repro/internal/telemetry"
 )
 
@@ -27,7 +26,9 @@ type GenConfig struct {
 	// Apps restricts generation to the named applications; nil
 	// generates all eleven.
 	Apps []string
-	// Parallel enables concurrent generation across executions.
+	// Parallel generates executions concurrently on the internal/par
+	// pool, on GOMAXPROCS workers; false generates them one after
+	// another on the calling goroutine.
 	Parallel bool
 }
 
@@ -72,76 +73,34 @@ func Generate(cfg GenConfig) (*Dataset, error) {
 	}
 
 	type task struct {
-		id   int
 		spec apps.Spec
 		in   apps.Input
-		seed int64
 	}
 	var tasks []task
-	id := 0
 	for _, spec := range specs {
 		for _, in := range spec.Inputs {
 			for r := 0; r < cfg.Repeats; r++ {
-				// Derive a stable per-execution seed from the grid
-				// coordinates, independent of iteration order.
-				seed := cfg.Seed*1_000_003 + int64(id)*7919 + 17
-				tasks = append(tasks, task{id: id, spec: spec, in: in, seed: seed})
-				id++
+				tasks = append(tasks, task{spec: spec, in: in})
 			}
 		}
 	}
-
-	execs := make([]*Execution, len(tasks))
-	runOne := func(t task) error {
-		rng := rand.New(rand.NewSource(t.seed))
+	workers := 1
+	if cfg.Parallel {
+		workers = 0
+	}
+	execs, err := par.Map(len(tasks), workers, func(id int) (*Execution, error) {
+		t := tasks[id]
+		// Derive a stable per-execution seed from the grid coordinates,
+		// independent of iteration order.
+		rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(id)*7919 + 17))
 		ns, _, err := sim.Run(t.spec, t.in, rng)
 		if err != nil {
-			return err
-		}
-		execs[t.id] = Summarize(t.id, apps.Label{App: t.spec.Name, Input: t.in}, ns, windows)
-		return nil
-	}
-
-	if !cfg.Parallel {
-		for _, t := range tasks {
-			if err := runOne(t); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		workers := runtime.GOMAXPROCS(0)
-		if workers > len(tasks) {
-			workers = len(tasks)
-		}
-		ch := make(chan task)
-		errs := make(chan error, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for t := range ch {
-					if err := runOne(t); err != nil {
-						select {
-						case errs <- err:
-						default:
-						}
-						return
-					}
-				}
-			}()
-		}
-		for _, t := range tasks {
-			ch <- t
-		}
-		close(ch)
-		wg.Wait()
-		select {
-		case err := <-errs:
 			return nil, err
-		default:
 		}
+		return Summarize(id, apps.Label{App: t.spec.Name, Input: t.in}, ns, windows), nil
+	})
+	if err != nil {
+		return nil, err
 	}
-
 	return &Dataset{Windows: windows, Executions: execs}, nil
 }

@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/eval"
 	"repro/internal/telemetry"
 )
@@ -34,10 +36,6 @@ func (h *Harness) intervalAblation(windows []telemetry.Window, fitFor fitterFor)
 	if windows == nil {
 		windows = h.DS.Windows
 	}
-	folds, err := h.DS.KFold(h.Folds, h.Seed)
-	if err != nil {
-		return nil, err
-	}
 	out := make(map[string]float64, len(windows))
 	for _, w := range windows {
 		cfg := h.Fit
@@ -46,15 +44,14 @@ func (h *Harness) intervalAblation(windows []telemetry.Window, fitFor fitterFor)
 		if err != nil {
 			return nil, err
 		}
-		var pairs []eval.Pair
-		for _, f := range folds {
-			p, _, err := fit.Classify(h.DS.Subset(f.Train), h.DS.Subset(f.Test))
-			if err != nil {
-				return nil, err
-			}
-			pairs = append(pairs, p...)
+		folds, err := foldRun(h, func(train, test *dataset.Dataset) ([]eval.Pair, error) {
+			pairs, _, err := fit.Classify(train, test)
+			return pairs, err
+		})
+		if err != nil {
+			return nil, err
 		}
-		out[w.String()] = eval.F1Macro(pairs)
+		out[w.String()] = eval.F1Macro(slices.Concat(folds...))
 	}
 	return out, nil
 }
@@ -86,28 +83,34 @@ func (h *Harness) VotingAblation() (allNodes, singleNode float64, err error) {
 }
 
 func (h *Harness) votingAblation(fitFor fitterFor) (allNodes, singleNode float64, err error) {
-	folds, err := h.DS.KFold(h.Folds, h.Seed)
-	if err != nil {
-		return 0, 0, err
-	}
 	fit, err := fitFor(h.DS, h.Fit)
 	if err != nil {
 		return 0, 0, err
 	}
-	var full, single []eval.Pair
-	for _, f := range folds {
-		d, _, err := fit.Fit(h.DS.Subset(f.Train))
+	// One fold's recognitions through all nodes and through node 0
+	// alone.
+	type votes struct{ all, single []eval.Pair }
+	folds, err := foldRun(h, func(train, test *dataset.Dataset) (votes, error) {
+		d, _, err := fit.Fit(train)
 		if err != nil {
-			return 0, 0, err
+			return votes{}, err
 		}
-		test := h.DS.Subset(f.Test)
-		full = append(full, core.ClassifyWorkers(d, test, h.Fit.Workers)...)
-		for _, e := range test.Executions {
+		v := votes{all: core.ClassifyWorkers(d, test, h.Fit.Workers), single: make([]eval.Pair, test.Len())}
+		for i, e := range test.Executions {
 			res := d.Recognize(singleNodeSource{src: core.Source(e), node: 0})
-			single = append(single, eval.Pair{Truth: e.Label.App, Pred: res.Top()})
+			v.single[i] = eval.Pair{Truth: e.Label.App, Pred: res.Top()}
 		}
+		return v, nil
+	})
+	if err != nil {
+		return 0, 0, err
 	}
-	return eval.F1Macro(full), eval.F1Macro(single), nil
+	var all, single []eval.Pair
+	for _, v := range folds {
+		all = append(all, v.all...)
+		single = append(single, v.single...)
+	}
+	return eval.F1Macro(all), eval.F1Macro(single), nil
 }
 
 // ComboResult reports a metric-combination ablation row.

@@ -428,6 +428,34 @@ func TestLatencyAblationNeedsItsWindows(t *testing.T) {
 	}
 }
 
+// TestRenderTable2Stable renders a dataset of several node counts
+// repeatedly: the node-count lines come in ascending order every time,
+// not in map iteration order.
+func TestRenderTable2Stable(t *testing.T) {
+	ds := &dataset.Dataset{}
+	for i, nodes := range []int{4, 2, 8, 2, 1, 4} {
+		ds.Executions = append(ds.Executions, &dataset.Execution{
+			ID: i, Label: apps.Label{App: "ft", Input: apps.InputX}, NumNodes: nodes,
+		})
+	}
+	var first strings.Builder
+	RenderTable2(&first, ds)
+	want := "  Node count  1:       1 executions\n" +
+		"  Node count  2:       2 executions\n" +
+		"  Node count  4:       2 executions\n" +
+		"  Node count  8:       1 executions\n"
+	if !strings.Contains(first.String(), want) {
+		t.Fatalf("Table 2 node-count lines not in ascending order:\n%s", first.String())
+	}
+	for i := 0; i < 50; i++ {
+		var b strings.Builder
+		RenderTable2(&b, ds)
+		if b.String() != first.String() {
+			t.Fatalf("render %d differs from the first:\n%s\nfirst:\n%s", i, b.String(), first.String())
+		}
+	}
+}
+
 func TestRenderers(t *testing.T) {
 	var b strings.Builder
 	RenderTable1(&b)

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/eval"
@@ -24,10 +23,13 @@ import (
 // renders every execution's keys once. Every outer fold chooses its
 // depth from that rendering and recognizes its test set through the
 // trainer's grid (core.Trainer.Classify), with no per-fold Dictionary
-// or Recognizer; the trainer is dropped when the call returns. Outer
-// folds evaluate concurrently on a bounded worker pool; per-fold
-// results are assembled in fold order, so every protocol score is
-// byte-identical to a sequential run.
+// or Recognizer; the trainer is dropped when the call returns. Every
+// protocol's folds (the outer folds, or one split per held-out value in
+// the hard protocols) and the outer folds of the interval, voting and
+// metric-sweep evaluations run concurrently on one bounded worker pool
+// (internal/par, sized by Workers), as do the sweep's metrics; results
+// are assembled in fold order, so every score is byte-identical to a
+// sequential run.
 type Harness struct {
 	// DS is the labelled dataset.
 	DS *dataset.Dataset
@@ -40,8 +42,9 @@ type Harness struct {
 	// Taxo configures the Taxonomist baseline; nil skips it (the
 	// baseline costs far more compute than the EFD).
 	Taxo *TaxoConfig
-	// Workers bounds the outer-fold worker pool: 0 means GOMAXPROCS,
-	// 1 runs folds sequentially. Scores do not depend on it.
+	// Workers bounds the harness worker pool (outer folds, the hard
+	// protocols' held-out values, the sweep's metrics): 0 means
+	// GOMAXPROCS, 1 runs them sequentially. Scores do not depend on it.
 	Workers int
 }
 
@@ -165,37 +168,37 @@ type foldPairs struct {
 	taxo []eval.Pair
 }
 
-// concat appends other's pairs, preserving order.
-func (fp *foldPairs) concat(other foldPairs) {
-	fp.efd = append(fp.efd, other.efd...)
-	fp.taxo = append(fp.taxo, other.taxo...)
+// mergeFolds concatenates per-fold outcomes in fold order, allocating
+// each merged slice once.
+func mergeFolds(folds []foldPairs) foldPairs {
+	var ne, nt int
+	for _, f := range folds {
+		ne += len(f.efd)
+		nt += len(f.taxo)
+	}
+	merged := foldPairs{efd: make([]eval.Pair, 0, ne), taxo: make([]eval.Pair, 0, nt)}
+	for _, f := range folds {
+		merged.efd = append(merged.efd, f.efd...)
+		merged.taxo = append(merged.taxo, f.taxo...)
+	}
+	return merged
 }
 
-// foldRun calls fn once per outer fold with the fold's train and test
-// subsets, running folds concurrently on the harness worker pool, and
-// returns the concatenation of the per-fold results in fold order —
-// exactly the sequence a sequential loop with appends would have
-// produced. The first error (by fold index) wins. The subsets share the
-// harness dataset's executions, so concurrent folds can train from the
-// protocol call's one trainer.
-func (h *Harness) foldRun(fn func(train, test *dataset.Dataset) (foldPairs, error)) (foldPairs, error) {
+// foldRun is the only loop over the outer folds: it calls fn once per
+// fold of the harness dataset with the fold's train and test subsets,
+// on the harness worker pool, and returns the per-fold results in fold
+// order, the same sequence a sequential loop would have produced. Every
+// fold runs; the error is the lowest failing fold's. The subsets share
+// the harness dataset's executions, so concurrent folds can train from
+// one trainer.
+func foldRun[T any](h *Harness, fn func(train, test *dataset.Dataset) (T, error)) ([]T, error) {
 	folds, err := h.DS.KFold(h.Folds, h.Seed)
 	if err != nil {
-		return foldPairs{}, err
+		return nil, err
 	}
-	outs := make([]foldPairs, len(folds))
-	errs := make([]error, len(folds))
-	par.For(len(folds), h.Workers, func(i int) {
-		outs[i], errs[i] = fn(h.DS.Subset(folds[i].Train), h.DS.Subset(folds[i].Test))
+	return par.Map(len(folds), h.Workers, func(i int) (T, error) {
+		return fn(h.DS.Subset(folds[i].Train), h.DS.Subset(folds[i].Test))
 	})
-	var merged foldPairs
-	for i := range outs {
-		if errs[i] != nil {
-			return foldPairs{}, errs[i]
-		}
-		merged.concat(outs[i])
-	}
-	return merged, nil
 }
 
 // meanOf averages the values of a per-dimension score map, summed in
@@ -222,8 +225,42 @@ func sortedKeys(m map[string]float64) []string {
 	return out
 }
 
-// removableInputs lists the input sizes present in the dataset; these
-// are the dimensions the input protocols iterate over.
-func (h *Harness) removableInputs() []apps.Input {
-	return h.DS.Inputs()
+// heldOut is one value a per-dimension protocol holds out of learning:
+// an input size, or an application. without and only narrow a set to
+// the executions without the value and to those with it. unknown names
+// the applications whose truths become Unknown: the held-out one, and
+// none for an input size.
+type heldOut struct {
+	name          string
+	without, only func(*dataset.Dataset) *dataset.Dataset
+	unknown       map[string]bool
+}
+
+// heldInputs lists the input sizes present in the dataset, in size
+// order, as held-out values.
+func (h *Harness) heldInputs() []heldOut {
+	var out []heldOut
+	for _, in := range h.DS.Inputs() {
+		out = append(out, heldOut{
+			name:    string(in),
+			without: func(ds *dataset.Dataset) *dataset.Dataset { return ds.WithoutInput(in) },
+			only:    func(ds *dataset.Dataset) *dataset.Dataset { return ds.OnlyInput(in) },
+		})
+	}
+	return out
+}
+
+// heldApps lists the applications present in the dataset, sorted, as
+// held-out values.
+func (h *Harness) heldApps() []heldOut {
+	var out []heldOut
+	for _, app := range h.DS.Apps() {
+		out = append(out, heldOut{
+			name:    app,
+			without: func(ds *dataset.Dataset) *dataset.Dataset { return ds.WithoutApp(app) },
+			only:    func(ds *dataset.Dataset) *dataset.Dataset { return ds.OnlyApp(app) },
+			unknown: map[string]bool{app: true},
+		})
+	}
+	return out
 }

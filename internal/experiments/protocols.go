@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/eval"
@@ -37,12 +38,13 @@ func (h *Harness) normalFold(fitFor fitterFor) (Score, error) {
 	if err != nil {
 		return s, err
 	}
-	merged, err := h.foldRun(func(train, test *dataset.Dataset) (foldPairs, error) {
+	folds, err := foldRun(h, func(train, test *dataset.Dataset) (foldPairs, error) {
 		return h.protocolFold(f, train, test, nil)
 	})
 	if err != nil {
 		return s, err
 	}
+	merged := mergeFolds(folds)
 	s.Report, err = eval.Evaluate(merged.efd)
 	if err != nil {
 		return s, err
@@ -64,33 +66,7 @@ func (h *Harness) normalFold(fitFor fitterFor) (Score, error) {
 func (h *Harness) SoftInput() (Score, error) { return h.softInput(trainer) }
 
 func (h *Harness) softInput(fitFor fitterFor) (Score, error) {
-	s := Score{Protocol: "soft input", PerDimension: make(map[string]float64)}
-	f, err := fitFor(h.DS, h.Fit)
-	if err != nil {
-		return s, err
-	}
-	var allEFD, allTaxo []eval.Pair
-	for _, in := range h.removableInputs() {
-		merged, err := h.foldRun(func(train, test *dataset.Dataset) (foldPairs, error) {
-			return h.protocolFold(f, train.WithoutInput(in), test, nil)
-		})
-		if err != nil {
-			return s, err
-		}
-		s.PerDimension[string(in)] = eval.F1Macro(merged.efd)
-		allEFD = append(allEFD, merged.efd...)
-		allTaxo = append(allTaxo, merged.taxo...)
-	}
-	s.EFD = meanOf(s.PerDimension)
-	s.Report, err = eval.Evaluate(allEFD)
-	if err != nil {
-		return s, err
-	}
-	if h.Taxo != nil {
-		s.Taxonomist = eval.F1Macro(allTaxo)
-		s.HasTaxonomist = true
-	}
-	return s, nil
+	return h.soft("soft input", h.heldInputs(), fitFor)
 }
 
 // SoftUnknown runs protocol 3: it extends the normal fold by removing
@@ -101,31 +77,36 @@ func (h *Harness) softInput(fitFor fitterFor) (Score, error) {
 func (h *Harness) SoftUnknown() (Score, error) { return h.softUnknown(trainer) }
 
 func (h *Harness) softUnknown(fitFor fitterFor) (Score, error) {
-	s := Score{Protocol: "soft unknown", PerDimension: make(map[string]float64)}
+	return h.soft("soft unknown", h.heldApps(), fitFor)
+}
+
+// soft runs a soft protocol: for each held-out value, the normal fold
+// with the value removed from every fold's learning set.
+func (h *Harness) soft(protocol string, held []heldOut, fitFor fitterFor) (Score, error) {
+	s := Score{Protocol: protocol, PerDimension: make(map[string]float64)}
 	f, err := fitFor(h.DS, h.Fit)
 	if err != nil {
 		return s, err
 	}
-	var allEFD, allTaxo []eval.Pair
-	for _, app := range h.DS.Apps() {
-		unknown := map[string]bool{app: true}
-		merged, err := h.foldRun(func(train, test *dataset.Dataset) (foldPairs, error) {
-			return h.protocolFold(f, train.WithoutApp(app), test, unknown)
+	dims := make([]foldPairs, len(held))
+	for i, v := range held {
+		folds, err := foldRun(h, func(train, test *dataset.Dataset) (foldPairs, error) {
+			return h.protocolFold(f, v.without(train), test, v.unknown)
 		})
 		if err != nil {
 			return s, err
 		}
-		s.PerDimension[app] = eval.F1Macro(merged.efd)
-		allEFD = append(allEFD, merged.efd...)
-		allTaxo = append(allTaxo, merged.taxo...)
+		dims[i] = mergeFolds(folds)
+		s.PerDimension[v.name] = eval.F1Macro(dims[i].efd)
 	}
+	all := mergeFolds(dims)
 	s.EFD = meanOf(s.PerDimension)
-	s.Report, err = eval.Evaluate(allEFD)
+	s.Report, err = eval.Evaluate(all.efd)
 	if err != nil {
 		return s, err
 	}
 	if h.Taxo != nil {
-		s.Taxonomist = eval.F1Macro(allTaxo)
+		s.Taxonomist = eval.F1Macro(all.taxo)
 		s.HasTaxonomist = true
 	}
 	return s, nil
@@ -138,35 +119,7 @@ func (h *Harness) softUnknown(fitFor fitterFor) (Score, error) {
 func (h *Harness) HardInput() (Score, error) { return h.hardInput(trainer) }
 
 func (h *Harness) hardInput(fitFor fitterFor) (Score, error) {
-	s := Score{Protocol: "hard input", PerDimension: make(map[string]float64)}
-	f, err := fitFor(h.DS, h.Fit)
-	if err != nil {
-		return s, err
-	}
-	inputs := h.removableInputs()
-	dims := make([][]eval.Pair, len(inputs))
-	errs := make([]error, len(inputs))
-	par.For(len(inputs), h.Workers, func(i int) {
-		in := inputs[i]
-		train := h.DS.WithoutInput(in)
-		test := h.DS.OnlyInput(in)
-		if train.Len() == 0 || test.Len() == 0 {
-			errs[i] = fmt.Errorf("experiments: hard input %s yields an empty split", in)
-			return
-		}
-		dims[i], errs[i] = efdPairs(f, train, test, nil)
-	})
-	var all []eval.Pair
-	for i, in := range inputs {
-		if errs[i] != nil {
-			return s, errs[i]
-		}
-		s.PerDimension[string(in)] = eval.F1Macro(dims[i])
-		all = append(all, dims[i]...)
-	}
-	s.EFD = meanOf(s.PerDimension)
-	s.Report, err = eval.Evaluate(all)
-	return s, err
+	return h.hard("hard input", h.heldInputs(), fitFor)
 }
 
 // HardUnknown runs protocol 5: the learning set contains all
@@ -178,34 +131,34 @@ func (h *Harness) hardInput(fitFor fitterFor) (Score, error) {
 func (h *Harness) HardUnknown() (Score, error) { return h.hardUnknown(trainer) }
 
 func (h *Harness) hardUnknown(fitFor fitterFor) (Score, error) {
-	s := Score{Protocol: "hard unknown", PerDimension: make(map[string]float64)}
+	return h.hard("hard unknown", h.heldApps(), fitFor)
+}
+
+// hard runs a hard protocol: for each held-out value, learning from
+// every execution without it and testing on those with it, the values
+// on the harness worker pool.
+func (h *Harness) hard(protocol string, held []heldOut, fitFor fitterFor) (Score, error) {
+	s := Score{Protocol: protocol, PerDimension: make(map[string]float64)}
 	f, err := fitFor(h.DS, h.Fit)
 	if err != nil {
 		return s, err
 	}
-	appNames := h.DS.Apps()
-	dims := make([][]eval.Pair, len(appNames))
-	errs := make([]error, len(appNames))
-	par.For(len(appNames), h.Workers, func(i int) {
-		app := appNames[i]
-		train := h.DS.WithoutApp(app)
-		test := h.DS.OnlyApp(app)
+	dims, err := par.Map(len(held), h.Workers, func(i int) ([]eval.Pair, error) {
+		v := held[i]
+		train, test := v.without(h.DS), v.only(h.DS)
 		if train.Len() == 0 || test.Len() == 0 {
-			errs[i] = fmt.Errorf("experiments: hard unknown %s yields an empty split", app)
-			return
+			return nil, fmt.Errorf("experiments: %s %s yields an empty split", protocol, v.name)
 		}
-		dims[i], errs[i] = efdPairs(f, train, test, map[string]bool{app: true})
+		return efdPairs(f, train, test, v.unknown)
 	})
-	var all []eval.Pair
-	for i, app := range appNames {
-		if errs[i] != nil {
-			return s, errs[i]
-		}
-		s.PerDimension[app] = eval.F1Macro(dims[i])
-		all = append(all, dims[i]...)
+	if err != nil {
+		return s, err
+	}
+	for i, v := range held {
+		s.PerDimension[v.name] = eval.F1Macro(dims[i])
 	}
 	s.EFD = meanOf(s.PerDimension)
-	s.Report, err = eval.Evaluate(all)
+	s.Report, err = eval.Evaluate(slices.Concat(dims...))
 	return s, err
 }
 

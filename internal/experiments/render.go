@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/dataset"
@@ -34,7 +36,8 @@ func RenderTable1(w io.Writer) {
 	}
 }
 
-// RenderTable2 prints the dataset composition (Table 2).
+// RenderTable2 prints the dataset composition (Table 2), one line per
+// node count in ascending order.
 func RenderTable2(w io.Writer, ds *dataset.Dataset) {
 	fmt.Fprintln(w, "Table 2: Dataset used for Evaluation")
 	names := ds.Apps()
@@ -48,8 +51,8 @@ func RenderTable2(w io.Writer, ds *dataset.Dataset) {
 	}
 	fmt.Fprintf(w, "  Applications:        %s\n", strings.Join(names, ", "))
 	fmt.Fprintf(w, "  Input sizes:         %s (L only for a subset)\n", strings.Join(inputs, ", "))
-	for nodes, count := range nodeCounts {
-		fmt.Fprintf(w, "  Node count %2d:       %d executions\n", nodes, count)
+	for _, nodes := range slices.Sorted(maps.Keys(nodeCounts)) {
+		fmt.Fprintf(w, "  Node count %2d:       %d executions\n", nodes, nodeCounts[nodes])
 	}
 	fmt.Fprintf(w, "  Label combinations:  %d\n", len(ds.Labels()))
 	fmt.Fprintf(w, "  Total executions:    %d\n", ds.Len())

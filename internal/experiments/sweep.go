@@ -20,8 +20,9 @@ type MetricScore struct {
 }
 
 // MetricSweep evaluates every listed metric individually under the
-// normal-fold protocol, reproducing Table 3. Metrics are evaluated
-// concurrently, each recognizing its folds through one core.Trainer;
+// normal-fold protocol, reproducing Table 3. Metrics, and each metric's
+// folds, are evaluated on the harness worker pool, each metric
+// recognizing its folds through one core.Trainer;
 // rows come back sorted by descending F-score, ties by name, the order
 // the paper lists them in.
 func (h *Harness) MetricSweep(metrics []string) ([]MetricScore, error) {
@@ -32,31 +33,30 @@ func (h *Harness) metricSweep(metrics []string, fitFor fitterFor) ([]MetricScore
 	if metrics == nil {
 		metrics = h.DS.Metrics()
 	}
-	folds, err := h.DS.KFold(h.Folds, h.Seed)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]MetricScore, len(metrics))
-	errs := make([]error, len(metrics))
-	par.For(len(metrics), h.Workers, func(i int) {
-		metric := metrics[i]
+	out, err := par.Map(len(metrics), h.Workers, func(i int) (MetricScore, error) {
 		cfg := h.Fit
-		cfg.Metrics = []string{metric}
+		cfg.Metrics = []string{metrics[i]}
 		fit, err := fitFor(h.DS, cfg)
 		if err != nil {
-			errs[i] = err
-			return
+			return MetricScore{}, err
+		}
+		// Each fold's recognitions and the depth its training set chose.
+		type fold struct {
+			pairs []eval.Pair
+			depth int
+		}
+		folds, err := foldRun(h, func(train, test *dataset.Dataset) (fold, error) {
+			pairs, rep, err := fit.Classify(train, test)
+			return fold{pairs, rep.BestDepth}, err
+		})
+		if err != nil {
+			return MetricScore{}, err
 		}
 		var pairs []eval.Pair
 		depthVotes := make(map[int]int)
 		for _, f := range folds {
-			p, rep, err := fit.Classify(h.DS.Subset(f.Train), h.DS.Subset(f.Test))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			depthVotes[rep.BestDepth]++
-			pairs = append(pairs, p...)
+			depthVotes[f.depth]++
+			pairs = append(pairs, f.pairs...)
 		}
 		best, bestVotes := 0, -1
 		for depth, v := range depthVotes {
@@ -64,12 +64,10 @@ func (h *Harness) metricSweep(metrics []string, fitFor fitterFor) ([]MetricScore
 				best, bestVotes = depth, v
 			}
 		}
-		out[i] = MetricScore{Metric: metric, FScore: eval.F1Macro(pairs), Depth: best}
+		return MetricScore{Metric: metrics[i], FScore: eval.F1Macro(pairs), Depth: best}, nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].FScore != out[b].FScore {

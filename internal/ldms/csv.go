@@ -353,13 +353,6 @@ func ReadExecutionCSV(r io.Reader, workers int) (*telemetry.NodeSet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ldms: read execution CSV: %w", err)
 	}
-	return parseExecutionCSV(data, workers)
-}
-
-// parseExecutionCSV is the shared body of ReadExecutionCSV and the
-// memory-mapped ReadExecutionCSVFile: it only reads data, so a
-// read-only mapping can be passed directly.
-func parseExecutionCSV(data []byte, workers int) (*telemetry.NodeSet, error) {
 	type section struct {
 		node int
 		body []byte
@@ -384,16 +377,18 @@ func parseExecutionCSV(data []byte, workers int) (*telemetry.NodeSet, error) {
 	if len(secs) == 0 {
 		return nil, fmt.Errorf("ldms: execution CSV has no node sections")
 	}
-	parts := make([]*telemetry.NodeSet, len(secs))
-	errs := make([]error, len(secs))
-	par.For(len(secs), workers, func(i int) {
-		parts[i], errs[i] = ReadNodeCSV(bytes.NewReader(secs[i].body), secs[i].node)
-	})
-	out := telemetry.NewNodeSet()
-	for i, p := range parts {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("ldms: node %d section: %w", secs[i].node, errs[i])
+	parts, err := par.Map(len(secs), workers, func(i int) (*telemetry.NodeSet, error) {
+		p, err := ReadNodeCSV(bytes.NewReader(secs[i].body), secs[i].node)
+		if err != nil {
+			return nil, fmt.Errorf("ldms: node %d section: %w", secs[i].node, err)
 		}
+		return p, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := telemetry.NewNodeSet()
+	for _, p := range parts {
 		for _, node := range p.Nodes() {
 			for _, m := range p.Metrics() {
 				if s := p.Get(node, m); s != nil {

@@ -1,9 +1,10 @@
-// Package par provides the bounded worker pools used by the training
-// and evaluation paths. Work is handed out through an atomic counter,
-// so the assignment of items to goroutines is unspecified — callers
-// obtain deterministic results by writing into pre-sized, index-
-// addressed output slices and assembling them in index order after the
-// pool drains.
+// Package par holds the module's only data-parallel worker pools: every
+// loop that spreads independent items over goroutines and gathers the
+// results back runs on For, Chunks or Map. Work is handed out through
+// an atomic counter, so the assignment of items to goroutines is
+// unspecified — callers obtain deterministic results by writing into
+// pre-sized, index-addressed output slices and assembling them in index
+// order after the pool drains, which Map does for them.
 package par
 
 import (
@@ -52,6 +53,24 @@ func For(n, workers int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
+}
+
+// Map runs fn(i) for every i in [0, n) on For's pool and returns the
+// results in index order. Every index runs, even after one fails; when
+// any fails, Map returns nil and the error of the lowest failing index,
+// so the error does not depend on scheduling either.
+func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	errs := make([]error, n)
+	For(n, workers, func(i int) {
+		out[i], errs[i] = fn(i)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // Chunks splits [0, n) into contiguous spans of roughly minChunk or

@@ -1,6 +1,8 @@
 package par
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -21,6 +23,58 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 	}
 	For(0, 4, func(int) { t.Fatal("fn must not run for n=0") })
 }
+
+// TestMapContract pins Map's contract at several pool sizes: results
+// come back in index order, every index runs even when some fail, and
+// the error is the lowest failing index's, whichever worker hit a
+// failure first.
+func TestMapContract(t *testing.T) {
+	for _, workers := range []int{1, 2, 7, 100} {
+		const n = 237
+		got, err := Map(n, workers, func(i int) (int, error) { return i * i, nil })
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(got) != n {
+			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), n)
+		}
+		for i, v := range got {
+			if v != i*i {
+				t.Fatalf("workers=%d: result %d = %d, want %d", workers, i, v, i*i)
+			}
+		}
+
+		hits := make([]int32, n)
+		failing := map[int]bool{200: true, 57: true, 58: true, 236: true}
+		got, err = Map(n, workers, func(i int) (int, error) {
+			atomic.AddInt32(&hits[i], 1)
+			if failing[i] {
+				return i, fmt.Errorf("index %d: %w", i, errBoom)
+			}
+			return i, nil
+		})
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("workers=%d: index %d ran %d times with failures present", workers, i, h)
+			}
+		}
+		if !errors.Is(err, errBoom) || err.Error() != "index 57: boom" {
+			t.Errorf("workers=%d: error %v, want the lowest failing index's (57)", workers, err)
+		}
+		if got != nil {
+			t.Errorf("workers=%d: results %v returned beside an error", workers, got)
+		}
+	}
+	got, err := Map(0, 4, func(int) (int, error) {
+		t.Fatal("fn must not run for n=0")
+		return 0, nil
+	})
+	if err != nil || len(got) != 0 {
+		t.Errorf("n=0: got %v, %v; want no results and no error", got, err)
+	}
+}
+
+var errBoom = errors.New("boom")
 
 func TestChunksPartitionExactly(t *testing.T) {
 	for _, tc := range []struct{ n, workers, minChunk int }{

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
+
+	"repro/internal/par"
 )
 
 // ForestConfig controls random-forest training.
@@ -17,7 +17,9 @@ type ForestConfig struct {
 	Tree TreeConfig
 	// Seed drives bootstrap sampling and feature subsampling.
 	Seed int64
-	// Parallel trains member trees concurrently.
+	// Parallel trains member trees concurrently on the internal/par
+	// pool, on GOMAXPROCS workers; false trains them one after another
+	// on the calling goroutine.
 	Parallel bool
 }
 
@@ -32,9 +34,17 @@ func DefaultForestConfig() ForestConfig {
 // the ensemble's top vote fraction falls below the threshold, the
 // example is labelled Unknown.
 type Forest struct {
-	trees     []*Tree
+	trees     []member
 	classes   []string
 	threshold float64
+}
+
+// member is one tree of a forest. A bootstrap sample can miss classes,
+// so the tree's own class table can be shorter than the forest's;
+// classIx holds the forest class index of each of its entries.
+type member struct {
+	tree    *Tree
+	classIx []int
 }
 
 // Unknown is the label returned for low-confidence predictions,
@@ -68,11 +78,6 @@ func TrainForest(examples []FeatureVector, cfg ForestConfig) (*Forest, error) {
 		treeCfg.MinLeaf = 1
 	}
 
-	f := &Forest{
-		trees:     make([]*Tree, cfg.Trees),
-		classes:   ts.classes,
-		threshold: DefaultThreshold,
-	}
 	// Pre-draw independent seeds so the result is identical whether
 	// training runs sequentially or in parallel.
 	seeds := make([]int64, cfg.Trees)
@@ -80,8 +85,11 @@ func TrainForest(examples []FeatureVector, cfg ForestConfig) (*Forest, error) {
 	for i := range seeds {
 		seeds[i] = seedRng.Int63()
 	}
-
-	trainOne := func(i int) error {
+	workers := 1
+	if cfg.Parallel {
+		workers = 0
+	}
+	trees, err := par.Map(cfg.Trees, workers, func(i int) (member, error) {
 		rng := rand.New(rand.NewSource(seeds[i]))
 		sample := make([]FeatureVector, len(examples))
 		for j := range sample {
@@ -89,53 +97,18 @@ func TrainForest(examples []FeatureVector, cfg ForestConfig) (*Forest, error) {
 		}
 		t, err := TrainTree(sample, treeCfg, rng)
 		if err != nil {
-			return err
+			return member{}, err
 		}
-		f.trees[i] = t
-		return nil
-	}
-
-	if !cfg.Parallel {
-		for i := 0; i < cfg.Trees; i++ {
-			if err := trainOne(i); err != nil {
-				return nil, err
-			}
+		classIx := make([]int, len(t.classes))
+		for j, c := range t.classes {
+			classIx[j] = ts.classIx[c]
 		}
-		return f, nil
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > cfg.Trees {
-		workers = cfg.Trees
-	}
-	var wg sync.WaitGroup
-	errCh := make(chan error, workers)
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if err := trainOne(i); err != nil {
-					select {
-					case errCh <- err:
-					default:
-					}
-					return
-				}
-			}
-		}()
-	}
-	for i := 0; i < cfg.Trees; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	select {
-	case err := <-errCh:
+		return member{tree: t, classIx: classIx}, nil
+	})
+	if err != nil {
 		return nil, err
-	default:
 	}
-	return f, nil
+	return &Forest{trees: trees, classes: ts.classes, threshold: DefaultThreshold}, nil
 }
 
 // SetThreshold adjusts the unknown-detection confidence threshold in
@@ -148,19 +121,13 @@ func (f *Forest) SetThreshold(t float64) error {
 	return nil
 }
 
-// Proba averages member-tree class probabilities for the vector.
+// Proba averages member-tree class probabilities for the vector,
+// indexed like the forest's class table.
 func (f *Forest) Proba(values []float64) []float64 {
 	out := make([]float64, len(f.classes))
-	classAt := make(map[string]int, len(f.classes))
-	for i, c := range f.classes {
-		classAt[c] = i
-	}
-	for _, t := range f.trees {
-		p := t.Proba(values)
-		// Trees trained on bootstrap samples of the same training set
-		// share the class table, so indexes align.
-		for i := range p {
-			out[i] += p[i]
+	for _, m := range f.trees {
+		for j, p := range m.tree.Proba(values) {
+			out[m.classIx[j]] += p
 		}
 	}
 	for i := range out {
@@ -186,36 +153,14 @@ func (f *Forest) Predict(values []float64) string {
 	return f.classes[best]
 }
 
-// PredictBatch classifies many vectors, in parallel when the batch is
-// large.
+// PredictBatch classifies many vectors, on the internal/par pool in
+// spans of at least 64 vectors.
 func (f *Forest) PredictBatch(batch []FeatureVector) []string {
 	out := make([]string, len(batch))
-	if len(batch) < 64 {
-		for i, fv := range batch {
-			out[i] = f.Predict(fv.Values)
+	par.Chunks(len(batch), 0, 64, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = f.Predict(batch[i].Values)
 		}
-		return out
-	}
-	workers := runtime.GOMAXPROCS(0)
-	var wg sync.WaitGroup
-	chunk := (len(batch) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(batch) {
-			hi = len(batch)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				out[i] = f.Predict(batch[i].Values)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 	return out
 }

@@ -3,6 +3,7 @@ package taxonomist
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -236,6 +237,69 @@ func TestForestDeterministicAcrossParallelism(t *testing.T) {
 				t.Fatalf("parallel and sequential forests diverge at %v: %v vs %v", p, pa, pb)
 			}
 		}
+	}
+}
+
+// TestPredictBatchMatchesPredict compares PredictBatch with one Predict
+// per vector at batch sizes around the 64-vector span minimum and the
+// span boundaries of the pool.
+func TestPredictBatchMatchesPredict(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	examples := separable(150, rng)
+	forest, err := TrainForest(examples[:100], ForestConfig{Trees: 10, Seed: 3, Parallel: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := forest.SetThreshold(0.9); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 300} {
+		batch := examples[:n]
+		got := forest.PredictBatch(batch)
+		if len(got) != n {
+			t.Fatalf("batch %d: %d predictions", n, len(got))
+		}
+		for i, fv := range batch {
+			if want := forest.Predict(fv.Values); got[i] != want {
+				t.Fatalf("batch %d: prediction %d = %q, Predict gives %q", n, i, got[i], want)
+			}
+		}
+	}
+}
+
+// TestForestProbaAlignsClasses trains a forest on a rare class: several
+// bootstrap samples miss b, and those trees must still vote for the
+// classes they saw. A point deep in c's region is c for every tree, so
+// the forest is certain of it at any threshold.
+func TestForestProbaAlignsClasses(t *testing.T) {
+	var examples []FeatureVector
+	for i := 0; i < 20; i++ {
+		examples = append(examples, FeatureVector{Values: []float64{float64(i) * 0.1}, App: "a"})
+	}
+	examples = append(examples, FeatureVector{Values: []float64{50}, App: "b"})
+	for i := 0; i < 20; i++ {
+		examples = append(examples, FeatureVector{Values: []float64{100 + float64(i)*0.1}, App: "c"})
+	}
+	forest, err := TrainForest(examples, ForestConfig{Trees: 20, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		x    float64
+		want []float64
+	}{
+		{0.5, []float64{1, 0, 0}},
+		{100.5, []float64{0, 0, 1}},
+	} {
+		if got := forest.Proba([]float64{tc.x}); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("Proba(%v) = %v, want %v", tc.x, got, tc.want)
+		}
+	}
+	if err := forest.SetThreshold(0.7); err != nil {
+		t.Fatal(err)
+	}
+	if got := forest.Predict([]float64{100.5}); got != "c" {
+		t.Errorf("Predict(100.5) at threshold 0.7 = %q, want c", got)
 	}
 }
 
