@@ -13,7 +13,8 @@
 #   make test      - build + tests only (the original tier-1 command)
 #   make test-race - build + tests under -race
 #   make race-pool - the worker-pool concurrency pins (the protocol
-#                    oracle, parallel dataset generation and forest
+#                    oracle, the Taxonomist baseline's concurrent outer
+#                    folds, parallel dataset generation and forest
 #                    training, batch prediction and par.Map's contract)
 #                    under -race at GOMAXPROCS=4 (also part of check): a
 #                    pool asked for 0 workers sizes itself to GOMAXPROCS,
@@ -97,10 +98,14 @@ test-race:
 	$(GO) build ./... && $(GO) test -race ./...
 
 # GOMAXPROCS=4 gives every pool that sizes itself from GOMAXPROCS four
-# workers, whatever the runner's CPU count.
+# workers, whatever the runner's CPU count. history_size=2 keeps twice
+# the default access history per goroutine: the detector reports a race
+# only when it can still recover the earlier access's stack, and at the
+# default it lost that of one Taxonomist fold sorting the metric list
+# the other folds read (TestTaxonomistConcurrentFolds).
 race-pool:
-	GOMAXPROCS=4 $(GO) test -race -count=1 \
-		-run '^(TestProtocolsMatchPerFoldOracle|TestGenerateParallelMatchesSequential|TestForestDeterministicAcrossParallelism|TestPredictBatchMatchesPredict|TestMapContract)$$' \
+	GORACE=history_size=2 GOMAXPROCS=4 $(GO) test -race -count=1 \
+		-run '^(TestProtocolsMatchPerFoldOracle|TestTaxonomistConcurrentFolds|TestGenerateParallelMatchesSequential|TestForestDeterministicAcrossParallelism|TestPredictBatchMatchesPredict|TestMapContract)$$' \
 		./internal/experiments ./internal/dataset ./internal/taxonomist ./internal/par
 
 vet:

@@ -77,7 +77,6 @@ package efd
 import (
 	"io"
 	"math"
-	"math/rand"
 
 	"repro/internal/apps"
 	"repro/internal/core"
@@ -238,23 +237,14 @@ func Split(ds *Dataset, trainFrac float64, seed int64) (train, test *Dataset) {
 	case trainFrac > 1:
 		trainFrac = 1
 	}
-	byLabel := make(map[Label][]int)
-	for i, e := range ds.Executions {
-		byLabel[e.Label] = append(byLabel[e.Label], i)
-	}
-	labels := make([]Label, 0, len(byLabel))
-	for l := range byLabel {
-		labels = append(labels, l)
-	}
-	apps.SortLabels(labels)
-	rng := rand.New(rand.NewSource(seed))
+	ids, labels := ds.LabelIDs()
+	pos, start := dataset.Stratify(ids, len(labels), seed)
 	var trainIdx, testIdx []int
-	for _, l := range labels {
-		idx := byLabel[l]
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		cut := int(float64(len(idx))*trainFrac + 0.5)
-		trainIdx = append(trainIdx, idx[:cut]...)
-		testIdx = append(testIdx, idx[cut:]...)
+	for l := range labels {
+		g := pos[start[l]:start[l+1]]
+		cut := int(float64(len(g))*trainFrac + 0.5)
+		trainIdx = append(trainIdx, g[:cut]...)
+		testIdx = append(testIdx, g[cut:]...)
 	}
 	return ds.Subset(trainIdx), ds.Subset(testIdx)
 }

@@ -2,6 +2,8 @@ package efd
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/apps"
@@ -83,6 +85,57 @@ func TestSplitClampsFraction(t *testing.T) {
 		if train.Len() != tc.wantTrain || test.Len() != ds.Len()-tc.wantTrain {
 			t.Errorf("Split(%v): %d train + %d test, want %d + %d",
 				tc.frac, train.Len(), test.Len(), tc.wantTrain, ds.Len()-tc.wantTrain)
+		}
+	}
+}
+
+// referenceSplit is Split as it was before it drew from
+// dataset.Stratify: labels grouped by a map grown by append, sorted,
+// and each group shuffled and cut in label order.
+func referenceSplit(ds *Dataset, trainFrac float64, seed int64) (train, test *Dataset) {
+	switch {
+	case math.IsNaN(trainFrac) || trainFrac < 0:
+		trainFrac = 0
+	case trainFrac > 1:
+		trainFrac = 1
+	}
+	byLabel := make(map[Label][]int)
+	for i, e := range ds.Executions {
+		byLabel[e.Label] = append(byLabel[e.Label], i)
+	}
+	labels := make([]Label, 0, len(byLabel))
+	for l := range byLabel {
+		labels = append(labels, l)
+	}
+	apps.SortLabels(labels)
+	rng := rand.New(rand.NewSource(seed))
+	var trainIdx, testIdx []int
+	for _, l := range labels {
+		idx := byLabel[l]
+		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+		cut := int(float64(len(idx))*trainFrac + 0.5)
+		trainIdx = append(trainIdx, idx[:cut]...)
+		testIdx = append(testIdx, idx[cut:]...)
+	}
+	return ds.Subset(trainIdx), ds.Subset(testIdx)
+}
+
+// TestSplitMatchesReference holds Split to referenceSplit over seeds
+// and fractions, the clamped ones included, on labels of equal and of
+// unequal sizes: the training and test sets must hold the same
+// executions in the same order.
+func TestSplitMatchesReference(t *testing.T) {
+	ds := smallDS(t)
+	uneven := ds.Filter(func(e *Execution) bool { return e.ID%7 != 0 && e.ID%11 != 3 })
+	for _, d := range []*Dataset{ds, uneven} {
+		for seed := int64(0); seed < 120; seed++ {
+			for _, frac := range []float64{-0.5, 0, 0.2, 0.5, 0.8, 1, 1.5, math.NaN()} {
+				train, test := Split(d, frac, seed)
+				wantTrain, wantTest := referenceSplit(d, frac, seed)
+				if !reflect.DeepEqual(train, wantTrain) || !reflect.DeepEqual(test, wantTest) {
+					t.Fatalf("Split(%v, seed %d) of %d executions differs from the reference", frac, seed, d.Len())
+				}
+			}
 		}
 	}
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/maphash"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/apps"
@@ -46,8 +48,8 @@ type FitConfig struct {
 	Seed int64
 	// Workers bounds the worker pool over candidate depths (each
 	// depth renders one key index over the dataset, and each Fit
-	// scores every inner fold from that index restricted to its
-	// training set) and over the one-time extraction of raw window
+	// scores every inner fold from that index, read through its
+	// training rows) and over the one-time extraction of raw window
 	// means: 0 means GOMAXPROCS, 1 runs sequentially. The selected
 	// depth, the report, and the resulting dictionary are
 	// byte-identical at every worker count — parallelism only changes
@@ -193,7 +195,7 @@ func (d *Dictionary) learnRaw(re rawExec, label apps.Label, ks *keySet) {
 // building the final dictionary at the chosen depth over all training
 // executions.
 //
-// Fit is a Trainer over the training set fitting all of it. Each
+// Fit is a Trainer over the training set fitting all of its rows. Each
 // execution's raw window means are extracted once. Each candidate depth
 // renders every execution's keys once into a key index, on a worker
 // pool over depths (FitConfig.Workers); the cross-validation scores
@@ -203,8 +205,8 @@ func (d *Dictionary) learnRaw(re rawExec, label apps.Label, ks *keySet) {
 // fallback depth alone. The report, the scores and the dictionary equal
 // those of one Dictionary and Recognizer per (depth, fold) cell, and
 // are byte-identical at every worker count. To fit several subsets of
-// one dataset, build one Trainer and call its Fit for each; to
-// recognize a test set with what a subset would learn, call its
+// one dataset, build one Trainer and call its Fit with each subset's
+// rows; to recognize test rows with what a subset would learn, call its
 // Classify, which builds no dictionary.
 func Fit(train *dataset.Dataset, cfg FitConfig) (*Dictionary, FitReport, error) {
 	if train.Len() == 0 {
@@ -214,31 +216,34 @@ func Fit(train *dataset.Dataset, cfg FitConfig) (*Dictionary, FitReport, error) 
 	if err != nil {
 		return nil, FitReport{}, err
 	}
-	folds := innerFolds(train, cfg)
+	label, labels := train.LabelIDs()
+	rows := allRows(train)
+	folds := innerFolds(label, len(labels), rows, cfg.InnerFolds)
 	if folds < 2 {
 		// fit takes the median candidate without scoring, so no other
 		// depth needs rendering.
 		depths = depths[len(depths)/2:][:1]
 	}
-	t, err := newTrainer(train, cfg, depths)
+	t, err := newTrainer(train, cfg, depths, label, labels)
 	if err != nil {
 		return nil, FitReport{}, err
 	}
-	return t.fit(train, nil, folds)
+	return t.fit(rows, folds)
 }
 
 var errEmptyTrain = errors.New("core: empty training set")
 
 // Trainer fits any subset of one dataset from a single rendering of the
-// dataset's keys, with the result Fit gives for that subset alone.
-// NewTrainer extracts every execution's raw window means once and
-// renders them into one key index per candidate depth. Fit restricts
-// each index to the subset's executions, cross-validates the depth over
-// the subset's own inner folds and learns a fresh dictionary from the
-// chosen depth's restricted index, rendering no key. Classify chooses
-// the depth the same way, then recognizes a test set of the same
-// dataset through the cross-validation grid, against the keys the
-// subset produces, building no dictionary. So the outer folds of an
+// dataset's keys, with the result Fit gives for that subset alone. A
+// subset is a list of rows, indexes into the dataset's executions, as
+// a dataset.Fold holds them. NewTrainer extracts every execution's raw
+// window means once and renders them into one key index per candidate
+// depth. Fit cross-validates the depth over the rows' own inner folds,
+// reading each index through the rows, and learns a fresh dictionary
+// from the chosen depth's keys of those rows, rendering no key.
+// Classify chooses the depth the same way, then recognizes test rows
+// through the cross-validation grid, against the keys the training
+// rows produce, building no dictionary. So the outer folds of an
 // evaluation, which train on overlapping subsets of one dataset, render
 // each execution's keys once instead of once per fold, and recognize
 // their test sets with no Dictionary or Recognizer.
@@ -253,9 +258,10 @@ type Trainer struct {
 	dicts []*Dictionary
 	// index[i] holds the keys of every execution of ds at depths[i].
 	index []*keyIndex
-	// order lists the rows of ds by ascending execution ID: the order
-	// in which a Fit of all of ds learns, and the one rowsOf searches.
-	order []int
+	// labels numbers the labels of ds in label order, and label[i] is
+	// row i's number (dataset.LabelIDs): the strata of the inner folds.
+	label  []int32
+	labels []apps.Label
 	// apps numbers the applications of ds for the grids.
 	apps appIndex
 }
@@ -268,11 +274,13 @@ func NewTrainer(ds *dataset.Dataset, cfg FitConfig) (*Trainer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newTrainer(ds, cfg, depths)
+	label, labels := ds.LabelIDs()
+	return newTrainer(ds, cfg, depths, label, labels)
 }
 
-// newTrainer is NewTrainer over the given candidate depths.
-func newTrainer(ds *dataset.Dataset, cfg FitConfig, depths []int) (*Trainer, error) {
+// newTrainer is NewTrainer over the given candidate depths and ds's
+// label numbering.
+func newTrainer(ds *dataset.Dataset, cfg FitConfig, depths []int, label []int32, labels []apps.Label) (*Trainer, error) {
 	dicts, err := depthDictionaries(cfg, depths)
 	if err != nil {
 		return nil, err
@@ -280,7 +288,7 @@ func newTrainer(ds *dataset.Dataset, cfg FitConfig, depths []int) (*Trainer, err
 	raws := extractAll(ds, cfg)
 	t := &Trainer{
 		ds: ds, cfg: cfg, depths: depths, dicts: dicts, index: make([]*keyIndex, len(dicts)),
-		order: idOrder(ds), apps: newAppIndex(ds),
+		label: label, labels: labels, apps: newAppIndex(ds),
 	}
 	par.Chunks(len(dicts), cfg.Workers, 1, func(lo, hi int) {
 		var sc gridScratch
@@ -291,194 +299,138 @@ func newTrainer(ds *dataset.Dataset, cfg FitConfig, depths []int) (*Trainer, err
 	return t, nil
 }
 
-// Fit returns what Fit(train, cfg) returns, for the trainer's cfg: the
-// same report and a dictionary that saves to the same bytes. Every
-// execution of train must be one of the trainer's dataset's, the same
-// *dataset.Execution (Subset, Filter and their kin share them); any
-// other is an error.
-func (t *Trainer) Fit(train *dataset.Dataset) (*Dictionary, FitReport, error) {
-	if train.Len() == 0 {
+// Fit returns what Fit(ds.Subset(train), cfg) returns, for the
+// trainer's dataset ds and cfg: the same report and a dictionary that
+// saves to the same bytes.
+func (t *Trainer) Fit(train []int) (*Dictionary, FitReport, error) {
+	if len(train) == 0 {
 		return nil, FitReport{}, errEmptyTrain
 	}
-	rows, err := t.rowsOf(train, "training")
-	if err != nil {
-		return nil, FitReport{}, err
-	}
-	return t.fit(train, rows, innerFolds(train, t.cfg))
+	return t.fit(train, innerFolds(t.label, len(t.labels), train, t.cfg.InnerFolds))
 }
 
-// Classify returns the pairs ClassifyWorkers(d, test, w) returns, at
-// any w, for the dictionary d of t.Fit(train), and that Fit's report,
-// without building d. It chooses the depth as Fit does, then recognizes
-// test through one grid at that depth over the executions of train
-// followed by those of test: test is the grid's only fold, and train's
-// executions, which no fold tests, only produce keys. So each test
-// execution gets the votes d's Recognizer would give it. An execution
-// in both sets produces as a training execution and is recognized as a
-// test one, against keys that include its own, as d would recognize
-// it. The executions of both sets must be the trainer's dataset's, as
-// for Fit; any other is an error.
-func (t *Trainer) Classify(train, test *dataset.Dataset) ([]eval.Pair, FitReport, error) {
-	if train.Len() == 0 {
+// Classify returns the pairs ClassifyWorkers(d, ds.Subset(test), w)
+// returns, at any w, for the dictionary d of t.Fit(train), and that
+// Fit's report, without building d. It chooses the depth as Fit does,
+// then recognizes the test rows through one grid at that depth over
+// the training rows followed by the test rows: the test rows are the
+// grid's only fold, and the training rows, which no fold tests, only
+// produce keys. So each test row gets the votes d's Recognizer would
+// give it. A row in both lists produces as a training row and is
+// recognized as a test one, against keys that include its own, as d
+// would recognize it.
+func (t *Trainer) Classify(train, test []int) ([]eval.Pair, FitReport, error) {
+	if len(train) == 0 {
 		return nil, FitReport{}, errEmptyTrain
 	}
-	rows, err := t.rowsOf(train, "training")
+	order := idOrder(t.ds, train)
+	best, rep, err := t.selectDepth(train, order, innerFolds(t.label, len(t.labels), train, t.cfg.InnerFolds))
 	if err != nil {
 		return nil, FitReport{}, err
 	}
-	testRows, err := t.rowsOf(test, "test")
-	if err != nil {
-		return nil, FitReport{}, err
-	}
-	c, err := t.selectDepth(train, rows, innerFolds(train, t.cfg))
-	if err != nil {
-		return nil, FitReport{}, err
-	}
-	n := train.Len()
-	all := append(append(make([]int32, 0, n+test.Len()), rows...), testRows...)
-	tested := dataset.Fold{Test: make([]int, test.Len())}
+	n := len(train)
+	rows := append(append(make([]int, 0, n+len(test)), train...), test...)
+	tested := dataset.Fold{Test: make([]int, len(test))}
 	for j := range tested.Test {
 		tested.Test[j] = n + j
 	}
-	ix := t.index[c.best].restrict(all)
-	// c.order lists train's executions, the first n rows of the grid.
-	g := newCVGrid(t.appsOf(all), &t.apps, ix, c.order, []dataset.Fold{tested})
+	ix := t.index[best]
+	// order lists the training rows, the first n of the grid.
+	g := newCVGrid(&t.apps, ix, rows, order, []dataset.Fold{tested})
 	var sc gridScratch
 	g.produce(ix, &sc)
-	pairs := make([]eval.Pair, test.Len())
-	for j, e := range test.Executions {
+	pairs := make([]eval.Pair, len(test))
+	for j, i := range test {
 		pred := Unknown
 		if a := g.predict(ix, &sc, 0, n+j); a >= 0 {
 			pred = t.apps.names[a]
 		}
-		pairs[j] = eval.Pair{Truth: e.Label.App, Pred: pred}
+		pairs[j] = eval.Pair{Truth: t.ds.Executions[i].Label.App, Pred: pred}
 	}
-	return pairs, c.report, nil
+	return pairs, rep, nil
 }
 
-// rowsOf returns the row in the trainer's dataset of each execution of
-// set. role names the set in the error for an execution the trainer's
-// dataset does not hold.
-func (t *Trainer) rowsOf(set *dataset.Dataset, role string) ([]int32, error) {
-	execs := t.ds.Executions
-	rows := make([]int32, set.Len())
-	for j, e := range set.Executions {
-		k := sort.Search(len(t.order), func(k int) bool { return execs[t.order[k]].ID >= e.ID })
-		for k < len(t.order) && execs[t.order[k]] != e && execs[t.order[k]].ID == e.ID {
-			k++
-		}
-		if k == len(t.order) || execs[t.order[k]] != e {
-			return nil, fmt.Errorf("core: %s execution %d is not in the trainer's dataset", role, e.ID)
-		}
-		rows[j] = int32(t.order[k])
-	}
-	return rows, nil
-}
-
-// appsOf returns the application ID of the execution at each of rows
-// of the trainer's dataset (nil: every execution).
-func (t *Trainer) appsOf(rows []int32) []int32 {
-	if rows == nil {
-		return t.apps.of
-	}
-	app := make([]int32, len(rows))
-	for j, i := range rows {
-		app[j] = t.apps.of[i]
-	}
-	return app
-}
-
-// depthChoice is the rounding depth a Fit chooses for one training set.
-type depthChoice struct {
-	report FitReport
-	// best is the chosen depth's position in Trainer.depths, and ix
-	// its key index restricted to the training set.
-	best int
-	ix   *keyIndex
-	// order lists the training set's executions by ascending ID: the
-	// order in which its dictionary learns them.
-	order []int
-}
-
-// selectDepth chooses the depth of a Fit of train, whose executions sit
-// at rows of the trainer's dataset (nil: train is that dataset), by
-// cross-validating over folds inner folds; below 2 it takes the median
-// candidate depth unscored. Fit and Classify both choose through it.
-func (t *Trainer) selectDepth(train *dataset.Dataset, rows []int32, folds int) (depthChoice, error) {
-	c := depthChoice{report: FitReport{DepthScores: make(map[int]float64), Folds: folds}, order: t.order}
-	if rows != nil {
-		c.order = idOrder(train)
-	}
+// selectDepth chooses the depth of a Fit of the rows train of the
+// trainer's dataset, whose positions order lists by ascending execution
+// ID, by cross-validating over folds inner folds; below 2 it takes the
+// median candidate depth unscored. It returns the chosen depth's
+// position in Trainer.depths. Fit, Classify and CrossValidate all
+// choose through it.
+func (t *Trainer) selectDepth(train, order []int, folds int) (int, FitReport, error) {
+	rep := FitReport{DepthScores: make(map[int]float64), Folds: folds}
+	best := len(t.depths) / 2
 	if folds < 2 {
-		c.report.Folds = 0
-		c.best = len(t.depths) / 2
-		c.ix = t.index[c.best].restrict(rows)
+		rep.Folds = 0
 	} else {
-		kf, err := train.KFold(folds, t.cfg.Seed)
+		label := make([]int32, len(train))
+		for j, i := range train {
+			label[j] = t.label[i]
+		}
+		kf, err := dataset.StratifiedFolds(label, t.labels, folds, t.cfg.Seed)
 		if err != nil {
-			return depthChoice{}, err
+			return 0, FitReport{}, err
 		}
-		index := make([]*keyIndex, len(t.index))
-		for di, full := range t.index {
-			index[di] = full.restrict(rows)
-		}
-		g := newCVGrid(t.appsOf(rows), &t.apps, index[0], c.order, kf)
+		g := newCVGrid(&t.apps, t.index[0], train, order, kf)
 		bestScore := -1.0
-		for di, score := range crossValidate(g, index, t.cfg.Workers) {
-			c.report.DepthScores[t.depths[di]] = score
+		for di, score := range crossValidate(g, t.index, t.cfg.Workers) {
+			rep.DepthScores[t.depths[di]] = score
 			// Strict improvement keeps the tie-break at the earlier
 			// candidate: the smaller (more pruned, more general) depth
 			// when the candidates ascend.
 			if score > bestScore {
-				bestScore, c.best = score, di
+				bestScore, best = score, di
 			}
 		}
-		c.ix = index[c.best]
 	}
-	c.report.BestDepth = t.depths[c.best]
-	return c, nil
+	rep.BestDepth = t.depths[best]
+	return best, rep, nil
 }
 
-// fit fits train, whose executions sit at rows of the trainer's dataset
-// (nil: train is that dataset), cross-validating over folds inner
-// folds; below 2 it takes the median candidate depth unscored.
-func (t *Trainer) fit(train *dataset.Dataset, rows []int32, folds int) (*Dictionary, FitReport, error) {
-	c, err := t.selectDepth(train, rows, folds)
+// fit fits the rows train of the trainer's dataset, cross-validating
+// over folds inner folds; below 2 it takes the median candidate depth
+// unscored.
+func (t *Trainer) fit(train []int, folds int) (*Dictionary, FitReport, error) {
+	order := idOrder(t.ds, train)
+	best, rep, err := t.selectDepth(train, order, folds)
 	if err != nil {
 		return nil, FitReport{}, err
 	}
 	// The trainer's dictionaries only render keys and may serve other
 	// Fits at once: learn into a fresh one, in ID order, from the keys
 	// the chosen index already holds.
-	d, err := NewDictionary(t.dicts[c.best].cfg)
+	d, err := NewDictionary(t.dicts[best].cfg)
 	if err != nil {
 		return nil, FitReport{}, err
 	}
-	ix := c.ix
-	for _, i := range c.order {
-		label := train.Executions[i].Label
-		for _, k := range ix.id[ix.off[i]:ix.off[i+1]] {
+	ix := t.index[best]
+	for _, j := range order {
+		i := train[j]
+		label := t.ds.Executions[i].Label
+		for _, k := range ix.keysOf(i) {
 			ref := ix.keys[k]
 			d.addKeyBytes(ref.bk, ix.buf[ref.off:ref.end], label, 1)
 		}
 	}
-	return d, c.report, nil
+	return d, rep, nil
 }
 
-// innerFolds is the inner fold count of a Fit on train: cfg.InnerFolds
-// (default 5) clamped to the smallest class, so stratified folding
-// stays possible on small training sets.
-func innerFolds(train *dataset.Dataset, cfg FitConfig) int {
-	folds := cfg.InnerFolds
+// innerFolds is the inner fold count of a Fit on rows, whose label
+// numbers, below n, label gives: inner (default 5) clamped to the
+// smallest class, so stratified folding stays possible on small
+// training sets.
+func innerFolds(label []int32, n int, rows []int, inner int) int {
+	folds := inner
 	if folds <= 0 {
 		folds = 5
 	}
-	counts := make(map[apps.Label]int)
-	for _, e := range train.Executions {
-		counts[e.Label]++
+	counts := make([]int, n)
+	for _, i := range rows {
+		counts[label[i]]++
 	}
 	for _, c := range counts {
-		folds = min(folds, c)
+		if c > 0 {
+			folds = min(folds, c)
+		}
 	}
 	return folds
 }
@@ -489,27 +441,19 @@ func innerFolds(train *dataset.Dataset, cfg FitConfig) int {
 // the score Fit reports in FitReport.DepthScores. The folds are
 // ds.KFold(cfg.InnerFolds, cfg.Seed), taken as given (no default fold
 // count, no clamping); cfg.Depths and cfg.Workers mean what they mean
-// for Fit. It renders and scores through a Trainer's code: one key
-// index per depth over ds, scored by the grid Fit scores with.
+// for Fit. It is a Trainer's depth selection over every row of ds.
 func CrossValidate(ds *dataset.Dataset, cfg FitConfig) (map[int]float64, error) {
-	depths, err := candidateDepths(cfg.Depths)
+	if cfg.InnerFolds < 2 {
+		// selectDepth would take the median depth unscored.
+		return nil, fmt.Errorf("core: cross-validation needs at least 2 folds, InnerFolds is %d", cfg.InnerFolds)
+	}
+	t, err := NewTrainer(ds, cfg)
 	if err != nil {
 		return nil, err
 	}
-	kf, err := ds.KFold(cfg.InnerFolds, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	t, err := newTrainer(ds, cfg, depths)
-	if err != nil {
-		return nil, err
-	}
-	g := newCVGrid(t.apps.of, &t.apps, t.index[0], t.order, kf)
-	out := make(map[int]float64, len(depths))
-	for di, score := range crossValidate(g, t.index, cfg.Workers) {
-		out[depths[di]] = score
-	}
-	return out, nil
+	rows := allRows(ds)
+	_, rep, err := t.selectDepth(rows, idOrder(ds, rows), cfg.InnerFolds)
+	return rep.DepthScores, err
 }
 
 // candidateDepths resolves FitConfig.Depths: nil means 1 through 6.
@@ -548,15 +492,25 @@ func extractAll(ds *dataset.Dataset, cfg FitConfig) []rawExec {
 	return raws
 }
 
-// idOrder returns the dataset's execution indexes by ascending ID: the
-// order in which build, and so every dictionary of the grid, learns.
-func idOrder(ds *dataset.Dataset) []int {
-	idx := make([]int, ds.Len())
-	for i := range idx {
-		idx[i] = i
+// allRows returns every row of ds, in order.
+func allRows(ds *dataset.Dataset) []int {
+	rows := make([]int, ds.Len())
+	for i := range rows {
+		rows[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool { return ds.Executions[idx[a]].ID < ds.Executions[idx[b]].ID })
-	return idx
+	return rows
+}
+
+// idOrder returns the positions of rows of ds by ascending execution
+// ID: the order in which a dictionary of those rows, and so every
+// dictionary of the grid, learns.
+func idOrder(ds *dataset.Dataset, rows []int) []int {
+	pos := make([]int, len(rows))
+	for j := range pos {
+		pos[j] = j
+	}
+	slices.SortFunc(pos, func(a, b int) int { return cmp.Compare(ds.Executions[rows[a]].ID, ds.Executions[rows[b]].ID) })
+	return pos
 }
 
 // crossValidate scores each depth's key index by leave-fold-out
@@ -600,15 +554,18 @@ type gridScratch struct {
 // keyIndex holds one depth's keys of every execution of a dataset,
 // numbered so that two keys share an ID exactly when the Dictionary
 // would store them under one entry. Execution i's keys have the IDs
-// id[off[i]:off[i+1]], in extraction order; keys[k] holds key k's
-// bucket and the span of its bytes in buf. A Trainer keeps one per
-// depth and restricts it to the executions a Fit or Classify reads.
+// keysOf(i), in extraction order; keys[k] holds key k's bucket and the
+// span of its bytes in buf. A Trainer keeps one per depth, and its
+// grids read it through their rows.
 type keyIndex struct {
 	off  []int32
 	id   []int32
 	keys []keyRef
 	buf  []byte
 }
+
+// keysOf returns the key IDs of execution i.
+func (ix *keyIndex) keysOf(i int) []int32 { return ix.id[ix.off[i]:ix.off[i+1]] }
 
 // newKeyIndex renders the keys of every execution of raws at d's depth
 // (keysFromRaw) and numbers them in order of first appearance.
@@ -649,25 +606,6 @@ func newKeyIndex(d *Dictionary, raws []rawExec, sc *gridScratch) *keyIndex {
 		}
 	}
 	return ix
-}
-
-// restrict returns ix narrowed to the executions at rows, in that
-// order: execution j of the result has the keys of execution rows[j],
-// and a row may repeat. The key table is ix's, shared, so a key may
-// have no execution left. nil rows returns ix itself.
-func (ix *keyIndex) restrict(rows []int32) *keyIndex {
-	if rows == nil {
-		return ix
-	}
-	r := &keyIndex{off: make([]int32, len(rows)+1), keys: ix.keys, buf: ix.buf}
-	for j, i := range rows {
-		r.off[j+1] = r.off[j] + ix.off[i+1] - ix.off[i]
-	}
-	r.id = make([]int32, 0, r.off[len(rows)])
-	for _, i := range rows {
-		r.id = append(r.id, ix.id[ix.off[i]:ix.off[i+1]]...)
-	}
-	return r
 }
 
 // appIndex numbers the applications of a dataset's executions in order
@@ -752,18 +690,21 @@ func (ai *appIndex) macroF1(counts []classCounts) float64 {
 	return sum / float64(classes)
 }
 
-// cvGrid is the depth-independent part of the cross-validation: which
-// fold tests each row of a key index, its application, and each fold's
-// tie-break order. Depths share it read-only.
+// cvGrid is the depth-independent part of the cross-validation over a
+// list of rows of the trainer's dataset: which fold tests each position
+// of the list, and each fold's tie-break order. A row may appear at
+// more than one position. Depths share the grid read-only, and read
+// their key index through its rows.
 type cvGrid struct {
 	folds []dataset.Fold
-	// fold[i] is the fold whose Test holds row i, or len(folds) when
-	// none does: such a row only produces keys.
+	// rows[j] is the row at position j; the folds list positions.
+	rows []int
+	// fold[j] is the fold whose Test holds position j, or len(folds)
+	// when none does: such a position only produces keys.
 	fold []int32
-	app  []int32 // each row's application ID in apps
 	apps *appIndex
-	// byApp lists the rows by application, stably: the order in which
-	// produce visits them, so that each key's producers of one
+	// byApp lists the positions by application, stably: the order in
+	// which produce visits them, so that each key's producers of one
 	// application arrive together.
 	byApp []int32
 	// rank[f][a] is the order in which fold f's dictionary would
@@ -771,39 +712,40 @@ type cvGrid struct {
 	rank [][]int32
 }
 
-// producer records that rows of application app produced a key, and
-// the lowest and highest fold among those rows' folds (cvGrid.fold).
-// Every fold's dictionary but fold f holds the key for app unless
-// lo == hi == f.
+// producer records that positions of application app produced a key,
+// and the lowest and highest fold among those positions' folds
+// (cvGrid.fold). Every fold's dictionary but fold f holds the key for
+// app unless lo == hi == f.
 type producer struct{ app, lo, hi int32 }
 
-// newCVGrid builds the grid of folds over the rows of ix, any depth's
-// index (they agree on which rows have keys). app gives each row's
-// application ID in apps, and order lists every row a fold's
-// dictionary may learn, by ascending execution ID.
-func newCVGrid(app []int32, apps *appIndex, ix *keyIndex, order []int, folds []dataset.Fold) *cvGrid {
-	n := len(app)
+// newCVGrid builds the grid of folds over the positions of rows. ix is
+// any depth's index (they agree on which rows have keys), and order
+// lists every position a fold's dictionary may learn, by ascending
+// execution ID.
+func newCVGrid(apps *appIndex, ix *keyIndex, rows, order []int, folds []dataset.Fold) *cvGrid {
+	n := len(rows)
 	nf := int32(len(folds))
-	g := &cvGrid{folds: folds, fold: make([]int32, n), app: app, apps: apps}
-	for i := range g.fold {
-		g.fold[i] = nf
+	g := &cvGrid{folds: folds, rows: rows, fold: make([]int32, n), apps: apps}
+	for j := range g.fold {
+		g.fold[j] = nf
 	}
 	for f, fold := range folds {
-		for _, i := range fold.Test {
-			g.fold[i] = int32(f)
+		for _, j := range fold.Test {
+			g.fold[j] = int32(f)
 		}
 	}
 	// Counting sort by application.
 	next := make([]int32, len(apps.names)+1)
-	for _, a := range app {
-		next[a+1]++
+	for _, i := range rows {
+		next[apps.of[i]+1]++
 	}
 	for a := 1; a < len(next); a++ {
 		next[a] += next[a-1]
 	}
 	g.byApp = make([]int32, n)
-	for i, a := range app {
-		g.byApp[next[a]] = int32(i)
+	for j, i := range rows {
+		a := apps.of[i]
+		g.byApp[next[a]] = int32(j)
 		next[a]++
 	}
 	g.rank = make([][]int32, len(folds))
@@ -813,13 +755,14 @@ func newCVGrid(app []int32, apps *appIndex, ix *keyIndex, order []int, folds []d
 			rank[a] = -1
 		}
 		next := int32(0)
-		for _, i := range order {
+		for _, j := range order {
 			// An execution without keys adds nothing to the
 			// dictionary, so it does not intern its application.
-			if g.fold[i] == int32(f) || ix.off[i] == ix.off[i+1] || rank[g.app[i]] >= 0 {
+			a := apps.of[rows[j]]
+			if g.fold[j] == int32(f) || len(ix.keysOf(rows[j])) == 0 || rank[a] >= 0 {
 				continue
 			}
-			rank[g.app[i]] = next
+			rank[a] = next
 			next++
 		}
 		g.rank[f] = rank
@@ -829,26 +772,32 @@ func newCVGrid(app []int32, apps *appIndex, ix *keyIndex, order []int, folds []d
 
 // produce lists the producers of every key of ix in sc: those of key k
 // are prods[start[k]:end[k]], one per application, in application
-// order. A counting pass sizes each key's span by its references; the
-// rows, visited by application, then add a producer for the first row
-// of an application to produce a key and widen its fold range for
-// every later one.
+// order. A counting pass over the grid's rows sizes each key's span by
+// its references; the positions, visited by application, then add a
+// producer for the first position of an application to produce a key
+// and widen its fold range for every later one.
 func (g *cvGrid) produce(ix *keyIndex, sc *gridScratch) {
 	n := len(ix.keys)
 	sc.start = grow(sc.start, n+1)
 	start := sc.start
-	for _, k := range ix.id {
-		start[k+1]++
+	refs := 0
+	for _, i := range g.rows {
+		keys := ix.keysOf(i)
+		refs += len(keys)
+		for _, k := range keys {
+			start[k+1]++
+		}
 	}
 	for k := range n {
 		start[k+1] += start[k]
 	}
 	sc.end = append(sc.end[:0], start[:n]...)
-	sc.prods = grow(sc.prods, len(ix.id))
+	sc.prods = grow(sc.prods, refs)
 	end, prods := sc.end, sc.prods
-	for _, i := range g.byApp {
-		a, f := g.app[i], g.fold[i]
-		for _, k := range ix.id[ix.off[i]:ix.off[i+1]] {
+	for _, j := range g.byApp {
+		i := g.rows[j]
+		a, f := g.apps.of[i], g.fold[j]
+		for _, k := range ix.keysOf(i) {
 			if e := end[k]; e > start[k] && prods[e-1].app == a {
 				p := &prods[e-1]
 				p.lo, p.hi = min(p.lo, f), max(p.hi, f)
@@ -861,9 +810,9 @@ func (g *cvGrid) produce(ix *keyIndex, sc *gridScratch) {
 }
 
 // predict returns the application ID fold f's dictionary recognizes
-// row i as, from the producers in sc, or -1 for Unknown. The fold's
-// dictionary learned every row outside fold f, and it votes the way
-// its Recognizer would:
+// position j as, from the producers in sc, or -1 for Unknown. The
+// fold's dictionary learned every position outside fold f, and it
+// votes the way its Recognizer would:
 //   - each key of the row gives one vote to every application that
 //     produced it outside the fold;
 //   - a tie goes to the application the fold's dictionary interned
@@ -871,10 +820,10 @@ func (g *cvGrid) produce(ix *keyIndex, sc *gridScratch) {
 //     one key;
 //   - a row none of whose keys was produced outside the fold is
 //     Unknown.
-func (g *cvGrid) predict(ix *keyIndex, sc *gridScratch, f int32, i int) int32 {
+func (g *cvGrid) predict(ix *keyIndex, sc *gridScratch, f int32, j int) int32 {
 	sc.votes = grow(sc.votes, len(g.apps.names))
 	votes, matched := sc.votes, false
-	for _, k := range ix.id[ix.off[i]:ix.off[i+1]] {
+	for _, k := range ix.keysOf(g.rows[j]) {
 		for _, p := range sc.prods[sc.start[k]:sc.end[k]] {
 			if p.lo != f || p.hi != f {
 				votes[p.app]++
@@ -894,15 +843,15 @@ func (g *cvGrid) predict(ix *keyIndex, sc *gridScratch, f int32, i int) int32 {
 	return int32(top)
 }
 
-// score returns the pooled macro F1 of every fold's test rows
+// score returns the pooled macro F1 of every fold's test positions
 // recognized from ix: eval.F1Macro of their pairs, from counts per
 // application.
 func (g *cvGrid) score(ix *keyIndex, sc *gridScratch) float64 {
 	g.produce(ix, sc)
 	sc.counts = grow(sc.counts, len(g.apps.names))
 	for f, fold := range g.folds {
-		for _, i := range fold.Test {
-			g.apps.count(sc.counts, g.app[i], g.predict(ix, sc, int32(f), i))
+		for _, j := range fold.Test {
+			g.apps.count(sc.counts, g.apps.of[g.rows[j]], g.predict(ix, sc, int32(f), j))
 		}
 	}
 	return g.apps.macroF1(sc.counts)
@@ -915,10 +864,8 @@ func build(ds *dataset.Dataset, cfg FitConfig, depth int) (*Dictionary, error) {
 	if err != nil {
 		return nil, err
 	}
-	execs := make([]*dataset.Execution, len(ds.Executions))
-	copy(execs, ds.Executions)
-	sort.Slice(execs, func(i, j int) bool { return execs[i].ID < execs[j].ID })
-	for _, e := range execs {
+	for _, i := range idOrder(ds, allRows(ds)) {
+		e := ds.Executions[i]
 		d.Learn(Source(e), e.Label)
 	}
 	return d, nil

@@ -229,6 +229,20 @@ func TestFitEmptyDepths(t *testing.T) {
 	}
 }
 
+// TestCrossValidateNeedsTwoFolds checks that CrossValidate takes its
+// fold count as given: below 2 it is an error, not Fit's unscored
+// fallback depth, and so is a count above the smallest class.
+func TestCrossValidateNeedsTwoFolds(t *testing.T) {
+	ds := smallDataset(t)
+	cfg := DefaultFitConfig()
+	for _, folds := range []int{-1, 0, 1, 1000} {
+		cfg.InnerFolds = folds
+		if scores, err := CrossValidate(ds, cfg); err == nil {
+			t.Errorf("CrossValidate over %d folds scored %v, want an error", folds, scores)
+		}
+	}
+}
+
 // TestKeyIndexNumbering holds newKeyIndex to a map numbering: two keys
 // share an ID exactly when their buckets and bytes are equal, and IDs
 // count up in order of first appearance. Every node of every execution

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/apps"
@@ -15,38 +14,13 @@ import (
 	"repro/internal/eval"
 )
 
-// TestTrainerFitMatchesFit holds a Trainer's Fit of a subset to Fit of
-// that subset alone: the reports must be deeply equal (DepthScores bit
-// for bit) and the dictionaries must save to the same bytes. The
-// subsets are those the evaluation protocols fit: an outer fold's
-// training set, a set without one input size or one application, the
-// whole dataset, plus one small enough to take the fallback depth and
-// one that keeps the keyless executions of oracleDataset.
+// TestTrainerFitMatchesFit holds a Trainer's Fit of a list of rows to
+// Fit of those rows' subset alone: the reports must be deeply equal
+// (DepthScores bit for bit) and the dictionaries must save to the same
+// bytes. The row lists are those of trainingRows.
 func TestTrainerFitMatchesFit(t *testing.T) {
 	ds := oracleDataset(t)
-	folds, err := ds.KFold(5, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[apps.Label]bool)
-	subsets := []struct {
-		name  string
-		train *dataset.Dataset
-	}{
-		{"outer fold", ds.Subset(folds[2].Train)},
-		{"without input", ds.Subset(folds[0].Train).WithoutInput(apps.InputY)},
-		{"without app", ds.WithoutApp("sp")},
-		{"whole dataset", ds},
-		{"one per label", ds.Filter(func(e *dataset.Execution) bool {
-			if seen[e.Label] {
-				return false
-			}
-			seen[e.Label] = true
-			return true
-		})},
-		{"keyless", ds.Filter(func(e *dataset.Execution) bool { return e.ID < 6 || e.ID%3 == 0 })},
-		{"reordered", ds.Subset(rand.New(rand.NewSource(5)).Perm(ds.Len())[:ds.Len()/2])},
-	}
+	subsets := trainingRows(t, ds)
 	configs := []struct {
 		name string
 		set  func(*FitConfig)
@@ -67,7 +41,7 @@ func TestTrainerFitMatchesFit(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, sub := range subsets {
-				want, wantRep, err := Fit(sub.train, cfg)
+				want, wantRep, err := Fit(ds.Subset(sub.train), cfg)
 				if err != nil {
 					t.Fatalf("%s workers %d %s: Fit: %v", c.name, workers, sub.name, err)
 				}
@@ -85,12 +59,12 @@ func TestTrainerFitMatchesFit(t *testing.T) {
 		}
 	}
 	// The cases above must reach the fallback and keyless executions.
-	if _, rep, _ := Fit(subsets[4].train, DefaultFitConfig()); rep.Folds != 0 {
+	if _, rep, _ := Fit(ds.Subset(subsets[4].train), DefaultFitConfig()); rep.Folds != 0 {
 		t.Errorf("one per label cross-validated over %d folds, want the fallback depth", rep.Folds)
 	}
 	keyless := 0
-	for _, e := range subsets[5].train.Executions {
-		if len(extractRaw(Source(e), oracleMetrics, DefaultFitConfig().Windows, false).fps) == 0 {
+	for _, i := range subsets[5].train {
+		if len(extractRaw(Source(ds.Executions[i]), oracleMetrics, DefaultFitConfig().Windows, false).fps) == 0 {
 			keyless++
 		}
 	}
@@ -99,45 +73,33 @@ func TestTrainerFitMatchesFit(t *testing.T) {
 	}
 }
 
-// TestTrainerFitRejectsForeignExecutions checks that a training set
-// holding an execution outside the trainer's dataset is an error, also
-// when the outsider is a copy with the ID of an execution inside, and
-// so is such a test set for Classify.
-func TestTrainerFitRejectsForeignExecutions(t *testing.T) {
+// TestTrainerRejectsEmptyTrainingSet checks that Fit and Classify of
+// no training rows are errors, as Fit of an empty dataset is.
+func TestTrainerRejectsEmptyTrainingSet(t *testing.T) {
 	ds := smallDataset(t)
-	inside := ds.WithoutApp("ft")
-	tr, err := NewTrainer(inside, DefaultFitConfig())
+	tr, err := NewTrainer(ds, DefaultFitConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	copied := *ds.WithoutApp("ft").Executions[3]
-	for name, foreign := range map[string]*dataset.Dataset{
-		"other app": ds,
-		"copy":      {Windows: ds.Windows, Executions: append(ds.WithoutApp("ft").Executions[:3:3], &copied)},
-	} {
-		if _, _, err := tr.Fit(foreign); err == nil || !strings.Contains(err.Error(), "not in the trainer's dataset") {
-			t.Errorf("%s: Trainer.Fit error = %v, want an execution not in the trainer's dataset", name, err)
+	for _, train := range [][]int{nil, {}} {
+		if _, _, err := tr.Fit(train); err == nil {
+			t.Errorf("Trainer.Fit of training rows %v succeeded", train)
 		}
-		if _, _, err := tr.Classify(inside, foreign); err == nil || !strings.Contains(err.Error(), "test execution") {
-			t.Errorf("%s: Trainer.Classify error = %v, want a test execution not in the trainer's dataset", name, err)
+		if _, _, err := tr.Classify(train, []int{0, 1}); err == nil {
+			t.Errorf("Trainer.Classify with training rows %v succeeded", train)
 		}
-	}
-	if _, _, err := tr.Fit(&dataset.Dataset{}); err == nil {
-		t.Error("Trainer.Fit of an empty training set succeeded")
-	}
-	if _, _, err := tr.Classify(&dataset.Dataset{}, inside); err == nil {
-		t.Error("Trainer.Classify with an empty training set succeeded")
 	}
 }
 
 // TestTrainerClassifyMatchesFit holds a Trainer's Classify to the
-// dictionary path: for each training set of TestTrainerFitMatchesFit
-// and each test set, the pairs must deeply equal those ClassifyWorkers
-// gives for Fit's dictionary, and the report Fit's. The test sets are
-// the complement of the training set, the training set itself, the
-// whole dataset, a set with keyless executions, and a set holding the
-// applications the training set lacks. A second dataset names one
-// application Unknown.
+// dictionary path: for each training row list of trainingRows and each
+// test row list, the pairs must deeply equal those ClassifyWorkers
+// gives for the test rows' subset with Fit's dictionary of the
+// training rows' subset, and the report Fit's. The test rows are the
+// complement of the training rows, the training rows themselves, every
+// row, rows with keyless executions, and rows holding the applications
+// the training rows lack. A second dataset names one application
+// Unknown.
 func TestTrainerClassifyMatchesFit(t *testing.T) {
 	ds := oracleDataset(t)
 	renamed := &dataset.Dataset{Windows: ds.Windows}
@@ -162,21 +124,22 @@ func TestTrainerClassifyMatchesFit(t *testing.T) {
 		name string
 		ds   *dataset.Dataset
 	}{{"oracle", ds}, {"app named unknown", renamed}} {
-		for _, sub := range classifySubsets(t, data.ds) {
-			in := make(map[*dataset.Execution]bool)
+		all := rowsWhere(data.ds, func(*dataset.Execution) bool { return true })
+		for _, sub := range trainingRows(t, data.ds) {
+			in := make(map[int]bool)
 			trainApps := make(map[string]bool)
-			for _, e := range sub.train.Executions {
-				in[e], trainApps[e.Label.App] = true, true
+			for _, i := range sub.train {
+				in[i], trainApps[data.ds.Executions[i].Label.App] = true, true
 			}
 			tests := []struct {
 				name string
-				test *dataset.Dataset
+				test []int
 			}{
-				{"complement", data.ds.Filter(func(e *dataset.Execution) bool { return !in[e] })},
+				{"complement", slices.DeleteFunc(slices.Clone(all), func(i int) bool { return in[i] })},
 				{"train", sub.train},
-				{"whole dataset", data.ds},
-				{"keyless", data.ds.Filter(func(e *dataset.Execution) bool { return e.ID < 6 || e.ID%5 == 0 })},
-				{"absent apps", data.ds.Filter(func(e *dataset.Execution) bool { return !trainApps[e.Label.App] || e.ID%4 == 0 })},
+				{"whole dataset", all},
+				{"keyless", rowsWhere(data.ds, func(e *dataset.Execution) bool { return e.ID < 6 || e.ID%5 == 0 })},
+				{"absent apps", rowsWhere(data.ds, func(e *dataset.Execution) bool { return !trainApps[e.Label.App] || e.ID%4 == 0 })},
 			}
 			for _, c := range configs {
 				for _, workers := range []int{1, 8} {
@@ -188,13 +151,13 @@ func TestTrainerClassifyMatchesFit(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					d, wantRep, err := Fit(sub.train, cfg)
+					d, wantRep, err := Fit(data.ds.Subset(sub.train), cfg)
 					if err != nil {
 						t.Fatalf("%s %s workers %d %s: Fit: %v", data.name, c.name, workers, sub.name, err)
 					}
 					for _, tc := range tests {
 						at := fmt.Sprintf("%s %s workers %d train %s test %s", data.name, c.name, workers, sub.name, tc.name)
-						want := ClassifyWorkers(d, tc.test, workers)
+						want := ClassifyWorkers(d, data.ds.Subset(tc.test), workers)
 						got, rep, err := tr.Classify(sub.train, tc.test)
 						if err != nil {
 							t.Fatalf("%s: Classify: %v", at, err)
@@ -221,11 +184,15 @@ func TestTrainerClassifyMatchesFit(t *testing.T) {
 	}
 }
 
-// classifySubsets returns the training sets of TestTrainerFitMatchesFit
-// over ds.
-func classifySubsets(t *testing.T, ds *dataset.Dataset) []struct {
+// trainingRows returns the training row lists of the Trainer tests
+// over ds, those the evaluation protocols fit: an outer fold's
+// training rows, those rows without one input size, every row without
+// one application, and every row; plus one row per label, few enough
+// to take the fallback depth, rows that keep the keyless executions of
+// oracleDataset, and half the rows in random order.
+func trainingRows(t *testing.T, ds *dataset.Dataset) []struct {
 	name  string
-	train *dataset.Dataset
+	train []int
 } {
 	folds, err := ds.KFold(5, 7)
 	if err != nil {
@@ -234,22 +201,36 @@ func classifySubsets(t *testing.T, ds *dataset.Dataset) []struct {
 	seen := make(map[apps.Label]bool)
 	return []struct {
 		name  string
-		train *dataset.Dataset
+		train []int
 	}{
-		{"outer fold", ds.Subset(folds[2].Train)},
-		{"without input", ds.Subset(folds[0].Train).WithoutInput(apps.InputY)},
-		{"without app", ds.WithoutApp("sp")},
-		{"whole dataset", ds},
-		{"one per label", ds.Filter(func(e *dataset.Execution) bool {
+		{"outer fold", folds[2].Train},
+		{"without input", slices.DeleteFunc(slices.Clone(folds[0].Train), func(i int) bool {
+			return ds.Executions[i].Label.Input == apps.InputY
+		})},
+		{"without app", rowsWhere(ds, func(e *dataset.Execution) bool { return e.Label.App != "sp" })},
+		{"whole dataset", rowsWhere(ds, func(*dataset.Execution) bool { return true })},
+		{"one per label", rowsWhere(ds, func(e *dataset.Execution) bool {
 			if seen[e.Label] {
 				return false
 			}
 			seen[e.Label] = true
 			return true
 		})},
-		{"keyless", ds.Filter(func(e *dataset.Execution) bool { return e.ID < 6 || e.ID%3 == 0 })},
-		{"reordered", ds.Subset(rand.New(rand.NewSource(5)).Perm(ds.Len())[:ds.Len()/2])},
+		{"keyless", rowsWhere(ds, func(e *dataset.Execution) bool { return e.ID < 6 || e.ID%3 == 0 })},
+		{"reordered", rand.New(rand.NewSource(5)).Perm(ds.Len())[:ds.Len()/2]},
 	}
+}
+
+// rowsWhere returns the rows of ds whose executions keep accepts, in
+// order.
+func rowsWhere(ds *dataset.Dataset, keep func(*dataset.Execution) bool) []int {
+	var rows []int
+	for i, e := range ds.Executions {
+		if keep(e) {
+			rows = append(rows, i)
+		}
+	}
+	return rows
 }
 
 // TestGridTallyIsF1Macro holds the grid's integer tally to eval over

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -147,16 +148,36 @@ func (d *Dataset) Len() int { return len(d.Executions) }
 // Labels returns the distinct labels present, in application/input
 // order.
 func (d *Dataset) Labels() []apps.Label {
-	seen := make(map[apps.Label]bool)
-	var out []apps.Label
-	for _, e := range d.Executions {
-		if !seen[e.Label] {
-			seen[e.Label] = true
-			out = append(out, e.Label)
+	_, labels := d.LabelIDs()
+	return labels
+}
+
+// LabelIDs numbers the distinct labels of the executions in
+// apps.SortLabels order: execution i's label is labels[ids[i]].
+func (d *Dataset) LabelIDs() (ids []int32, labels []apps.Label) {
+	num := make(map[apps.Label]int32)
+	ids = make([]int32, len(d.Executions))
+	for i, e := range d.Executions {
+		id, ok := num[e.Label]
+		if !ok {
+			id = int32(len(labels))
+			num[e.Label] = id
+			labels = append(labels, e.Label)
 		}
+		ids[i] = id
 	}
-	apps.SortLabels(out)
-	return out
+	// Renumber the labels, numbered above in order of first
+	// appearance, in label order.
+	sorted := slices.Clone(labels)
+	apps.SortLabels(sorted)
+	renum := make([]int32, len(labels))
+	for id, l := range sorted {
+		renum[num[l]] = int32(id)
+	}
+	for i, id := range ids {
+		ids[i] = renum[id]
+	}
+	return ids, sorted
 }
 
 // Apps returns the distinct application names present, sorted.
@@ -216,28 +237,6 @@ func (d *Dataset) Filter(keep func(*Execution) bool) *Dataset {
 	return out
 }
 
-// WithoutInput returns the subset excluding executions with the given
-// input size.
-func (d *Dataset) WithoutInput(in apps.Input) *Dataset {
-	return d.Filter(func(e *Execution) bool { return e.Label.Input != in })
-}
-
-// OnlyInput returns the subset with exactly the given input size.
-func (d *Dataset) OnlyInput(in apps.Input) *Dataset {
-	return d.Filter(func(e *Execution) bool { return e.Label.Input == in })
-}
-
-// WithoutApp returns the subset excluding executions of the given
-// application.
-func (d *Dataset) WithoutApp(app string) *Dataset {
-	return d.Filter(func(e *Execution) bool { return e.Label.App != app })
-}
-
-// OnlyApp returns the subset with exactly the given application.
-func (d *Dataset) OnlyApp(app string) *Dataset {
-	return d.Filter(func(e *Execution) bool { return e.Label.App == app })
-}
-
 // Subset returns a shallow dataset holding the executions at the given
 // indexes.
 func (d *Dataset) Subset(idx []int) *Dataset {
@@ -254,36 +253,67 @@ type Fold struct {
 	Test  []int
 }
 
-// KFold produces k stratified folds: every label's executions are
-// spread as evenly as possible across the folds, matching
-// scikit-learn's StratifiedKFold with shuffling. It returns an error
-// when k exceeds the size of the smallest class or is less than 2.
+// KFold produces k stratified folds of d's executions: every label's
+// executions are spread as evenly as possible across the folds,
+// matching scikit-learn's StratifiedKFold with shuffling
+// (StratifiedFolds over LabelIDs). It returns an error when k is less
+// than 2 or exceeds the size of the smallest class.
 func (d *Dataset) KFold(k int, seed int64) ([]Fold, error) {
+	ids, labels := d.LabelIDs()
+	return StratifiedFolds(ids, labels, k, seed)
+}
+
+// Stratify groups the positions of ids, label numbers below n, by
+// number with a counting sort, each group in ascending position order,
+// then shuffles the groups in number order from one generator seeded
+// once with seed. Group l is pos[start[l]:start[l+1]]. It is the one
+// stratified shuffle of the module: KFold, the trainer's inner folds
+// and efd.Split draw from it, so one seed splits alike everywhere.
+func Stratify(ids []int32, n int, seed int64) (pos, start []int) {
+	start = make([]int, n+1)
+	for _, id := range ids {
+		start[id+1]++
+	}
+	for l := 1; l <= n; l++ {
+		start[l] += start[l-1]
+	}
+	pos = make([]int, len(ids))
+	for p, id := range ids {
+		pos[start[id]] = p
+		start[id]++
+	}
+	// Placing moved each group's start to the next group's: move them
+	// back.
+	copy(start[1:], start[:n])
+	start[0] = 0
+	rng := rand.New(rand.NewSource(seed))
+	for l := range n {
+		g := pos[start[l]:start[l+1]]
+		rng.Shuffle(len(g), func(i, j int) { g[i], g[j] = g[j], g[i] })
+	}
+	return pos, start
+}
+
+// StratifiedFolds deals the positions of ids, label numbers into labels
+// (as LabelIDs gives them), into k stratified folds: Stratify shuffles
+// each label's positions, and the i-th of them goes to the test set of
+// fold i mod k. Each fold lists its test and training positions in
+// ascending order. It returns an error when k is less than 2 or exceeds
+// the size of a label present in ids, naming the first such label in
+// label order.
+func StratifiedFolds(ids []int32, labels []apps.Label, k int, seed int64) ([]Fold, error) {
 	if k < 2 {
 		return nil, errors.New("dataset: k must be at least 2")
 	}
-	byLabel := make(map[apps.Label][]int)
-	for i, e := range d.Executions {
-		byLabel[e.Label] = append(byLabel[e.Label], i)
-	}
-	for l, idx := range byLabel {
-		if len(idx) < k {
-			return nil, fmt.Errorf("dataset: label %s has %d executions, fewer than k=%d",
-				l, len(idx), k)
+	pos, start := Stratify(ids, len(labels), seed)
+	assign := make([]int, len(ids)) // position -> fold
+	for l, label := range labels {
+		g := pos[start[l]:start[l+1]]
+		if len(g) > 0 && len(g) < k {
+			return nil, fmt.Errorf("dataset: label %s has %d executions, fewer than k=%d", label, len(g), k)
 		}
-	}
-	rng := rand.New(rand.NewSource(seed))
-	assign := make([]int, len(d.Executions)) // execution index -> fold
-	labels := make([]apps.Label, 0, len(byLabel))
-	for l := range byLabel {
-		labels = append(labels, l)
-	}
-	apps.SortLabels(labels)
-	for _, l := range labels {
-		idx := byLabel[l]
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		for pos, i := range idx {
-			assign[i] = pos % k
+		for i, p := range g {
+			assign[p] = i % k
 		}
 	}
 	folds := make([]Fold, k)

@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -143,24 +145,24 @@ func TestWindowMeansPresent(t *testing.T) {
 
 func TestFilters(t *testing.T) {
 	ds := genSmall(t)
-	noX := ds.WithoutInput(apps.InputX)
+	noX := ds.Filter(func(e *Execution) bool { return e.Label.Input != apps.InputX })
 	for _, e := range noX.Executions {
 		if e.Label.Input == apps.InputX {
-			t.Fatal("WithoutInput leaked an X execution")
+			t.Fatal("Filter kept an X execution")
 		}
 	}
-	onlyX := ds.OnlyInput(apps.InputX)
+	onlyX := ds.Filter(func(e *Execution) bool { return e.Label.Input == apps.InputX })
 	if onlyX.Len()+noX.Len() != ds.Len() {
-		t.Error("OnlyInput and WithoutInput should partition the dataset")
+		t.Error("complementary filters should partition the dataset")
 	}
-	noFT := ds.WithoutApp("ft")
-	onlyFT := ds.OnlyApp("ft")
+	noFT := ds.Filter(func(e *Execution) bool { return e.Label.App != "ft" })
+	onlyFT := ds.Filter(func(e *Execution) bool { return e.Label.App == "ft" })
 	if onlyFT.Len() != 18 || noFT.Len() != 42 {
 		t.Errorf("app partition sizes: only=%d without=%d", onlyFT.Len(), noFT.Len())
 	}
 	for _, e := range onlyFT.Executions {
 		if e.Label.App != "ft" {
-			t.Fatal("OnlyApp leaked a non-ft execution")
+			t.Fatal("Filter kept a non-ft execution")
 		}
 	}
 }
@@ -270,6 +272,159 @@ func TestKFoldDeterministicPerSeed(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// referenceKFold is KFold as it was before the folds came from
+// Stratify: labels grouped by a map grown by append, sorted, and each
+// group shuffled in label order. TestKFoldMatchesReference holds KFold
+// to it.
+func referenceKFold(d *Dataset, k int, seed int64) ([]Fold, error) {
+	if k < 2 {
+		return nil, errors.New("dataset: k must be at least 2")
+	}
+	byLabel := make(map[apps.Label][]int)
+	for i, e := range d.Executions {
+		byLabel[e.Label] = append(byLabel[e.Label], i)
+	}
+	for l, idx := range byLabel {
+		if len(idx) < k {
+			return nil, fmt.Errorf("dataset: label %s has %d executions, fewer than k=%d",
+				l, len(idx), k)
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	assign := make([]int, len(d.Executions)) // execution index -> fold
+	labels := make([]apps.Label, 0, len(byLabel))
+	for l := range byLabel {
+		labels = append(labels, l)
+	}
+	apps.SortLabels(labels)
+	for _, l := range labels {
+		idx := byLabel[l]
+		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+		for pos, i := range idx {
+			assign[i] = pos % k
+		}
+	}
+	folds := make([]Fold, k)
+	if len(assign) == 0 {
+		return folds, nil
+	}
+	size := make([]int, k)
+	for _, f := range assign {
+		size[f]++
+	}
+	for f := range folds {
+		folds[f] = Fold{Train: make([]int, 0, len(assign)-size[f]), Test: make([]int, 0, size[f])}
+	}
+	for i, f := range assign {
+		for fold := range folds {
+			if fold == f {
+				folds[fold].Test = append(folds[fold].Test, i)
+			} else {
+				folds[fold].Train = append(folds[fold].Train, i)
+			}
+		}
+	}
+	return folds, nil
+}
+
+// randomLabels returns a dataset of n executions whose labels are drawn
+// from up to apps × inputs labels, in random order, with no stats: the
+// shape alone decides the folds.
+func randomLabels(rng *rand.Rand, n int) *Dataset {
+	names := []string{"ft", "mg", "sp", "bt", "miniAMR"}[:1+rng.Intn(5)]
+	inputs := apps.AllInputs[:1+rng.Intn(len(apps.AllInputs))]
+	ds := &Dataset{}
+	for i := range n {
+		ds.Executions = append(ds.Executions, &Execution{ID: i, Label: apps.Label{
+			App: names[rng.Intn(len(names))], Input: inputs[rng.Intn(len(inputs))],
+		}})
+	}
+	return ds
+}
+
+// TestKFoldMatchesReference holds KFold to referenceKFold over random
+// dataset shapes, seeds and fold counts: empty sets, one label, k below
+// 2 and k above the smallest class. The folds must be deeply equal, and
+// so must the errors, except that a KFold error names the first label
+// in label order that is too small, where the reference named any.
+func TestKFoldMatchesReference(t *testing.T) {
+	reached := make(map[string]bool)
+	for c := range 3000 {
+		rng := rand.New(rand.NewSource(int64(c)))
+		ds := randomLabels(rng, rng.Intn(40))
+		k, seed := rng.Intn(7), rng.Int63()
+		got, err := ds.KFold(k, seed)
+		want, wantErr := referenceKFold(ds, k, seed)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("case %d: KFold error %v, reference %v", c, err, wantErr)
+		}
+		_, labels := ds.LabelIDs()
+		switch {
+		case ds.Len() == 0:
+			reached["empty"] = true
+		case len(labels) == 1:
+			reached["one label"] = true
+		}
+		if err != nil {
+			if k < 2 {
+				reached["k below 2"] = true
+			} else {
+				reached["k above smallest class"] = true
+			}
+			if want := firstTooSmall(ds, labels, k, wantErr); err.Error() != want {
+				t.Fatalf("case %d: KFold error %q, want %q", c, err, want)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("case %d: k=%d seed %d over %d executions: folds %v, reference %v", c, k, seed, ds.Len(), got, want)
+		}
+	}
+	for _, r := range []string{"empty", "one label", "k below 2", "k above smallest class"} {
+		if !reached[r] {
+			t.Errorf("no case reached %s", r)
+		}
+	}
+}
+
+// firstTooSmall returns the error KFold should give for k over ds, whose
+// labels in label order are labels, where the reference gave refErr:
+// the reference's message when k is below 2, and otherwise that of the
+// first label with fewer than k executions.
+func firstTooSmall(ds *Dataset, labels []apps.Label, k int, refErr error) string {
+	if k < 2 {
+		return refErr.Error()
+	}
+	count := make(map[apps.Label]int)
+	for _, e := range ds.Executions {
+		count[e.Label]++
+	}
+	for _, l := range labels {
+		if count[l] < k {
+			return fmt.Sprintf("dataset: label %s has %d executions, fewer than k=%d", l, count[l], k)
+		}
+	}
+	return ""
+}
+
+// TestKFoldErrorIsStable checks that KFold names the same label on
+// every call when several labels are smaller than k.
+func TestKFoldErrorIsStable(t *testing.T) {
+	ds := &Dataset{}
+	for i, app := range []string{"ft", "ft", "mg", "mg", "sp", "sp", "bt", "bt", "bt"} {
+		ds.Executions = append(ds.Executions, &Execution{ID: i, Label: apps.Label{App: app, Input: apps.InputX}})
+	}
+	_, first := ds.KFold(3, 1)
+	if first == nil {
+		t.Fatal("KFold(3) over labels of 2 executions succeeded")
+	}
+	for i := range 200 {
+		if _, err := ds.KFold(3, 1); err == nil || err.Error() != first.Error() {
+			t.Fatalf("call %d: KFold error %v, first call %v", i, err, first)
+		}
 	}
 }
 

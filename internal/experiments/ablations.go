@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/eval"
 	"repro/internal/telemetry"
 )
@@ -44,7 +43,7 @@ func (h *Harness) intervalAblation(windows []telemetry.Window, fitFor fitterFor)
 		if err != nil {
 			return nil, err
 		}
-		folds, err := foldRun(h, func(train, test *dataset.Dataset) ([]eval.Pair, error) {
+		folds, err := foldRun(h, func(train, test []int) ([]eval.Pair, error) {
 			pairs, _, err := fit.Classify(train, test)
 			return pairs, err
 		})
@@ -90,15 +89,17 @@ func (h *Harness) votingAblation(fitFor fitterFor) (allNodes, singleNode float64
 	// One fold's recognitions through all nodes and through node 0
 	// alone.
 	type votes struct{ all, single []eval.Pair }
-	folds, err := foldRun(h, func(train, test *dataset.Dataset) (votes, error) {
+	folds, err := foldRun(h, func(train, test []int) (votes, error) {
 		d, _, err := fit.Fit(train)
 		if err != nil {
 			return votes{}, err
 		}
-		v := votes{all: core.ClassifyWorkers(d, test, h.Fit.Workers), single: make([]eval.Pair, test.Len())}
-		for i, e := range test.Executions {
-			res := d.Recognize(singleNodeSource{src: core.Source(e), node: 0})
-			v.single[i] = eval.Pair{Truth: e.Label.App, Pred: res.Top()}
+		v := votes{all: make([]eval.Pair, len(test)), single: make([]eval.Pair, len(test))}
+		rec := d.NewRecognizer()
+		for j, i := range test {
+			e := h.DS.Executions[i]
+			v.all[j] = eval.Pair{Truth: e.Label.App, Pred: rec.Recognize(core.Source(e)).Top()}
+			v.single[j] = eval.Pair{Truth: e.Label.App, Pred: rec.Recognize(singleNodeSource{src: core.Source(e), node: 0}).Top()}
 		}
 		return v, nil
 	})

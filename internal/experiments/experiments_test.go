@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -160,6 +162,35 @@ func TestTaxonomistIntegration(t *testing.T) {
 	}
 	if s.Taxonomist < 0.9 {
 		t.Errorf("Taxonomist normal fold = %v, want >= 0.9", s.Taxonomist)
+	}
+}
+
+// TestTaxonomistConcurrentFolds runs the baseline's NormalFold with
+// its outer folds on GOMAXPROCS workers, then on one, all of them
+// sharing one unsorted list of Taxonomist metrics: the scores must be
+// equal and the list unchanged (make race-pool runs it under -race,
+// where a fold that sorted the shared list would race the others).
+func TestTaxonomistConcurrentFolds(t *testing.T) {
+	metrics := []string{apps.HeadlineMetric, "PI_PKTS_metric_set_nic", "Committed_AS_meminfo", "MemTotal_meminfo"}
+	var scores []Score
+	for _, workers := range []int{0, 1} {
+		h := testHarness(t)
+		h.Workers = workers
+		h.Taxo = &TaxoConfig{
+			Features: taxonomist.FeatureConfig{Metrics: metrics},
+			Forest:   taxonomist.ForestConfig{Trees: 5, Seed: 3},
+		}
+		s, err := h.NormalFold()
+		if err != nil {
+			t.Fatal(err)
+		}
+		scores = append(scores, s)
+	}
+	if want := []string{apps.HeadlineMetric, "PI_PKTS_metric_set_nic", "Committed_AS_meminfo", "MemTotal_meminfo"}; !slices.Equal(metrics, want) {
+		t.Errorf("the folds reordered the shared metrics to %v", metrics)
+	}
+	if !reflect.DeepEqual(scores[0], scores[1]) {
+		t.Errorf("NormalFold with the baseline scored %+v on GOMAXPROCS workers, %+v on one", scores[0], scores[1])
 	}
 }
 

@@ -20,8 +20,9 @@ import (
 
 // Harness runs the evaluation protocols over one dataset. Each protocol
 // call builds one core.Trainer per fingerprint configuration, which
-// renders every execution's keys once. Every outer fold chooses its
-// depth from that rendering and recognizes its test set through the
+// renders every execution's keys once. Every outer fold hands the
+// trainer its rows, as dataset.KFold lists them: the fold chooses its
+// depth from that rendering and recognizes its test rows through the
 // trainer's grid (core.Trainer.Classify), with no per-fold Dictionary
 // or Recognizer; the trainer is dropped when the call returns. Every
 // protocol's folds (the outer folds, or one split per held-out value in
@@ -91,13 +92,13 @@ func (s Score) String() string {
 	return fmt.Sprintf("%-14s EFD=%.3f", s.Protocol, s.EFD)
 }
 
-// fitter trains on subsets of the dataset it was built for: Fit learns
-// a training subset's dictionary, and Classify pairs each execution of
-// a test subset with what that dictionary recognizes it as, and returns
-// the Fit report.
+// fitter trains on subsets of the dataset it was built for, each given
+// as a list of rows of that dataset: Fit learns the training rows'
+// dictionary, and Classify pairs each test row's execution with what
+// that dictionary recognizes it as, and returns the Fit report.
 type fitter interface {
-	Fit(train *dataset.Dataset) (*core.Dictionary, core.FitReport, error)
-	Classify(train, test *dataset.Dataset) ([]eval.Pair, core.FitReport, error)
+	Fit(train []int) (*core.Dictionary, core.FitReport, error)
+	Classify(train, test []int) ([]eval.Pair, core.FitReport, error)
 }
 
 // fitterFor builds the fitter a protocol call trains its folds with:
@@ -106,38 +107,38 @@ type fitterFor func(ds *dataset.Dataset, cfg core.FitConfig) (fitter, error)
 
 // trainer is the fitterFor of every protocol: a core.Trainer renders
 // each execution's keys once, and every fold chooses its depth and
-// recognizes its test set from that rendering, through the trainer's
+// recognizes its test rows from that rendering, through the trainer's
 // grid. It lives for one protocol call.
 func trainer(ds *dataset.Dataset, cfg core.FitConfig) (fitter, error) {
 	return core.NewTrainer(ds, cfg)
 }
 
-// efdPairs recognizes test with what train teaches, through
-// f.Classify (a core.Trainer's builds no dictionary), mapping the truth
-// of executions whose application is in unknownApps to "unknown" (they
-// should NOT be recognized).
-func efdPairs(f fitter, train, test *dataset.Dataset, unknownApps map[string]bool) ([]eval.Pair, error) {
+// efdPairs recognizes the test rows with what the training rows teach,
+// through f.Classify (a core.Trainer's builds no dictionary), mapping
+// the truths in unknownApps to "unknown" (those executions should NOT
+// be recognized).
+func efdPairs(f fitter, train, test []int, unknownApps map[string]bool) ([]eval.Pair, error) {
 	pairs, _, err := f.Classify(train, test)
 	if err != nil {
 		return nil, err
 	}
-	for i, e := range test.Executions {
-		if unknownApps[e.Label.App] {
+	for i, p := range pairs {
+		if unknownApps[p.Truth] {
 			pairs[i].Truth = core.Unknown
 		}
 	}
 	return pairs, nil
 }
 
-// taxoPairs trains the baseline on train and classifies test at node
-// granularity (Taxonomist's setting), mapping unknown-app truths like
-// efdPairs.
-func (h *Harness) taxoPairs(train, test *dataset.Dataset, unknownApps map[string]bool) ([]eval.Pair, error) {
-	trainFV, _, err := taxonomist.Extract(train, h.Taxo.Features)
+// taxoPairs trains the baseline on the training rows of the harness
+// dataset and classifies the test rows at node granularity
+// (Taxonomist's setting), mapping unknown-app truths like efdPairs.
+func (h *Harness) taxoPairs(train, test []int, unknownApps map[string]bool) ([]eval.Pair, error) {
+	trainFV, _, err := taxonomist.Extract(h.DS.Subset(train), h.Taxo.Features)
 	if err != nil {
 		return nil, err
 	}
-	testFV, _, err := taxonomist.Extract(test, h.Taxo.Features)
+	testFV, _, err := taxonomist.Extract(h.DS.Subset(test), h.Taxo.Features)
 	if err != nil {
 		return nil, err
 	}
@@ -185,19 +186,18 @@ func mergeFolds(folds []foldPairs) foldPairs {
 }
 
 // foldRun is the only loop over the outer folds: it calls fn once per
-// fold of the harness dataset with the fold's train and test subsets,
+// fold of the harness dataset with the fold's training and test rows,
 // on the harness worker pool, and returns the per-fold results in fold
 // order, the same sequence a sequential loop would have produced. Every
-// fold runs; the error is the lowest failing fold's. The subsets share
-// the harness dataset's executions, so concurrent folds can train from
-// one trainer.
-func foldRun[T any](h *Harness, fn func(train, test *dataset.Dataset) (T, error)) ([]T, error) {
+// fold runs; the error is the lowest failing fold's. The rows index the
+// harness dataset, so concurrent folds can train from one trainer.
+func foldRun[T any](h *Harness, fn func(train, test []int) (T, error)) ([]T, error) {
 	folds, err := h.DS.KFold(h.Folds, h.Seed)
 	if err != nil {
 		return nil, err
 	}
 	return par.Map(len(folds), h.Workers, func(i int) (T, error) {
-		return fn(h.DS.Subset(folds[i].Train), h.DS.Subset(folds[i].Test))
+		return fn(folds[i].Train, folds[i].Test)
 	})
 }
 
@@ -226,14 +226,27 @@ func sortedKeys(m map[string]float64) []string {
 }
 
 // heldOut is one value a per-dimension protocol holds out of learning:
-// an input size, or an application. without and only narrow a set to
-// the executions without the value and to those with it. unknown names
-// the applications whose truths become Unknown: the held-out one, and
-// none for an input size.
+// an input size, or an application. has reports whether an execution
+// has the value. unknown names the applications whose truths become
+// Unknown: the held-out one, and none for an input size.
 type heldOut struct {
-	name          string
-	without, only func(*dataset.Dataset) *dataset.Dataset
-	unknown       map[string]bool
+	name    string
+	has     func(*dataset.Execution) bool
+	unknown map[string]bool
+}
+
+// split divides rows of ds into those whose executions lack v and
+// those that have it, each in the order of rows.
+func (v heldOut) split(ds *dataset.Dataset, rows []int) (without, with []int) {
+	without = make([]int, 0, len(rows))
+	for _, i := range rows {
+		if v.has(ds.Executions[i]) {
+			with = append(with, i)
+		} else {
+			without = append(without, i)
+		}
+	}
+	return without, with
 }
 
 // heldInputs lists the input sizes present in the dataset, in size
@@ -242,9 +255,8 @@ func (h *Harness) heldInputs() []heldOut {
 	var out []heldOut
 	for _, in := range h.DS.Inputs() {
 		out = append(out, heldOut{
-			name:    string(in),
-			without: func(ds *dataset.Dataset) *dataset.Dataset { return ds.WithoutInput(in) },
-			only:    func(ds *dataset.Dataset) *dataset.Dataset { return ds.OnlyInput(in) },
+			name: string(in),
+			has:  func(e *dataset.Execution) bool { return e.Label.Input == in },
 		})
 	}
 	return out
@@ -257,8 +269,7 @@ func (h *Harness) heldApps() []heldOut {
 	for _, app := range h.DS.Apps() {
 		out = append(out, heldOut{
 			name:    app,
-			without: func(ds *dataset.Dataset) *dataset.Dataset { return ds.WithoutApp(app) },
-			only:    func(ds *dataset.Dataset) *dataset.Dataset { return ds.OnlyApp(app) },
+			has:     func(e *dataset.Execution) bool { return e.Label.App == app },
 			unknown: map[string]bool{app: true},
 		})
 	}

@@ -11,25 +11,30 @@ import (
 )
 
 // perFoldFit is the reference fold loop: every outer fold fits its
-// training set alone, core.Fit(train, cfg), rendering that set's keys
-// again, and Classify recognizes the test set with the fitted
-// dictionary (core.ClassifyWorkers). The oracle holds the shared
-// rendering and the trainer's grid to it.
-type perFoldFit core.FitConfig
-
-func (cfg perFoldFit) Fit(train *dataset.Dataset) (*core.Dictionary, core.FitReport, error) {
-	return core.Fit(train, core.FitConfig(cfg))
+// training subset alone, core.Fit(ds.Subset(train), cfg), rendering
+// that set's keys again, and Classify recognizes the test subset with
+// the fitted dictionary (core.ClassifyWorkers). The oracle holds the
+// shared rendering and the trainer's grid to it.
+type perFoldFit struct {
+	ds  *dataset.Dataset
+	cfg core.FitConfig
 }
 
-func (cfg perFoldFit) Classify(train, test *dataset.Dataset) ([]eval.Pair, core.FitReport, error) {
-	d, rep, err := cfg.Fit(train)
+func (p perFoldFit) Fit(train []int) (*core.Dictionary, core.FitReport, error) {
+	return core.Fit(p.ds.Subset(train), p.cfg)
+}
+
+func (p perFoldFit) Classify(train, test []int) ([]eval.Pair, core.FitReport, error) {
+	d, rep, err := p.Fit(train)
 	if err != nil {
 		return nil, core.FitReport{}, err
 	}
-	return core.ClassifyWorkers(d, test, cfg.Workers), rep, nil
+	return core.ClassifyWorkers(d, p.ds.Subset(test), p.cfg.Workers), rep, nil
 }
 
-func perFold(_ *dataset.Dataset, cfg core.FitConfig) (fitter, error) { return perFoldFit(cfg), nil }
+func perFold(ds *dataset.Dataset, cfg core.FitConfig) (fitter, error) {
+	return perFoldFit{ds, cfg}, nil
+}
 
 // TestProtocolsMatchPerFoldOracle runs every protocol and ablation that
 // fits per outer fold twice, fitting from one core.Trainer per call and
@@ -93,7 +98,10 @@ func TestProtocolsMatchPerFoldOracle(t *testing.T) {
 // folds fit from its shared rendering, made it 8,364. Recognizing each
 // outer fold through the trainer's grid (core.Trainer.Classify), with
 // no per-fold Dictionary or Recognizer, and sizing dataset.KFold's
-// slices once make it 1,671.
+// slices once made it 1,671. Handing the trainer each fold's rows, with
+// no Subset per fold and no copy of the key index per grid, and
+// stratifying every split by a counting sort over label numbers make
+// it 956.
 func TestNormalFoldAllocs(t *testing.T) {
 	h := testHarness(t)
 	h.Workers, h.Fit.Workers = 1, 1
@@ -102,7 +110,7 @@ func TestNormalFoldAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if limit := 1671.0; allocs > limit {
+	if limit := 956.0; allocs > limit {
 		t.Errorf("NormalFold allocates %.0f times, want at most %.0f (does each fold render its keys again, or build a dictionary?)", allocs, limit)
 	}
 }

@@ -4,14 +4,13 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/dataset"
 	"repro/internal/eval"
 	"repro/internal/par"
 )
 
-// protocolFold evaluates one fold for a protocol: EFD pairs, trained
-// through f, always; baseline pairs when configured.
-func (h *Harness) protocolFold(f fitter, train, test *dataset.Dataset, unknownApps map[string]bool) (foldPairs, error) {
+// protocolFold evaluates one fold's rows for a protocol: EFD pairs,
+// trained through f, always; baseline pairs when configured.
+func (h *Harness) protocolFold(f fitter, train, test []int, unknownApps map[string]bool) (foldPairs, error) {
 	var fp foldPairs
 	p, err := efdPairs(f, train, test, unknownApps)
 	if err != nil {
@@ -38,7 +37,7 @@ func (h *Harness) normalFold(fitFor fitterFor) (Score, error) {
 	if err != nil {
 		return s, err
 	}
-	folds, err := foldRun(h, func(train, test *dataset.Dataset) (foldPairs, error) {
+	folds, err := foldRun(h, func(train, test []int) (foldPairs, error) {
 		return h.protocolFold(f, train, test, nil)
 	})
 	if err != nil {
@@ -90,8 +89,9 @@ func (h *Harness) soft(protocol string, held []heldOut, fitFor fitterFor) (Score
 	}
 	dims := make([]foldPairs, len(held))
 	for i, v := range held {
-		folds, err := foldRun(h, func(train, test *dataset.Dataset) (foldPairs, error) {
-			return h.protocolFold(f, v.without(train), test, v.unknown)
+		folds, err := foldRun(h, func(train, test []int) (foldPairs, error) {
+			without, _ := v.split(h.DS, train)
+			return h.protocolFold(f, without, test, v.unknown)
 		})
 		if err != nil {
 			return s, err
@@ -143,10 +143,14 @@ func (h *Harness) hard(protocol string, held []heldOut, fitFor fitterFor) (Score
 	if err != nil {
 		return s, err
 	}
+	all := make([]int, h.DS.Len())
+	for i := range all {
+		all[i] = i
+	}
 	dims, err := par.Map(len(held), h.Workers, func(i int) ([]eval.Pair, error) {
 		v := held[i]
-		train, test := v.without(h.DS), v.only(h.DS)
-		if train.Len() == 0 || test.Len() == 0 {
+		train, test := v.split(h.DS, all)
+		if len(train) == 0 || len(test) == 0 {
 			return nil, fmt.Errorf("experiments: %s %s yields an empty split", protocol, v.name)
 		}
 		return efdPairs(f, train, test, v.unknown)

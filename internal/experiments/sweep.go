@@ -45,7 +45,7 @@ func (h *Harness) metricSweep(metrics []string, fitFor fitterFor) ([]MetricScore
 			pairs []eval.Pair
 			depth int
 		}
-		folds, err := foldRun(h, func(train, test *dataset.Dataset) (fold, error) {
+		folds, err := foldRun(h, func(train, test []int) (fold, error) {
 			pairs, rep, err := fit.Classify(train, test)
 			return fold{pairs, rep.BestDepth}, err
 		})

@@ -13,7 +13,7 @@ package taxonomist
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/dataset"
 )
@@ -53,13 +53,14 @@ func FeatureNamesFor(metrics []string) []string {
 
 // Extract converts a dataset into per-node feature vectors. Every node
 // of every execution becomes one example, matching Taxonomist's
-// node-granular classification.
+// node-granular classification. It sorts a copy of cfg.Metrics, never
+// the caller's slice, so concurrent calls may share one cfg.
 func Extract(ds *dataset.Dataset, cfg FeatureConfig) ([]FeatureVector, []string, error) {
-	metrics := cfg.Metrics
+	metrics := slices.Clone(cfg.Metrics)
 	if metrics == nil {
 		metrics = ds.Metrics()
 	}
-	sort.Strings(metrics)
+	slices.Sort(metrics)
 	var out []FeatureVector
 	for _, e := range ds.Executions {
 		for node := 0; node < e.NumNodes; node++ {

@@ -317,6 +317,32 @@ func TestExtractErrorsOnMissingMetric(t *testing.T) {
 	}
 }
 
+// TestExtractLeavesMetricsUnsorted checks that Extract sorts a copy
+// of the configured metrics: the caller's slice, which concurrent folds
+// share, comes back as it went in, and the features are those of the
+// sorted list.
+func TestExtractLeavesMetricsUnsorted(t *testing.T) {
+	cfg := dataset.DefaultGenConfig()
+	cfg.Apps = []string{"ft"}
+	cfg.Repeats = 2
+	cfg.Cluster.Metrics = []string{apps.HeadlineMetric, "Committed_AS_meminfo", "Active_meminfo"}
+	ds, err := dataset.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics := []string{apps.HeadlineMetric, "Committed_AS_meminfo", "Active_meminfo"}
+	_, names, err := Extract(ds, FeatureConfig{Metrics: metrics})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{apps.HeadlineMetric, "Committed_AS_meminfo", "Active_meminfo"}; !reflect.DeepEqual(metrics, want) {
+		t.Errorf("Extract reordered the caller's metrics to %v", metrics)
+	}
+	if want := FeatureNamesFor([]string{"Active_meminfo", "Committed_AS_meminfo", apps.HeadlineMetric}); !reflect.DeepEqual(names, want) {
+		t.Errorf("feature names %v, want those of the sorted metrics %v", names, want)
+	}
+}
+
 func TestFeatureNamesFor(t *testing.T) {
 	names := FeatureNamesFor([]string{"m1", "m2"})
 	if len(names) != 22 {
