@@ -153,7 +153,9 @@ func (d *Dataset) Labels() []apps.Label {
 }
 
 // LabelIDs numbers the distinct labels of the executions in
-// apps.SortLabels order: execution i's label is labels[ids[i]].
+// apps.SortLabels order: execution i's label is labels[ids[i]]. The
+// numbering depends only on the executions, in order, so labels that
+// apps.SortLabels ranks equal are numbered alike on every call.
 func (d *Dataset) LabelIDs() (ids []int32, labels []apps.Label) {
 	num := make(map[apps.Label]int32)
 	ids = make([]int32, len(d.Executions))

@@ -428,6 +428,27 @@ func TestKFoldErrorIsStable(t *testing.T) {
 	}
 }
 
+// TestKFoldStableOnUnrankedInputs checks that KFold returns the same
+// folds on every call when apps.SortLabels ranks labels equal: inputs
+// outside the known sizes, which LoadCSV accepts, all rank alike, and
+// the order of such labels must not come from map iteration.
+func TestKFoldStableOnUnrankedInputs(t *testing.T) {
+	ds := &Dataset{}
+	for i := range 12 {
+		in := apps.Input([]string{"small", "large", "huge"}[i%3])
+		ds.Executions = append(ds.Executions, &Execution{ID: i, Label: apps.Label{App: "ft", Input: in}})
+	}
+	first, err := ds.KFold(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 200 {
+		if folds, err := ds.KFold(2, 1); err != nil || !reflect.DeepEqual(folds, first) {
+			t.Fatalf("call %d: folds %v (error %v), first call %v", i, folds, err, first)
+		}
+	}
+}
+
 func TestSubset(t *testing.T) {
 	ds := genSmall(t)
 	sub := ds.Subset([]int{0, 5, 9})
