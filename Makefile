@@ -13,9 +13,10 @@
 #   make test      - build + tests only (the original tier-1 command)
 #   make test-race - build + tests under -race
 #   make race-pool - the worker-pool concurrency pins (the protocol
-#                    oracle, the Taxonomist baseline's concurrent outer
-#                    folds, parallel dataset generation and forest
-#                    training, batch prediction and par.Map's contract)
+#                    oracle, the ablation golden, the Taxonomist
+#                    baseline's concurrent outer folds, parallel dataset
+#                    generation and forest training, batch prediction
+#                    and par.Map's contract)
 #                    under -race at GOMAXPROCS=4 (also part of check): a
 #                    pool asked for 0 workers sizes itself to GOMAXPROCS,
 #                    so on a 1-CPU runner test-race runs every "parallel"
@@ -105,7 +106,7 @@ test-race:
 # the other folds read (TestTaxonomistConcurrentFolds).
 race-pool:
 	GORACE=history_size=2 GOMAXPROCS=4 $(GO) test -race -count=1 \
-		-run '^(TestProtocolsMatchPerFoldOracle|TestTaxonomistConcurrentFolds|TestGenerateParallelMatchesSequential|TestForestDeterministicAcrossParallelism|TestPredictBatchMatchesPredict|TestMapContract)$$' \
+		-run '^(TestProtocolsMatchPerFoldOracle|TestAblationsGolden|TestTaxonomistConcurrentFolds|TestGenerateParallelMatchesSequential|TestForestDeterministicAcrossParallelism|TestPredictBatchMatchesPredict|TestMapContract)$$' \
 		./internal/experiments ./internal/dataset ./internal/taxonomist ./internal/par
 
 vet:

@@ -9,10 +9,11 @@
 // the internal/core package comment), and training scores its
 // cross-validation grid from one key index per candidate rounding
 // depth, on a worker pool over depths, with byte-identical results at
-// any worker count. An evaluation protocol renders those indexes once
-// per call and recognizes every outer fold's test rows through the same
-// grid, reading the indexes through the fold's row lists, with no
-// per-fold dictionary (core.Trainer.Classify). The
+// any worker count. Every evaluation protocol and ablation renders
+// those indexes once per call and recognizes every outer fold's test
+// rows through the same grid, reading the indexes through the fold's
+// row lists, building no Dictionary or Recognizer
+// (core.Trainer.Classify). The
 // HTTP monitoring service (internal/server, cmd/efdd) shards its job
 // table and serves concurrent ingest and recognition against a shared
 // dictionary (core.SharedDictionary: parallel readers, exclusive

@@ -26,9 +26,9 @@
 // cross-validates the rounding depth from one key index per candidate
 // depth, on a worker pool over depths (TrainConfig.Workers;
 // 0 = GOMAXPROCS), with results byte-identical at any worker count.
-// The Harness protocols render those indexes once per call and
-// recognize every outer fold's test set through the same grid, with no
-// per-fold dictionary.
+// The Harness protocols and ablations render those indexes once per
+// call and recognize every outer fold's test set through the same
+// grid, building no Dictionary or Recognizer.
 // Dictionary.Recognize is the convenience form for one-off calls;
 // batch and service callers should hold a Recognizer (one per
 // goroutine).

@@ -36,24 +36,24 @@
 // scratch so its Result is independently owned. Training (a Trainer)
 // extracts raw window means once per execution of a dataset, and each
 // candidate depth renders every execution's keys once into one key
-// index, which numbers the distinct keys. A Fit of any subset of that
-// dataset, given as a list of rows, reads each index through the rows;
-// its depth×fold cross-validation grid builds no dictionary per cell,
-// but records per key one producer per application, holding the lowest
-// and highest fold of the rows that produced it, scores every fold
-// from the index, and counts the outcomes per application in integers,
-// each class's F1 from eval.ClassScores. Neither the numbering nor the
-// producer order needs a string per key or a comparison sort. A worker
-// pool runs over the depths, with deterministic assembly; Fit's final
-// dictionary learns the keys the chosen depth's index already holds.
-// Trainer.Classify chooses the depth the same way, then recognizes test
-// rows of the same dataset through one grid at that depth, in which the
-// training rows only produce keys and the test rows are the one fold
-// tested. So the outer
-// folds of an evaluation render each key once and build no Dictionary
-// or Recognizer, and Fit, a Trainer fitting its whole training set,
-// renders no key twice. Rendering a key is one decimal conversion
-// (stats.AppendRoundedKey).
+// index, which numbers the distinct keys. The depth selection for any
+// subset of that dataset, given as a list of rows, reads each index
+// through the rows; its depth×fold cross-validation grid builds no
+// dictionary per cell, but records per key one producer per
+// application, holding the lowest and highest fold of the rows that
+// produced it, scores every fold from the index, and counts the
+// outcomes per application in integers, each class's F1 from
+// eval.ClassScores. Neither the numbering nor the producer order needs
+// a string per key or a comparison sort. A worker pool runs over the
+// depths, with deterministic assembly. Trainer.Classify then recognizes
+// test rows of the same dataset through one grid at the chosen depth,
+// in which the training rows only produce keys and the test rows are
+// the one fold tested. So the outer folds of an evaluation render each
+// key once and build no Dictionary or Recognizer. Fit is a Trainer's
+// depth selection over every row of its training set, and its
+// dictionary learns the keys the chosen depth's index already holds,
+// so it renders no key twice. Rendering a key is one decimal
+// conversion (stats.AppendRoundedKey).
 package core
 
 import (

@@ -47,9 +47,9 @@ type FitConfig struct {
 	// Seed drives the internal fold shuffling.
 	Seed int64
 	// Workers bounds the worker pool over candidate depths (each
-	// depth renders one key index over the dataset, and each Fit
-	// scores every inner fold from that index, read through its
-	// training rows) and over the one-time extraction of raw window
+	// depth renders one key index over the dataset, and each depth
+	// selection scores every inner fold from that index, read through
+	// its training rows) and over the one-time extraction of raw window
 	// means: 0 means GOMAXPROCS, 1 runs sequentially. The selected
 	// depth, the report, and the resulting dictionary are
 	// byte-identical at every worker count — parallelism only changes
@@ -95,20 +95,11 @@ type rawExec struct {
 	means []float64
 }
 
-// extractRaw walks the source once in extraction order and records every
-// available raw window mean.
-func extractRaw(src WindowSource, metrics []string, windows []telemetry.Window, joint bool) rawExec {
-	// Room for every window mean, so the walk never grows the slices.
-	n := src.NodeCount() * len(windows) * len(metrics)
-	re := rawExec{fps: make([]rawFP, 0, n), means: make([]float64, 0, n)}
-	extractRawInto(&re, src, metrics, windows, joint)
-	return re
-}
-
-// extractRawInto is extractRaw with reused buffers. It is the single
-// extraction walk of the package: Learn, the Recognizer, and the Fit
-// grid all consume its output, so iteration order — and therefore learning/tie-break order
-// — cannot drift between paths.
+// extractRawInto walks the source once in extraction order and records
+// every available raw window mean in re, reusing its buffers. It is the
+// single extraction walk of the package: Learn, the Recognizer, and the
+// Trainer's grid all consume its output, so iteration order — and
+// therefore learning/tie-break order — cannot drift between paths.
 func extractRawInto(re *rawExec, src WindowSource, metrics []string, windows []telemetry.Window, joint bool) {
 	re.fps = re.fps[:0]
 	re.means = re.means[:0]
@@ -195,66 +186,70 @@ func (d *Dictionary) learnRaw(re rawExec, label apps.Label, ks *keySet) {
 // building the final dictionary at the chosen depth over all training
 // executions.
 //
-// Fit is a Trainer over the training set fitting all of its rows. Each
+// Fit builds a Trainer over the training set and chooses the depth over
+// every row, as Trainer.Classify chooses it over a subset's rows. Each
 // execution's raw window means are extracted once. Each candidate depth
 // renders every execution's keys once into a key index, on a worker
 // pool over depths (FitConfig.Workers); the cross-validation scores
 // every fold from those indexes, and the final dictionary learns the
 // keys the chosen depth's index already holds, so no key is rendered
-// twice. A training set too small to cross-validate renders its
-// fallback depth alone. The report, the scores and the dictionary equal
-// those of one Dictionary and Recognizer per (depth, fold) cell, and
-// are byte-identical at every worker count. To fit several subsets of
-// one dataset, build one Trainer and call its Fit with each subset's
-// rows; to recognize test rows with what a subset would learn, call its
-// Classify, which builds no dictionary.
+// twice. The report, the scores and the dictionary equal those of one
+// Dictionary and Recognizer per (depth, fold) cell, and are
+// byte-identical at every worker count. To recognize test rows of one
+// dataset with what several of its subsets would learn, build one
+// Trainer and call its Classify with each subset's rows; it builds no
+// dictionary.
 func Fit(train *dataset.Dataset, cfg FitConfig) (*Dictionary, FitReport, error) {
 	if train.Len() == 0 {
 		return nil, FitReport{}, errEmptyTrain
 	}
-	depths, err := candidateDepths(cfg.Depths)
+	t, err := NewTrainer(train, cfg)
 	if err != nil {
 		return nil, FitReport{}, err
 	}
-	label, labels := train.LabelIDs()
 	rows := allRows(train)
-	folds := innerFolds(label, len(labels), rows, cfg.InnerFolds)
-	if folds < 2 {
-		// fit takes the median candidate without scoring, so no other
-		// depth needs rendering.
-		depths = depths[len(depths)/2:][:1]
-	}
-	t, err := newTrainer(train, cfg, depths, label, labels)
+	order := idOrder(train, rows)
+	best, rep, err := t.selectDepth(rows, order, innerFolds(t.label, len(t.labels), rows, cfg.InnerFolds))
 	if err != nil {
 		return nil, FitReport{}, err
 	}
-	return t.fit(rows, folds)
+	// The trainer is Fit's own and done rendering: the chosen depth's
+	// dictionary learns, in ID order, the keys its index already holds.
+	d, ix := t.dicts[best], t.index[best]
+	for _, i := range order {
+		label := train.Executions[i].Label
+		for _, k := range ix.keysOf(i) {
+			ref := ix.keys[k]
+			d.addKeyBytes(ref.bk, ix.buf[ref.off:ref.end], label, 1)
+		}
+	}
+	return d, rep, nil
 }
 
 var errEmptyTrain = errors.New("core: empty training set")
 
-// Trainer fits any subset of one dataset from a single rendering of the
-// dataset's keys, with the result Fit gives for that subset alone. A
-// subset is a list of rows, indexes into the dataset's executions, as
-// a dataset.Fold holds them. NewTrainer extracts every execution's raw
+// Trainer recognizes test rows of one dataset with what any subset of
+// it would learn, from a single rendering of the dataset's keys, with
+// the pairs Fit's dictionary of that subset alone gives. A subset is a
+// list of rows, indexes into the dataset's executions, as a
+// dataset.Fold holds them. NewTrainer extracts every execution's raw
 // window means once and renders them into one key index per candidate
-// depth. Fit cross-validates the depth over the rows' own inner folds,
-// reading each index through the rows, and learns a fresh dictionary
-// from the chosen depth's keys of those rows, rendering no key.
-// Classify chooses the depth the same way, then recognizes test rows
-// through the cross-validation grid, against the keys the training
-// rows produce, building no dictionary. So the outer folds of an
-// evaluation, which train on overlapping subsets of one dataset, render
-// each execution's keys once instead of once per fold, and recognize
-// their test sets with no Dictionary or Recognizer.
+// depth. Classify cross-validates the depth over the training rows' own
+// inner folds, reading each index through the rows, then recognizes
+// test rows through the cross-validation grid, against the keys the
+// training rows produce, building no dictionary. So the outer folds of
+// an evaluation, which train on overlapping subsets of one dataset,
+// render each execution's keys once instead of once per fold, and
+// recognize their test sets with no Dictionary or Recognizer.
 //
 // A Trainer is read-only once built: any number of goroutines may call
-// Fit and Classify at once.
+// Classify at once.
 type Trainer struct {
 	ds     *dataset.Dataset
 	cfg    FitConfig
 	depths []int
-	// dicts[i] renders keys at depths[i]; it learns nothing.
+	// dicts[i] renders keys at depths[i]; it learns nothing, except
+	// the chosen one in Fit, once every key is rendered.
 	dicts []*Dictionary
 	// index[i] holds the keys of every execution of ds at depths[i].
 	index []*keyIndex
@@ -268,23 +263,17 @@ type Trainer struct {
 
 // NewTrainer extracts and renders every execution of ds at each
 // candidate depth of cfg, on the worker pool of cfg.Workers. cfg means
-// what it means for Fit and holds for every Fit of the trainer.
+// what it means for Fit and holds for every Classify of the trainer.
 func NewTrainer(ds *dataset.Dataset, cfg FitConfig) (*Trainer, error) {
 	depths, err := candidateDepths(cfg.Depths)
 	if err != nil {
 		return nil, err
 	}
-	label, labels := ds.LabelIDs()
-	return newTrainer(ds, cfg, depths, label, labels)
-}
-
-// newTrainer is NewTrainer over the given candidate depths and ds's
-// label numbering.
-func newTrainer(ds *dataset.Dataset, cfg FitConfig, depths []int, label []int32, labels []apps.Label) (*Trainer, error) {
 	dicts, err := depthDictionaries(cfg, depths)
 	if err != nil {
 		return nil, err
 	}
+	label, labels := ds.LabelIDs()
 	raws := extractAll(ds, cfg)
 	t := &Trainer{
 		ds: ds, cfg: cfg, depths: depths, dicts: dicts, index: make([]*keyIndex, len(dicts)),
@@ -299,21 +288,12 @@ func newTrainer(ds *dataset.Dataset, cfg FitConfig, depths []int, label []int32,
 	return t, nil
 }
 
-// Fit returns what Fit(ds.Subset(train), cfg) returns, for the
-// trainer's dataset ds and cfg: the same report and a dictionary that
-// saves to the same bytes.
-func (t *Trainer) Fit(train []int) (*Dictionary, FitReport, error) {
-	if len(train) == 0 {
-		return nil, FitReport{}, errEmptyTrain
-	}
-	return t.fit(train, innerFolds(t.label, len(t.labels), train, t.cfg.InnerFolds))
-}
-
 // Classify returns the pairs ClassifyWorkers(d, ds.Subset(test), w)
-// returns, at any w, for the dictionary d of t.Fit(train), and that
-// Fit's report, without building d. It chooses the depth as Fit does,
-// then recognizes the test rows through one grid at that depth over
-// the training rows followed by the test rows: the test rows are the
+// returns, at any w, for the dictionary d of Fit(ds.Subset(train),
+// cfg), the trainer's dataset ds and cfg, and that Fit's report,
+// without building d. It chooses the depth as Fit does, then
+// recognizes the test rows through one grid at that depth over the
+// training rows followed by the test rows: the test rows are the
 // grid's only fold, and the training rows, which no fold tests, only
 // produce keys. So each test row gets the votes d's Recognizer would
 // give it. A row in both lists produces as a training row and is
@@ -350,7 +330,7 @@ func (t *Trainer) Classify(train, test []int) ([]eval.Pair, FitReport, error) {
 	return pairs, rep, nil
 }
 
-// selectDepth chooses the depth of a Fit of the rows train of the
+// selectDepth chooses the depth Fit chooses for the rows train of the
 // trainer's dataset, whose positions order lists by ascending execution
 // ID, by cross-validating over folds inner folds; below 2 it takes the
 // median candidate depth unscored. It returns the chosen depth's
@@ -384,34 +364,6 @@ func (t *Trainer) selectDepth(train, order []int, folds int) (int, FitReport, er
 	}
 	rep.BestDepth = t.depths[best]
 	return best, rep, nil
-}
-
-// fit fits the rows train of the trainer's dataset, cross-validating
-// over folds inner folds; below 2 it takes the median candidate depth
-// unscored.
-func (t *Trainer) fit(train []int, folds int) (*Dictionary, FitReport, error) {
-	order := idOrder(t.ds, train)
-	best, rep, err := t.selectDepth(train, order, folds)
-	if err != nil {
-		return nil, FitReport{}, err
-	}
-	// The trainer's dictionaries only render keys and may serve other
-	// Fits at once: learn into a fresh one, in ID order, from the keys
-	// the chosen index already holds.
-	d, err := NewDictionary(t.dicts[best].cfg)
-	if err != nil {
-		return nil, FitReport{}, err
-	}
-	ix := t.index[best]
-	for _, j := range order {
-		i := train[j]
-		label := t.ds.Executions[i].Label
-		for _, k := range ix.keysOf(i) {
-			ref := ix.keys[k]
-			d.addKeyBytes(ref.bk, ix.buf[ref.off:ref.end], label, 1)
-		}
-	}
-	return d, rep, nil
 }
 
 // innerFolds is the inner fold count of a Fit on rows, whose label
@@ -483,11 +435,26 @@ func depthDictionaries(cfg FitConfig, depths []int) ([]*Dictionary, error) {
 }
 
 // extractAll extracts every execution's raw window means once, on the
-// worker pool.
+// worker pool. Each execution's fps and means are cut from one slab
+// each, with room for every window mean of the execution, so the walk
+// never grows them; the cuts' capacities end where the next execution's
+// begin, so no walk spills into a neighbour's.
 func extractAll(ds *dataset.Dataset, cfg FitConfig) []rawExec {
 	raws := make([]rawExec, ds.Len())
+	per := len(cfg.Windows) * len(cfg.Metrics)
+	total := 0
+	for _, e := range ds.Executions {
+		total += e.NumNodes * per
+	}
+	fps, means := make([]rawFP, total), make([]float64, total)
+	off := 0
+	for i, e := range ds.Executions {
+		end := off + e.NumNodes*per
+		raws[i] = rawExec{fps: fps[off:off:end], means: means[off:off:end]}
+		off = end
+	}
 	par.For(ds.Len(), cfg.Workers, func(i int) {
-		raws[i] = extractRaw(Source(ds.Executions[i]), cfg.Metrics, cfg.Windows, cfg.Joint)
+		extractRawInto(&raws[i], Source(ds.Executions[i]), cfg.Metrics, cfg.Windows, cfg.Joint)
 	})
 	return raws
 }

@@ -216,16 +216,20 @@ func TestFitEmptyDepths(t *testing.T) {
 		return true
 	})
 	cfg := DefaultFitConfig()
-	cfg.Depths = []int{}
 	// Both the cross-validating path and the too-small fallback must
-	// reject an empty candidate list instead of indexing into it.
-	for name, train := range map[string]*dataset.Dataset{"cv": ds, "fallback": tiny} {
-		if _, _, err := Fit(train, cfg); err == nil {
-			t.Errorf("%s: Fit with empty Depths succeeded", name)
+	// reject an empty candidate list instead of indexing into it, and a
+	// list holding a depth below 1 wherever that depth stands, not only
+	// when the fallback would take it.
+	for _, depths := range [][]int{{}, {0, 3, 5}, {2, 4, -1}} {
+		cfg.Depths = depths
+		for name, train := range map[string]*dataset.Dataset{"cv": ds, "fallback": tiny} {
+			if d, rep, err := Fit(train, cfg); err == nil {
+				t.Errorf("%s: Fit with Depths %v succeeded: depth %d, %d keys", name, depths, rep.BestDepth, d.Len())
+			}
 		}
-	}
-	if _, err := CrossValidate(ds, cfg); err == nil {
-		t.Error("CrossValidate with empty Depths succeeded")
+		if _, err := CrossValidate(ds, cfg); err == nil {
+			t.Errorf("CrossValidate with Depths %v succeeded", depths)
+		}
 	}
 }
 
@@ -270,7 +274,9 @@ func TestKeyIndexNumbering(t *testing.T) {
 					}
 				}
 			}
-			raws = append(raws, extractRaw(src, cfg.Metrics, cfg.Windows, joint))
+			var re rawExec
+			extractRawInto(&re, src, cfg.Metrics, cfg.Windows, joint)
+			raws = append(raws, re)
 		}
 		ix := newKeyIndex(d, raws, new(gridScratch))
 		type identity struct {
@@ -338,7 +344,7 @@ func referenceFit(train *dataset.Dataset, cfg FitConfig) (*Dictionary, FitReport
 		}
 		raws := make([]rawExec, train.Len())
 		for i, e := range train.Executions {
-			raws[i] = extractRaw(Source(e), cfg.Metrics, cfg.Windows, cfg.Joint)
+			extractRawInto(&raws[i], Source(e), cfg.Metrics, cfg.Windows, cfg.Joint)
 		}
 		bestScore := -1.0
 		for _, depth := range depths {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -14,67 +13,8 @@ import (
 	"repro/internal/eval"
 )
 
-// TestTrainerFitMatchesFit holds a Trainer's Fit of a list of rows to
-// Fit of those rows' subset alone: the reports must be deeply equal
-// (DepthScores bit for bit) and the dictionaries must save to the same
-// bytes. The row lists are those of trainingRows.
-func TestTrainerFitMatchesFit(t *testing.T) {
-	ds := oracleDataset(t)
-	subsets := trainingRows(t, ds)
-	configs := []struct {
-		name string
-		set  func(*FitConfig)
-	}{
-		{"headline", func(*FitConfig) {}},
-		{"metrics", func(c *FitConfig) { c.Metrics = oracleMetrics }},
-		{"metrics joint", func(c *FitConfig) { c.Metrics, c.Joint = oracleMetrics[:2], true }},
-		{"unsorted depths", func(c *FitConfig) { c.Depths = []int{5, 2, 4, 1} }},
-	}
-	for _, c := range configs {
-		for _, workers := range []int{1, 8} {
-			cfg := DefaultFitConfig()
-			cfg.Seed = 3
-			cfg.Workers = workers
-			c.set(&cfg)
-			tr, err := NewTrainer(ds, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, sub := range subsets {
-				want, wantRep, err := Fit(ds.Subset(sub.train), cfg)
-				if err != nil {
-					t.Fatalf("%s workers %d %s: Fit: %v", c.name, workers, sub.name, err)
-				}
-				got, rep, err := tr.Fit(sub.train)
-				if err != nil {
-					t.Fatalf("%s workers %d %s: Trainer.Fit: %v", c.name, workers, sub.name, err)
-				}
-				if !reflect.DeepEqual(rep, wantRep) {
-					t.Errorf("%s workers %d %s: report %+v, Fit %+v", c.name, workers, sub.name, rep, wantRep)
-				}
-				if !bytes.Equal(saved(t, got), saved(t, want)) {
-					t.Errorf("%s workers %d %s: saved dictionary differs from Fit's", c.name, workers, sub.name)
-				}
-			}
-		}
-	}
-	// The cases above must reach the fallback and keyless executions.
-	if _, rep, _ := Fit(ds.Subset(subsets[4].train), DefaultFitConfig()); rep.Folds != 0 {
-		t.Errorf("one per label cross-validated over %d folds, want the fallback depth", rep.Folds)
-	}
-	keyless := 0
-	for _, i := range subsets[5].train {
-		if len(extractRaw(Source(ds.Executions[i]), oracleMetrics, DefaultFitConfig().Windows, false).fps) == 0 {
-			keyless++
-		}
-	}
-	if keyless == 0 {
-		t.Error("the keyless subset has no keyless execution")
-	}
-}
-
-// TestTrainerRejectsEmptyTrainingSet checks that Fit and Classify of
-// no training rows are errors, as Fit of an empty dataset is.
+// TestTrainerRejectsEmptyTrainingSet checks that Classify of no
+// training rows is an error, as Fit of an empty dataset is.
 func TestTrainerRejectsEmptyTrainingSet(t *testing.T) {
 	ds := smallDataset(t)
 	tr, err := NewTrainer(ds, DefaultFitConfig())
@@ -82,9 +22,6 @@ func TestTrainerRejectsEmptyTrainingSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, train := range [][]int{nil, {}} {
-		if _, _, err := tr.Fit(train); err == nil {
-			t.Errorf("Trainer.Fit of training rows %v succeeded", train)
-		}
 		if _, _, err := tr.Classify(train, []int{0, 1}); err == nil {
 			t.Errorf("Trainer.Classify with training rows %v succeeded", train)
 		}
@@ -99,7 +36,8 @@ func TestTrainerRejectsEmptyTrainingSet(t *testing.T) {
 // complement of the training rows, the training rows themselves, every
 // row, rows with keyless executions, and rows holding the applications
 // the training rows lack. A second dataset names one application
-// Unknown.
+// Unknown. The training rows must reach Fit's fallback depth and
+// keyless executions.
 func TestTrainerClassifyMatchesFit(t *testing.T) {
 	ds := oracleDataset(t)
 	renamed := &dataset.Dataset{Windows: ds.Windows}
@@ -177,7 +115,17 @@ func TestTrainerClassifyMatchesFit(t *testing.T) {
 			}
 		}
 	}
-	for _, r := range []string{"unknown prediction", "absent app tested"} {
+	for _, sub := range trainingRows(t, ds) {
+		if _, rep, _ := Fit(ds.Subset(sub.train), DefaultFitConfig()); rep.Folds == 0 {
+			reached["fallback depth"] = true
+		}
+		var re rawExec
+		for _, i := range sub.train {
+			extractRawInto(&re, Source(ds.Executions[i]), oracleMetrics, DefaultFitConfig().Windows, false)
+			reached["keyless training execution"] = reached["keyless training execution"] || len(re.fps) == 0
+		}
+	}
+	for _, r := range []string{"unknown prediction", "absent app tested", "fallback depth", "keyless training execution"} {
 		if !reached[r] {
 			t.Errorf("no case reached %s", r)
 		}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/eval"
 	"repro/internal/telemetry"
 )
@@ -55,63 +56,64 @@ func (h *Harness) intervalAblation(windows []telemetry.Window, fitFor fitterFor)
 	return out, nil
 }
 
-// singleNodeSource restricts a WindowSource to one node: fingerprints
-// exist only for that node, so recognition loses the cross-node vote.
-type singleNodeSource struct {
-	src  core.WindowSource
-	node int
-}
-
-func (s singleNodeSource) WindowMean(metric string, node int, w telemetry.Window) (float64, bool) {
-	if node != s.node {
-		return 0, false
-	}
-	return s.src.WindowMean(metric, node, w)
-}
-
-func (s singleNodeSource) NodeCount() int { return s.src.NodeCount() }
-
 // VotingAblation contrasts recognition through all involved nodes (the
 // EFD's design, §5 "it stands to reason that we recognize an
 // application through all involved nodes") against recognition from a
-// single node's fingerprints. The folds fit from one core.Trainer; each
-// builds its dictionary, because the single-node pass recognizes
-// sources the trainer has no keys for.
+// single node's fingerprints. One core.Trainer covers the harness
+// dataset followed by a node-0 view of each execution (nodeZero), and
+// each fold recognizes its test rows and their views in one Classify.
 func (h *Harness) VotingAblation() (allNodes, singleNode float64, err error) {
 	return h.votingAblation(trainer)
 }
 
 func (h *Harness) votingAblation(fitFor fitterFor) (allNodes, singleNode float64, err error) {
-	fit, err := fitFor(h.DS, h.Fit)
+	n := h.DS.Len()
+	views := make([]dataset.Execution, n)
+	ds := &dataset.Dataset{Windows: h.DS.Windows, Executions: append(make([]*dataset.Execution, 0, 2*n), h.DS.Executions...)}
+	for i, e := range h.DS.Executions {
+		views[i] = nodeZero(e, h.Fit.Metrics)
+		ds.Executions = append(ds.Executions, &views[i])
+	}
+	fit, err := fitFor(ds, h.Fit)
 	if err != nil {
 		return 0, 0, err
 	}
-	// One fold's recognitions through all nodes and through node 0
-	// alone.
-	type votes struct{ all, single []eval.Pair }
-	folds, err := foldRun(h, func(train, test []int) (votes, error) {
-		d, _, err := fit.Fit(train)
-		if err != nil {
-			return votes{}, err
+	// One fold's recognitions of its test rows through all nodes, then
+	// of their views (row n+i views row i) through node 0 alone.
+	folds, err := foldRun(h, func(train, test []int) ([]eval.Pair, error) {
+		rows := append(make([]int, 0, 2*len(test)), test...)
+		for _, i := range test {
+			rows = append(rows, n+i)
 		}
-		v := votes{all: make([]eval.Pair, len(test)), single: make([]eval.Pair, len(test))}
-		rec := d.NewRecognizer()
-		for j, i := range test {
-			e := h.DS.Executions[i]
-			v.all[j] = eval.Pair{Truth: e.Label.App, Pred: rec.Recognize(core.Source(e)).Top()}
-			v.single[j] = eval.Pair{Truth: e.Label.App, Pred: rec.Recognize(singleNodeSource{src: core.Source(e), node: 0}).Top()}
-		}
-		return v, nil
+		pairs, _, err := fit.Classify(train, rows)
+		return pairs, err
 	})
 	if err != nil {
 		return 0, 0, err
 	}
-	var all, single []eval.Pair
-	for _, v := range folds {
-		all = append(all, v.all...)
-		single = append(single, v.single...)
+	all := make([]eval.Pair, 0, n)
+	single := make([]eval.Pair, 0, n)
+	for _, pairs := range folds {
+		half := len(pairs) / 2
+		all = append(all, pairs[:half]...)
+		single = append(single, pairs[half:]...)
 	}
 	return eval.F1Macro(all), eval.F1Macro(single), nil
+}
+
+// nodeZero returns a shallow copy of e, on the same node count, whose
+// metrics keep only node 0's summaries: extraction finds fingerprints
+// on node 0 alone, so recognition loses the cross-node vote. Only the
+// fingerprint metrics are kept, the only ones extraction reads.
+func nodeZero(e *dataset.Execution, metrics []string) dataset.Execution {
+	v := *e
+	v.Stats = make(map[string][]dataset.NodeMetricStats, len(metrics))
+	for _, m := range metrics {
+		if per, ok := e.Stats[m]; ok {
+			v.Stats[m] = per[:min(len(per), 1)]
+		}
+	}
+	return v
 }
 
 // ComboResult reports a metric-combination ablation row.

@@ -19,14 +19,16 @@ import (
 )
 
 // Harness runs the evaluation protocols over one dataset. Each protocol
-// call builds one core.Trainer per fingerprint configuration, which
-// renders every execution's keys once. Every outer fold hands the
-// trainer its rows, as dataset.KFold lists them: the fold chooses its
-// depth from that rendering and recognizes its test rows through the
-// trainer's grid (core.Trainer.Classify), with no per-fold Dictionary
-// or Recognizer; the trainer is dropped when the call returns. Every
-// protocol's folds (the outer folds, or one split per held-out value in
-// the hard protocols) and the outer folds of the interval, voting and
+// call, and each ablation but the dictionary growth, builds one
+// core.Trainer per fingerprint configuration, which renders every
+// execution's keys once (the voting ablation's also renders a node-0
+// view of each execution). Every outer fold hands the trainer its rows,
+// as dataset.KFold lists them: the fold chooses its depth from that
+// rendering and recognizes its test rows through the trainer's grid
+// (core.Trainer.Classify), building no Dictionary or Recognizer; the
+// trainer is dropped when the call returns. Every protocol's folds
+// (the outer folds, or one split per held-out value in the hard
+// protocols) and the outer folds of the interval, voting and
 // metric-sweep evaluations run concurrently on one bounded worker pool
 // (internal/par, sized by Workers), as do the sweep's metrics; results
 // are assembled in fold order, so every score is byte-identical to a
@@ -93,11 +95,10 @@ func (s Score) String() string {
 }
 
 // fitter trains on subsets of the dataset it was built for, each given
-// as a list of rows of that dataset: Fit learns the training rows'
-// dictionary, and Classify pairs each test row's execution with what
-// that dictionary recognizes it as, and returns the Fit report.
+// as a list of rows of that dataset: Classify pairs each test row's
+// execution with what the training rows' dictionary recognizes it as,
+// and returns the report of that dictionary's fit.
 type fitter interface {
-	Fit(train []int) (*core.Dictionary, core.FitReport, error)
 	Classify(train, test []int) ([]eval.Pair, core.FitReport, error)
 }
 

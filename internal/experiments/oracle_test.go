@@ -20,12 +20,8 @@ type perFoldFit struct {
 	cfg core.FitConfig
 }
 
-func (p perFoldFit) Fit(train []int) (*core.Dictionary, core.FitReport, error) {
-	return core.Fit(p.ds.Subset(train), p.cfg)
-}
-
 func (p perFoldFit) Classify(train, test []int) ([]eval.Pair, core.FitReport, error) {
-	d, rep, err := p.Fit(train)
+	d, rep, err := core.Fit(p.ds.Subset(train), p.cfg)
 	if err != nil {
 		return nil, core.FitReport{}, err
 	}
@@ -100,8 +96,9 @@ func TestProtocolsMatchPerFoldOracle(t *testing.T) {
 // no per-fold Dictionary or Recognizer, and sizing dataset.KFold's
 // slices once made it 1,671. Handing the trainer each fold's rows, with
 // no Subset per fold and no copy of the key index per grid, and
-// stratifying every split by a counting sort over label numbers make
-// it 956.
+// stratifying every split by a counting sort over label numbers made
+// it 956. Cutting every execution's raw window means from one slab per
+// trainer makes it 606.
 func TestNormalFoldAllocs(t *testing.T) {
 	h := testHarness(t)
 	h.Workers, h.Fit.Workers = 1, 1
@@ -110,8 +107,27 @@ func TestNormalFoldAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if limit := 956.0; allocs > limit {
+	if limit := 606.0; allocs > limit {
 		t.Errorf("NormalFold allocates %.0f times, want at most %.0f (does each fold render its keys again, or build a dictionary?)", allocs, limit)
+	}
+}
+
+// TestVotingAblationAllocs pins the allocations of one VotingAblation
+// on testDS, harness and Fit at one worker. When every outer fold built
+// its dictionary and recognized each test execution twice through a
+// Recognizer, once through a single-node source, a call allocated
+// 7,068 times. One trainer over the executions and their node-0 views,
+// whose folds recognize both through the trainer's grid, makes it 980.
+func TestVotingAblationAllocs(t *testing.T) {
+	h := testHarness(t)
+	h.Workers, h.Fit.Workers = 1, 1
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, _, err := h.VotingAblation(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := 980.0; allocs > limit {
+		t.Errorf("VotingAblation allocates %.0f times, want at most %.0f (does each fold build a dictionary again?)", allocs, limit)
 	}
 }
 
