@@ -93,6 +93,7 @@ func TestTrainerClassifyMatchesFit(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s %s workers %d %s: Fit: %v", data.name, c.name, workers, sub.name, err)
 					}
+					reached["fallback depth"] = reached["fallback depth"] || wantRep.Folds == 0
 					for _, tc := range tests {
 						at := fmt.Sprintf("%s %s workers %d train %s test %s", data.name, c.name, workers, sub.name, tc.name)
 						want := ClassifyWorkers(d, data.ds.Subset(tc.test), workers)
@@ -116,9 +117,6 @@ func TestTrainerClassifyMatchesFit(t *testing.T) {
 		}
 	}
 	for _, sub := range trainingRows(t, ds) {
-		if _, rep, _ := Fit(ds.Subset(sub.train), DefaultFitConfig()); rep.Folds == 0 {
-			reached["fallback depth"] = true
-		}
 		var re rawExec
 		for _, i := range sub.train {
 			extractRawInto(&re, Source(ds.Executions[i]), oracleMetrics, DefaultFitConfig().Windows, false)
